@@ -45,19 +45,6 @@ def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-#: Legal values for the ``sim_sharding`` knob.  ``auto`` picks the
-#: sharded kernel at 16+ cores (where batch density pays for the
-#: calendar's constant costs) and the legacy heap below.
-SIM_SHARDING_MODES = ("auto", "legacy", "sharded")
-
-
-def _parse_sharding(raw: str) -> str:
-    value = raw.strip().lower()
-    if value not in SIM_SHARDING_MODES:
-        raise ValueError(value)
-    return value
-
-
 @dataclass(frozen=True)
 class Knob:
     """One environment variable: where it lives, how it parses, what it
@@ -110,14 +97,6 @@ KNOBS: Dict[str, Knob] = {
         False,
         "run the paper-sized benchmark grids (16 and 64 cores, full "
         "scale) instead of the CI-sized ones",
-    ),
-    "sim_sharding": Knob(
-        "REPRO_SIM_SHARDING",
-        _parse_sharding,
-        "auto",
-        "simulation kernel: 'sharded' (horizon-sharded calendar queue), "
-        "'legacy' (global event heap), or 'auto' (sharded at 16+ cores); "
-        "both kernels are bit-identical -- this only affects speed",
     ),
 }
 
@@ -178,23 +157,6 @@ def bench_cache(override=None) -> Optional[str]:
 
 def bench_full(override: Optional[bool] = None) -> bool:
     return bool(get("bench_full", override))
-
-
-def sim_sharding(override: Optional[str] = None) -> str:
-    """Simulation-kernel selector: ``auto`` | ``legacy`` | ``sharded``.
-
-    An explicit override is validated the same way the environment
-    value is, so a typo'd CLI flag fails loudly instead of silently
-    running the wrong kernel."""
-    value = get("sim_sharding", override)
-    if value not in SIM_SHARDING_MODES:
-        from repro.common.errors import ConfigError
-
-        raise ConfigError(
-            f"sim_sharding must be one of {SIM_SHARDING_MODES}, "
-            f"got {value!r}"
-        )
-    return str(value)
 
 
 def describe() -> str:

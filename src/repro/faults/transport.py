@@ -109,7 +109,7 @@ class ReliableTransport:
     def abandon_tile(self, tile: TileId) -> None:
         """Stop retransmitting into a tile declared dead; subsequent
         sends to it go out fire-and-forget (the dead slice ignores them
-        anyway, and the pending timers must not keep the event heap
+        anyway, and the pending timers must not keep the event calendar
         alive forever)."""
         self._dead_dsts.add(tile)
         for (_, dst), state in self._send.items():

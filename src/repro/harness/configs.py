@@ -98,21 +98,16 @@ def build_machine(
     n_cores: int = 16,
     seed: int = 2015,
     fault_plan=None,
-    sim_mode=None,
     **overrides,
 ) -> Machine:
     """Build a ready-to-use machine for a named configuration.
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) arms the fault
     injector, reliable transport, and degradation plane; it requires an
-    MSA-bearing configuration.  ``sim_mode`` overrides the simulation
-    kernel selection (``"legacy"``/``"sharded"``/``"auto"``; default:
-    the ``REPRO_SIM_SHARDING`` knob).  Extra keyword arguments replace
+    MSA-bearing configuration.  Extra keyword arguments replace
     top-level :class:`MachineParams` fields after the configuration is
     resolved (e.g. ``core=CoreParams(hw_threads=2)``)."""
     params, library = machine_params(config, n_cores=n_cores, seed=seed)
     if overrides:
         params = params.with_(**overrides)
-    return Machine(
-        params, library=library, fault_plan=fault_plan, sim_mode=sim_mode
-    )
+    return Machine(params, library=library, fault_plan=fault_plan)

@@ -4,13 +4,15 @@ hierarchy, MSA slices, sync units, scheduler, and runtime services.
 Build one with :class:`MachineParams` plus a synchronization
 configuration (which sync unit mode and which library), or more
 conveniently through :func:`repro.harness.configs.build_machine`.
+Every machine runs on the one event kernel,
+:class:`repro.sim.kernel.Simulator`; its size does not change how
+events are queued or ordered.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.common import config as repro_config
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams
 from repro.common.stats import merge_counters
@@ -27,21 +29,6 @@ from repro.runtime.swsync.registry import SwStateRegistry
 from repro.runtime.syncapi import make_library
 from repro.sim.kernel import Simulator
 from repro.sim.rng import DeterministicRng
-from repro.sim.shard import ShardedSimulator, TileGroups, conservative_lookahead
-
-
-def resolve_sim_mode(n_cores: int, override: Optional[str] = None) -> str:
-    """Resolve the ``REPRO_SIM_SHARDING`` knob to a concrete kernel.
-
-    ``auto`` picks the sharded calendar at 16+ cores: below that the
-    same-cycle batch density (events per distinct timestamp) is too low
-    for the calendar's bookkeeping to beat the legacy heap's small-n
-    constant factor.  See docs/PERF.md ("When legacy mode is faster").
-    """
-    mode = repro_config.sim_sharding(override)
-    if mode == "auto":
-        return "sharded" if n_cores >= 16 else "legacy"
-    return mode
 
 
 class Machine:
@@ -52,19 +39,11 @@ class Machine:
         params: MachineParams,
         library: str = "hybrid",
         fault_plan=None,
-        sim_mode: Optional[str] = None,
     ):
         params.validate()
         self.params = params
         self.library_name = library
-        self.sim_mode = resolve_sim_mode(params.n_cores, sim_mode)
-        if self.sim_mode == "sharded":
-            groups = TileGroups.for_mesh(params.n_cores)
-            self.sim = ShardedSimulator(
-                groups, conservative_lookahead(params.noc, groups.n_groups)
-            )
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         from repro.sim.trace import Tracer
 
         self.tracer = Tracer(self.sim)
@@ -193,27 +172,11 @@ class Machine:
 
         return attach_checkers(self, monitors, fail_fast=fail_fast)
 
-    def run(self, max_events: Optional[int] = None, until: Optional[int] = None) -> int:
+    def run(self, max_events: Optional[int] = None) -> int:
         """Drain the simulation; raises DeadlockError if threads hang."""
-        cycles = self.sim.run(until=until, max_events=max_events)
-        if until is None:
-            self.scheduler.check_for_deadlock()
+        cycles = self.sim.run(max_events=max_events)
+        self.scheduler.check_for_deadlock()
         return cycles
-
-    def sharding_info(self) -> Dict[str, object]:
-        """Scheduler-mode metadata + cross-group validation counters,
-        stamped into ``repro.perf`` BENCH documents and surfaced by the
-        watchdog's triage dump.  ``lookahead_violations`` must be 0 on
-        every run: a nonzero count means a cross-group message beat the
-        conservative horizon and the partition's independence claim is
-        wrong (``tests/test_sharding.py`` asserts this)."""
-        if isinstance(self.sim, ShardedSimulator):
-            info = self.sim.sharding_info()
-        else:
-            info = {"mode": "legacy", "n_groups": 1, "lookahead": 0}
-        info["cross_group_delivered"] = self.network.cross_group_delivered
-        info["lookahead_violations"] = self.network.lookahead_violations
-        return info
 
     def check_invariants(self) -> None:
         self.memory.check_invariants()

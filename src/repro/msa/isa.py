@@ -487,6 +487,12 @@ class SyncUnit:
                 if self._plane is not None:
                     self._hw_owned[p["addr"]] = slot
                 self.issue(SyncOp.UNLOCK, p["addr"], slot=slot)
+            elif result in (SyncResult.FAIL, SyncResult.ABORT):
+                # The home charged the OMU for a software fallback this
+                # request will never run (the thread re-issues the
+                # instruction after resume): FINISH cancels the charge.
+                self.stats.counter("squashed_fallback_finished").inc()
+                self.issue(SyncOp.FINISH, p["addr"], slot=slot)
             return
         future = self._pending.pop(req_id, None)
         if future is None:

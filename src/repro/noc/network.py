@@ -8,7 +8,9 @@ Hot-path layout: every message pays ``inject`` + one ``_dispatch``, so
 the per-call stat lookups (dict hit + f-string per counter) are hoisted
 into attributes bound at construction, handler dispatch is a per-tile
 dict indexed by the message's precomputed ``prefix`` (no tuple key
-allocation), and routes are memoized per (src, dst) pair.
+allocation), and routes are memoized per (src, dst) pair.  Delivery
+does only what every message needs: the delivered counter, the
+latency histogram, and the optional checker probe.
 """
 
 from __future__ import annotations
@@ -51,16 +53,6 @@ class Network:
         self._latency = self.stats.histogram("latency")
         self._sent_by_prefix: Dict[str, Counter] = {}
 
-        # Horizon-sharding validation (see repro.sim.shard): when the
-        # kernel carries tile groups, every delivery is classified and
-        # cross-group arrivals are checked against the conservative
-        # lookahead.  Plain ints, not StatSet counters, so the golden
-        # counter dictionaries stay identical across kernel modes.
-        groups = getattr(sim, "groups", None)
-        self._group_of = groups.group_of if groups is not None else None
-        self._lookahead = getattr(sim, "lookahead", 0)
-        self.cross_group_delivered = 0
-        self.lookahead_violations = 0
         self._injector = None
         self._transport = None
         # The callback handed to the fabric as the final-hop target.
@@ -201,11 +193,6 @@ class Network:
         self._messages_delivered.value += 1
         latency = self.sim.now - message.injected_at
         self._latency.add(latency)
-        group_of = self._group_of
-        if group_of is not None and group_of[message.src] != group_of[message.dst]:
-            self.cross_group_delivered += 1
-            if latency < self._lookahead:
-                self.lookahead_violations += 1
         if self.probe is not None:
             self.probe.emit(
                 "noc_deliver",

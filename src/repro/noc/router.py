@@ -9,11 +9,13 @@ the event cost of a flit-accurate model (the paper used Booksim; see
 DESIGN.md for the substitution rationale).
 
 Traversal is the single hottest code path in the whole simulator (one
-event per hop per message), so :meth:`LinkFabric._cross` carries its
-state in a plain tuple scheduled with the kernel's ``(callback, arg)``
-form -- no per-hop closures, no copy of the hop list -- and performs
-the link reservation inline rather than through :meth:`Link.reserve` /
-:attr:`Link.queue_delay` (both kept for tests and occasional callers).
+event per hop per message), so the per-hop handler built by
+:meth:`LinkFabric._make_cross` carries its state in a plain list
+scheduled with the kernel's ``(callback, arg)`` form -- no per-hop
+closures, no copy of the hop list -- performs the link reservation
+inline rather than through :meth:`Link.reserve` /
+:attr:`Link.queue_delay` (both kept for tests and occasional callers),
+and appends the next hop straight into the kernel's calendar.
 """
 
 from __future__ import annotations
@@ -74,13 +76,10 @@ class LinkFabric:
         self._stall_cycles = None
         self._router_latency = params.router_latency
         self._injection_latency = params.injection_latency
-        # Sharded-kernel fast path: hop events dominate the event mix
-        # (60-80% on the headline workloads), so the per-hop handler is
-        # compiled as a closure over the calendar's bucket table -- the
-        # push is an inline dict hit + list append, and every hot
-        # constant is a cell load instead of an attribute chain.
-        if hasattr(sim, "_buckets"):
-            self._cross = self._make_cross_sharded()
+        # Hop events dominate the event mix (60-80% on the headline
+        # workloads), so the per-hop handler is compiled once as a
+        # closure over the kernel's calendar.
+        self._cross = self._make_cross()
 
     def link(self, src: TileId, dst: TileId) -> Link:
         key = (src, dst)
@@ -119,46 +118,14 @@ class LinkFabric:
         # hop: exactly one in-flight hop event holds it at a time.
         self.sim.schedule(delay, self._cross, [links, 0, deliver, deliver_arg])
 
-    def _cross(self, state) -> None:
-        """One hop of a traversal: reserve ``links[index]``, then chain
-        to the next hop or the delivery callback."""
-        links, index, deliver, deliver_arg = state
-        link = links[index]
-        sim = self.sim
-        now = sim.now
-        free_at = link._free_at
-        if free_at > now:
-            stall = self._stall_cycles
-            if stall is None:
-                stall = self._stall_cycles = self.stats.counter(
-                    "link_stall_cycles"
-                )
-            stall.value += free_at - now
-            start = free_at
-        else:
-            start = now
-        occupancy = link.occupancy_cycles
-        finish = start + occupancy
-        link._free_at = finish
-        link.busy_cycles += occupancy
-        when = finish + self._router_latency
-        index += 1
-        # Simulator._push skips schedule()'s delay check (non-negative
-        # by construction here) and binds to whichever kernel -- legacy
-        # heap or sharded calendar -- the machine was built with.
-        if index < len(links):
-            state[1] = index
-            sim._push(when, self._cross, state)
-        else:
-            sim._push(when, deliver, deliver_arg)
-
-    def _make_cross_sharded(self):
-        """Compile the per-hop handler for a ShardedSimulator: the same
-        reservation logic and event order as :meth:`_cross`, with the
-        calendar push inlined and the simulator, bucket table, and
-        latencies bound as closure cells.  The stall counter keeps its
-        lazy first-stall registration (via ``self``, so tests that read
-        ``fabric._stall_cycles`` still see it)."""
+    def _make_cross(self):
+        """Compile the per-hop handler: reserve ``links[index]``, then
+        chain to the next hop or the delivery callback.  The calendar
+        push (:meth:`Simulator.schedule` without the delay check, which
+        holds by construction) is inlined, and the simulator, bucket
+        table, and latencies are closure cells.  The stall counter keeps
+        its lazy first-stall registration (via ``self``, so tests that
+        read ``fabric._stall_cycles`` still see it)."""
         sim = self.sim
         buckets = sim._buckets
         times = sim._times

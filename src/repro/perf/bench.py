@@ -73,7 +73,7 @@ SUITES: Dict[str, Sequence[BenchPoint]] = {
         BenchPoint("msa-omu-2", "canneal", 64, 2.0),
         BenchPoint("ideal", "streamcluster", 64, 8.0),
         # The scaling point: event density per cycle grows with the
-        # mesh, which is exactly where the sharded kernel's batched
+        # mesh, which is exactly where the calendar kernel's batched
         # drains pay off (see docs/PERF.md).
         BenchPoint("msa-omu-2", "streamcluster", 256, 8.0),
     ),
@@ -149,13 +149,6 @@ def measure_point(
         pstats.Stats(prof).sort_stats("tottime").print_stats(profile)
     cycles, events = fingerprint
     best = min(walls)
-    info = machine.sharding_info()
-    if info.get("lookahead_violations"):
-        raise AssertionError(
-            f"{point.key}: {info['lookahead_violations']} cross-group "
-            f"deliveries beat the conservative lookahead -- the horizon "
-            f"derivation is wrong for this configuration"
-        )
     return {
         "key": point.key,
         "config": point.config,
@@ -170,18 +163,6 @@ def measure_point(
         "wall_all_s": [round(w, 6) for w in walls],
         "events_per_sec": round(events / best, 1) if best > 0 else 0.0,
         "peak_rss_kb": _peak_rss_kb(),
-        # Scheduler provenance: which kernel produced these numbers.
-        # compare() refuses to gate documents taken under different
-        # modes (wall-clock numbers from different kernels are not a
-        # regression signal for each other).
-        "scheduler": {
-            "mode": info["mode"],
-            "n_groups": info.get("n_groups", 1),
-            "lookahead": info.get("lookahead", 0),
-            "batch_density": info.get("batch_density", 0.0),
-            "cross_group_delivered": info.get("cross_group_delivered", 0),
-            "topology": f"mesh-{point.cores}",
-        },
     }
 
 
@@ -203,16 +184,11 @@ def run_suite(
         records.append(
             measure_point(point, repeat=repeat, seed=seed, profile=profile)
         )
-    modes = {r["scheduler"]["mode"] for r in records}
     return {
         "schema": "repro.perf/1",
         "label": label,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "calibration_kops": round(calibrate(), 1),
-        # Document-level scheduler mode ("mixed" when points disagree,
-        # which only happens with hand-built suites): the compare gate
-        # refuses to compare documents taken under different modes.
-        "scheduler_mode": modes.pop() if len(modes) == 1 else "mixed",
         "points": records,
     }

@@ -38,30 +38,13 @@ class CompareResult:
     improvements: List[str] = field(default_factory=list)
     unmatched: List[str] = field(default_factory=list)
     lines: List[str] = field(default_factory=list)
-    mode_mismatch: str = ""
-    """Non-empty when the two documents were recorded under different
-    simulation-kernel modes; names both documents and their modes (e.g.
-    ``old.json is 'legacy', new.json is 'sharded'``).  The compare is
-    refused outright, because wall-clock numbers from different kernels
-    are not a regression signal for each other."""
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.regressions
-            and not self.determinism_breaks
-            and not self.mode_mismatch
-        )
+        return not self.regressions and not self.determinism_breaks
 
     def describe(self) -> str:
         out = list(self.lines)
-        if self.mode_mismatch:
-            out.append(
-                f"REFUSED: scheduler mode mismatch ({self.mode_mismatch}) "
-                f"-- re-record one document under the other's "
-                f"REPRO_SIM_SHARDING mode to compare throughput"
-            )
-            return "\n".join(out)
         if self.determinism_breaks:
             out.append(
                 f"DETERMINISM BROKEN on {len(self.determinism_breaks)} "
@@ -88,21 +71,6 @@ def compare(
     new_cal = new.get("calibration_kops") or 0.0
     host_ratio = (new_cal / old_cal) if old_cal and new_cal else 1.0
     result = CompareResult(threshold=threshold, host_ratio=host_ratio)
-
-    # Scheduler-mode gate: refuse when BOTH documents are stamped and
-    # the stamps differ.  Unstamped (pre-sharding) baselines compare
-    # normally, so historical documents keep working as baselines.
-    old_mode = old.get("scheduler_mode")
-    new_mode = new.get("scheduler_mode")
-    if old_mode and new_mode and old_mode != new_mode:
-        # Name both documents, not just the modes: the operator's next
-        # step is re-recording one specific file.
-        old_name = old.get("source_path") or old.get("label") or "baseline"
-        new_name = new.get("source_path") or new.get("label") or "new"
-        result.mode_mismatch = (
-            f"{old_name} is {old_mode!r}, {new_name} is {new_mode!r}"
-        )
-        return result
 
     old_by_key = {p["key"]: p for p in old.get("points", ())}
     new_by_key = {p["key"]: p for p in new.get("points", ())}

@@ -21,9 +21,6 @@ def load_doc(path: str) -> Dict:
         raise ValueError(
             f"{path}: schema {doc.get('schema')!r}, expected {SCHEMA!r}"
         )
-    # Remember where this document came from so downstream errors
-    # (e.g. compare()'s scheduler-mode refusal) can name the file.
-    doc["source_path"] = str(path)
     return doc
 
 

@@ -235,10 +235,10 @@ class Watchdog:
 
     # -- the run loop --------------------------------------------------
     def run(self, machine) -> int:
-        """Drain the machine's event heap under this watchdog.
+        """Drain the machine's event calendar under this watchdog.
 
         Event order is identical to ``machine.run(max_events=...)`` --
-        the heap is drained in fixed-size chunks with only bookkeeping
+        the calendar is drained in fixed-size chunks with only bookkeeping
         in between -- so a run that finishes within budget returns
         bit-identical results.  On exhaustion, raises
         :class:`~repro.common.errors.WatchdogTimeout` (a

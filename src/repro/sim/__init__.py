@@ -2,7 +2,8 @@
 
 The whole machine model is built on three primitives:
 
-* :class:`~repro.sim.kernel.Simulator` -- the event heap and clock,
+* :class:`~repro.sim.kernel.Simulator` -- the event calendar (per-cycle
+  buckets drained in scheduling order) and clock,
 * :class:`~repro.sim.kernel.Future` -- a one-shot completion token that
   hardware models fulfil and coroutine processes wait on,
 * :class:`~repro.sim.kernel.Process` -- a generator-based coroutine

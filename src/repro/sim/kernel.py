@@ -1,4 +1,4 @@
-"""Event heap, simulation clock, futures, and coroutine processes.
+"""Event calendar, simulation clock, futures, and coroutine processes.
 
 Design notes
 ------------
@@ -11,9 +11,10 @@ The machine model mixes two styles:
   clock) or a :class:`Future` (block until some hardware event fulfils
   it).  Sub-routines compose with ``yield from``.
 
-Events at the same timestamp fire in scheduling order (a monotonically
-increasing sequence number breaks ties), which makes runs bit-for-bit
-deterministic for a given seed and configuration.
+Events at the same timestamp fire in scheduling order (each cycle's
+events queue in one bucket, appended as scheduled and drained front to
+back), which makes runs bit-for-bit deterministic for a given seed and
+configuration.
 
 Hot-path conventions (this module carries every simulated cycle; see
 docs/PERF.md for the measured effect and the determinism contract):
@@ -31,6 +32,7 @@ docs/PERF.md for the measured effect and the determinism contract):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, List, Optional
@@ -201,12 +203,29 @@ class Process:
 
 
 class Simulator:
-    """The event heap and clock."""
+    """The event calendar and clock.
+
+    Pending events live in a calendar of per-cycle buckets: a dict from
+    cycle to the list of ``(callback, arg)`` pairs due then, plus an
+    int-heap of the cycles that have a bucket.  Events cluster heavily
+    on shared timestamps (about 5 per distinct cycle at 64 cores and 12
+    at 256 on the headline workloads), so the heap is paid once per
+    distinct cycle rather than once per event, and each bucket drains
+    in a tight loop.
+
+    Buckets are appended in scheduling order and drained front to back,
+    so the event total order is ``(time, scheduling order)``.  The
+    drain *pops* each bucket out of the table before running it: a
+    callback that schedules more work for the current cycle creates a
+    fresh bucket under the same cycle, which drains next -- those
+    events were scheduled last, so running them after the popped
+    bucket keeps the total order.
+    """
 
     def __init__(self):
         self.now: int = 0
-        self._heap: List = []
-        self._seq = 0
+        self._buckets: Dict[int, List] = {}
+        self._times: List[int] = []
         self._events_processed = 0
         self._processes: Dict[int, Process] = {}
 
@@ -220,18 +239,27 @@ class Simulator:
         method and its operand instead of wrapping them in a lambda."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self.now + delay, seq, callback, arg))
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(callback, arg)]
+            heappush(self._times, when)
+        else:
+            bucket.append((callback, arg))
 
-    def _push(self, when: int, callback: Callable, arg: Any) -> None:
-        """Absolute-time scheduling fast path for the NoC hop chain
-        (:meth:`repro.noc.router.LinkFabric._cross`): same seq
-        discipline and ordering as :meth:`schedule`, no delay check
-        (``when >= now`` holds by construction there).  Overridden by
-        :class:`repro.sim.shard.ShardedSimulator` -- this indirection is
-        what lets one router hot path drive either kernel."""
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (when, seq, callback, arg))
+    def _requeue(self, when: int, remainder: List) -> None:
+        """Put unexecuted events back under ``when`` (cold path: a
+        raising callback or a bucket that straddles the event budget).
+        A bucket already queued at ``when`` (so ``when`` is already on
+        the time-heap) holds newer events: the remainder goes first."""
+        if not remainder:
+            return
+        fresh = self._buckets.get(when)
+        if fresh is not None:
+            remainder.extend(fresh)
+        else:
+            heappush(self._times, when)
+        self._buckets[when] = remainder
 
     def future(self) -> Future:
         return Future(self)
@@ -242,70 +270,63 @@ class Simulator:
         self._processes[id(proc)] = proc
         return proc.start(delay)
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Drain the event heap.
-
-        Returns the final simulation time.  ``until`` bounds the clock;
-        ``max_events`` bounds work (guards against livelock in tests) and
-        applies per invocation, not cumulatively across ``run()`` calls.
-        """
-        heap = self._heap
+    def _drain(self, budget: int) -> int:
+        """Run up to ``budget`` events in total order; return how many
+        ran.  A bucket that fits the remaining budget (the common case)
+        runs with no per-event budget compare; one that straddles it
+        has its tail requeued before the prefix runs.  A callback that
+        raises leaves the unexecuted rest of its bucket queued, in
+        order, so a later drain resumes exactly where this one
+        stopped."""
+        buckets = self._buckets
+        times = self._times
+        pop_time = heappop
+        pop_bucket = buckets.pop
         no_arg = _NO_ARG
         count = 0
         try:
-            if until is None and max_events is None:
-                # Unbounded drain: no per-event limit checks.
-                while heap:
-                    when, _seq, callback, arg = heappop(heap)
-                    self.now = when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-            elif until is None:
-                # Event-budget-only drain (the workload runner's guard
-                # rail): one integer compare per event, no clock peek.
-                while heap:
-                    if count == max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"at cycle {self.now}"
-                        )
-                    when, _seq, callback, arg = heappop(heap)
-                    self.now = when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-            else:
-                while heap:
-                    when = heap[0][0]
-                    if until is not None and when > until:
-                        self.now = until
-                        return until
-                    if max_events is not None and count >= max_events:
-                        # Checked before the pop so exactly max_events
-                        # events run; the offending event stays queued and
-                        # events_processed counts only executed events.
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"at cycle {self.now}"
-                        )
-                    _when, _seq, callback, arg = heappop(heap)
-                    self.now = _when
-                    count += 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
+            while times and count < budget:
+                when = pop_time(times)
+                self.now = when
+                bucket = pop_bucket(when)
+                room = budget - count
+                if len(bucket) > room:
+                    # Requeued before any callback runs, so events the
+                    # prefix schedules for this cycle land behind it.
+                    self._requeue(when, bucket[room:])
+                    del bucket[room:]
+                events = iter(bucket)
+                try:
+                    for callback, arg in events:
+                        if arg is no_arg:
+                            callback()
+                        else:
+                            callback(arg)
+                except BaseException:
+                    # The iterator has consumed the raising event, so
+                    # what it still holds is exactly the unexecuted rest.
+                    rest = list(events)
+                    count += len(bucket) - len(rest)
+                    self._requeue(when, rest)
+                    raise
+                count += len(bucket)
         finally:
             self._events_processed += count
+        return count
+
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Drain the calendar and return the final simulation time.
+
+        ``max_events`` bounds work (guards against livelock in tests)
+        and applies per invocation, not cumulatively across ``run()``
+        calls: exactly ``max_events`` events run, and if any remain
+        queued the call raises :class:`SimulationError`.
+        """
+        self._drain(sys.maxsize if max_events is None else max_events)
+        if self._times:
+            raise SimulationError(
+                f"exceeded max_events={max_events} at cycle {self.now}"
+            )
         return self.now
 
     def run_chunk(self, max_events: int) -> int:
@@ -313,25 +334,10 @@ class Simulator:
 
         Unlike :meth:`run`, exhausting the budget is *not* an error --
         the caller (the :class:`repro.resilience.watchdog.Watchdog`)
-        owns the policy.  Events pop in exactly the order :meth:`run`
-        would pop them, so chunked and monolithic drains of the same
-        heap are bit-identical.
+        owns the policy.  Chunks may end mid-bucket, and consecutive
+        chunks run events in exactly the order one :meth:`run` would.
         """
-        heap = self._heap
-        no_arg = _NO_ARG
-        count = 0
-        try:
-            while heap and count < max_events:
-                when, _seq, callback, arg = heappop(heap)
-                self.now = when
-                count += 1
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-        finally:
-            self._events_processed += count
-        return count
+        return self._drain(max_events)
 
     @property
     def events_processed(self) -> int:
@@ -339,7 +345,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._heap)
+        return sum(map(len, self._buckets.values()))
 
     def _release(self, proc: Process) -> None:
         """Drop a finished process so long runs don't accumulate them."""

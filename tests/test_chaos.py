@@ -7,7 +7,7 @@ balance, and MESI safety, and every thread must terminate.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults import FaultPlan, MessageFault, SliceFault, FLAKY_DROP
 from repro.harness.configs import build_machine
@@ -86,6 +86,21 @@ def run_chaos_locks(config, n_threads, iters, interruptions, seed):
         max_size=4,
     ),
     seed=st.integers(0, 1000),
+)
+# A LOCK squashed by a suspension whose ABORT (a migrated owner's
+# UNLOCK handed the waiters to software) was already in flight: the
+# home charged the OMU for a fallback the thread never runs.
+@example(
+    config="msa-omu-2",
+    n_threads=3,
+    iters=5,
+    interruptions=[
+        (3, 3668, 2813, False),
+        (3, 2120, 910, True),
+        (2, 612, 2802, True),
+        (1, 3683, 2159, False),
+    ],
+    seed=159,
 )
 def test_property_lock_chaos(config, n_threads, iters, interruptions, seed):
     run_chaos_locks(config, n_threads, iters, interruptions, seed)

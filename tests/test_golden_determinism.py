@@ -29,15 +29,18 @@ import pytest
 
 from repro.harness.configs import build_machine
 from repro.harness.runner import run_workload
+from repro.resilience.watchdog import Watchdog
 from repro.workloads.kernels import KERNELS
 
 CONFIGS = ("pthread", "mcs-tour", "msa0", "msa-omu-2", "ideal")
 
-#: Both simulation kernels are pinned against the SAME golden table --
-#: the sharded calendar must be indistinguishable from the legacy heap
-#: in every simulated observable (the bit-identical contract of
-#: repro.sim.shard).
+#: Two ways to drain the one event kernel, both pinned against the SAME
+#: golden table.  The ids keep the names of the two kernels this table
+#: once pinned side by side (a heap and a horizon-sharded calendar):
+#: "legacy" drains the run in one go, "sharded" drains it through the
+#: watchdog in 257-event chunks whose boundaries fall mid-bucket.
 MODES = ("legacy", "sharded")
+CHUNK_EVENTS = 257
 
 # Workload name -> (kernel, cores, scale).
 WORKLOADS = {
@@ -46,11 +49,16 @@ WORKLOADS = {
 }
 
 
-def snapshot(config: str, workload: str, sim_mode: str = None) -> dict:
+def snapshot(config: str, workload: str, mode: str = "legacy") -> dict:
     """One run's complete observable outcome, as a plain dict."""
     kernel, cores, scale = WORKLOADS[workload]
-    machine = build_machine(config, n_cores=cores, seed=2015, sim_mode=sim_mode)
-    result = run_workload(machine, KERNELS[kernel](cores, scale))
+    machine = build_machine(config, n_cores=cores, seed=2015)
+    watchdog = None
+    if mode == "sharded":
+        watchdog = Watchdog(max_events=50_000_000, chunk_events=CHUNK_EVENTS)
+    result = run_workload(
+        machine, KERNELS[kernel](cores, scale), watchdog=watchdog
+    )
     latency = machine.network.stats.histogram("latency")
     return {
         "cycles": result.cycles,
@@ -303,17 +311,17 @@ GOLDEN = {
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("config", CONFIGS)
 def test_golden_run_is_bit_identical(config, workload, mode):
-    got = snapshot(config, workload, sim_mode=mode)
+    got = snapshot(config, workload, mode)
     want = GOLDEN[workload][config]
     assert got == want, (
-        f"{config}/{workload} [{mode} kernel] diverged from the golden "
+        f"{config}/{workload} [{mode} drain] diverged from the golden "
         f"run:\n"
         f"got:  {json.dumps(got, sort_keys=True)}\n"
         f"want: {json.dumps(want, sort_keys=True)}\n"
         "If this PR intentionally changes the timing model, regenerate "
         "the table (see module docstring); a hot-path optimization -- "
-        "including anything in the sharded kernel -- must never trip "
-        "this, and both kernel modes must match the same table."
+        "including anything in the event kernel -- must never trip "
+        "this, and both drains must match the same table."
     )
 
 

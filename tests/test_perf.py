@@ -135,6 +135,23 @@ class TestDocIO:
         assert "2.00x" in table
 
 
+def test_old_documents_with_kernel_mode_stamps_still_compare():
+    """BENCH_PR9.json and BENCH_PR9_LEGACY.json were recorded under two
+    kernels that no longer both exist, and carry stamps saying so.
+    Their fingerprints are equal, so they load and compare point by
+    point, with no refusal and no determinism break."""
+    import os
+
+    bench = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+    new = load_doc(os.path.join(bench, "BENCH_PR9.json"))
+    old = load_doc(os.path.join(bench, "BENCH_PR9_LEGACY.json"))
+    result = compare(new, old)
+    assert result.determinism_breaks == []
+    assert result.unmatched == []
+    assert result.ok
+    assert "REFUSED" not in result.describe()
+
+
 @pytest.mark.slow
 def test_checked_in_headline_fingerprints_are_live(repo_root=None):
     """The committed BENCH_PR4.json must describe *this* simulator: re-run

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.harness.configs import build_machine
 from repro.sim.kernel import Delay, Future, Simulator
 
 
@@ -35,14 +38,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
-
-    def test_run_until_bounds_clock(self, sim):
-        fired = []
-        sim.schedule(10, lambda: fired.append(1))
-        sim.schedule(100, lambda: fired.append(2))
-        assert sim.run(until=50) == 50
-        assert fired == [1]
-        assert sim.pending_events == 1
 
     def test_max_events_guard(self, sim):
         def rearm():
@@ -193,3 +188,158 @@ class TestDeterminism:
             return sim.now, sim.events_processed, tuple(results)
 
         assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------------------
+# Event order, budgets, and chunked drains
+# ----------------------------------------------------------------------
+def _random_program(sim, log, rng, scheduled=None, depth=0):
+    """Schedule a seed-driven tangle of events that re-schedule more
+    events (including same-cycle ones), recording fire order.
+
+    Each scheduled callback is tagged ``(due cycle, n)``, where ``n``
+    counts the program's ``schedule`` calls; ``scheduled`` collects
+    every tag and is returned.  A fired event logs ``(now, tag)``."""
+    if scheduled is None:
+        scheduled = []
+
+    def fire(tag):
+        log.append((sim.now, tag))
+        if depth < 3 and rng.random() < 0.55:
+            _random_program(sim, log, rng, scheduled, depth + 1)
+
+    for _ in range(rng.randrange(1, 5)):
+        delay = rng.choice((0, 0, 1, 2, 3, 7, rng.randrange(20)))
+        tag = (sim.now + delay, len(scheduled))
+        scheduled.append(tag)
+        if rng.random() < 0.5:
+            sim.schedule(delay, fire, tag)
+        else:
+            sim.schedule(delay, lambda t=tag: fire(t))
+    return scheduled
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_events_fire_in_time_then_scheduling_order(seed):
+    """The kernel's total order is (time, scheduling order): fired tags
+    strictly increase, each fires at its due cycle, and every scheduled
+    event fires exactly once."""
+    sim, log = Simulator(), []
+    scheduled = _random_program(sim, log, random.Random(seed))
+    sim.run()
+    tags = [tag for _now, tag in log]
+    assert all(a < b for a, b in zip(tags, tags[1:]))
+    assert all(now == tag[0] for now, tag in log)
+    assert sim.events_processed == len(scheduled) == len(log)
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 257))
+def test_chunked_drain_replays_monolithic_order(chunk):
+    """run_chunk boundaries may fall mid-bucket; consecutive chunks must
+    still replay the exact monolithic drain order (the watchdog drives
+    the kernel this way)."""
+    mono_log, mono_sim = [], Simulator()
+    _random_program(mono_sim, mono_log, random.Random(99))
+    mono_sim.run()
+
+    chunk_log, chunk_sim = [], Simulator()
+    _random_program(chunk_sim, chunk_log, random.Random(99))
+    total = 0
+    while True:
+        ran = chunk_sim.run_chunk(chunk)
+        if ran == 0:
+            break
+        assert ran <= chunk
+        total += ran
+    assert chunk_log == mono_log
+    assert total == mono_sim.events_processed == chunk_sim.events_processed
+
+
+def test_mid_bucket_exception_requeues_remainder():
+    sim = Simulator()
+    log = []
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("injected")
+
+    sim.schedule(0, log.append, "a")
+    sim.schedule(0, boom)
+    sim.schedule(0, log.append, "b")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    # The raising event was consumed; the unexecuted remainder stays
+    # queued in order.
+    assert log == ["a", "boom"]
+    assert sim.events_processed == 2
+    assert sim.pending_events == 1
+    sim.run()
+    assert log == ["a", "boom", "b"]
+
+
+def test_exception_requeue_keeps_older_events_first():
+    """A callback may schedule same-cycle work before a later callback
+    in its bucket raises: the unexecuted rest of the bucket is older, so
+    it must still run before the newly scheduled event."""
+    sim = Simulator()
+    log = []
+
+    def spawn():
+        log.append("b")
+        sim.schedule(0, log.append, "late")
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("injected")
+
+    sim.schedule(0, log.append, "a")
+    sim.schedule(0, spawn)
+    sim.schedule(0, boom)
+    sim.schedule(0, log.append, "c")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.run()
+    assert log == ["a", "b", "boom", "c", "late"]
+
+
+def test_max_events_semantics():
+    sim = Simulator()
+    for _ in range(5):
+        sim.schedule(0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=3)
+    assert sim.events_processed == 3
+    assert sim.pending_events == 2
+
+
+def test_watchdog_chunked_machine_run_matches_monolithic():
+    """Machine-level chunked drain (how the watchdog drives long runs):
+    same workload, one machine drained monolithically and one in
+    257-event chunks, identical outcome."""
+
+    def outcome(chunked: bool) -> dict:
+        machine = build_machine("msa-omu-2", n_cores=16, seed=2015)
+        lock = machine.allocator.sync_var()
+        counter = machine.allocator.line()
+
+        def body(th):
+            for _ in range(5):
+                yield from th.lock(lock)
+                value = yield from th.load(counter)
+                yield from th.store(counter, value + 1)
+                yield from th.unlock(lock)
+
+        for _ in range(4):
+            machine.scheduler.spawn(body)
+        if chunked:
+            while machine.sim.run_chunk(257):
+                pass
+        else:
+            machine.run(max_events=10_000_000)
+        return {
+            "cycles": machine.sim.now,
+            "events": machine.sim.events_processed,
+            "value": machine.memory.peek(counter),
+        }
+
+    assert outcome(chunked=False) == outcome(chunked=True)
