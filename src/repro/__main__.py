@@ -39,9 +39,9 @@ entry point (structured report, exit status by verdict).
 
 Engine flags are shared by every command: ``--workers`` fans grid
 points out across processes, ``--cache-dir`` enables the
-content-addressed result cache (repeat runs are free), ``--manifest``
-makes a sweep resumable after a crash or ^C, and ``--progress`` prints
-per-point completion lines with an ETA.
+content-addressed result cache (repeat runs are free, and rerunning
+with the same ``--cache-dir`` resumes a sweep after a crash or ^C), and
+``--progress`` prints per-point completion lines with an ETA.
 """
 
 from __future__ import annotations
@@ -282,11 +282,7 @@ def _run_fsck(args) -> int:
             file=sys.stderr,
         )
         return 2
-    report = fsck(
-        args.cache_dir,
-        manifest=args.manifest,
-        repair=not args.no_repair,
-    )
+    report = fsck(args.cache_dir, repair=not args.no_repair)
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -328,7 +324,6 @@ def _run_sweep(args) -> int:
         seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        manifest=args.manifest,
         progress=args.progress,
         return_stats=True,
         checkers=checkers,
@@ -417,7 +412,6 @@ def _run_traffic(args) -> int:
         fault_plan=fault_plan,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        manifest=args.manifest,
         progress=args.progress,
         return_stats=True,
     )
@@ -825,17 +819,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fsck",
-        help="scan and repair a result cache, sweep manifest, and job "
-        "store (corrupt entries are evicted, torn manifests repaired)",
+        help="scan and repair a result cache and its job store (corrupt "
+        "entries are evicted, expired leases reclaimed)",
     )
     p.add_argument(
         "--cache-dir",
         required=True,
         help="result-cache root to scan (the job store next to it is "
         "scanned automatically)",
-    )
-    p.add_argument(
-        "--manifest", default=None, help="sweep manifest to check/repair"
     )
     p.add_argument(
         "--no-repair",
@@ -854,7 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workdir",
         default=None,
-        help="where the chaotic cache/manifest live (default: temp dir)",
+        help="where the chaotic cache and job store live (default: temp "
+        "dir)",
     )
     p.add_argument(
         "--kill-interval",
@@ -906,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--baseline", default=None, help="annotate speedups over this config"
     )
-    p.add_argument("--manifest", default=None, help="resumable-sweep manifest path")
     p.add_argument("--csv", default=None, help="write results to this CSV path")
     p.add_argument(
         "--check",
@@ -965,7 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach every invariant monitor to each point",
     )
-    p.add_argument("--manifest", default=None, help="resumable-sweep manifest path")
     p.add_argument("--csv", default=None, help="write sweep results to this CSV")
     p.add_argument(
         "--html", default=None, help="write the HTML report (run or sweep) here"

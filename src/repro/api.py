@@ -162,7 +162,6 @@ def traffic(
     fault_plan=None,
     workers: Optional[int] = None,
     cache_dir=None,
-    manifest=None,
     progress: bool = False,
     return_stats: bool = False,
 ) -> List[SweepPoint]:
@@ -182,9 +181,7 @@ def traffic(
     """
     from repro.traffic import DEFAULT_CONFIGS, DEFAULT_LOADS, load_sweep
 
-    engine = Engine(
-        workers=workers, cache_dir=cache_dir, manifest=manifest, progress=progress
-    )
+    engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
     points = load_sweep(
         scenario=scenario,
         configs=tuple(configs) if configs else DEFAULT_CONFIGS,
@@ -345,16 +342,15 @@ def dse(
     return explore(spec, strategy=strategy, baseline=baseline, **kwargs)
 
 
-def fsck(cache_dir, manifest=None, repair: bool = True):
-    """Scan (and by default repair) a result cache, its job store, and
-    optionally a sweep manifest: torn writes, checksum mismatches,
-    schema drift, expired leases.  Corrupt entries are evicted (a
+def fsck(cache_dir, repair: bool = True):
+    """Scan (and by default repair) a result cache and its job store:
+    torn writes, checksum mismatches, schema drift, expired leases.  Corrupt entries are evicted (a
     corrupt entry is a cache miss by contract -- the point re-runs).
     Returns a :class:`repro.resilience.FsckReport`; see ``python -m
     repro fsck`` for the CLI form."""
     from repro.resilience import fsck as _fsck_impl
 
-    return _fsck_impl(cache_dir, manifest=manifest, repair=repair)
+    return _fsck_impl(cache_dir, repair=repair)
 
 
 def chaos_harness(**kwargs):
@@ -489,7 +485,6 @@ def sweep(
     seed: int = DEFAULT_SEED,
     workers: Optional[int] = None,
     cache_dir=None,
-    manifest=None,
     progress=False,
     machine_hook: Optional[Callable] = None,
     return_stats: bool = False,
@@ -503,8 +498,8 @@ def sweep(
     ``workloads`` may be registry names (string or sequence of strings)
     or an explicit ``{name: factory}`` mapping.  ``workers`` > 1 fans
     points out across processes; ``cache_dir`` serves repeated points
-    from the on-disk result cache; ``manifest`` makes the sweep
-    resumable.  With ``return_stats`` the engine's
+    from the on-disk result cache, which also makes the sweep resumable
+    (a rerun skips every cached point).  With ``return_stats`` the engine's
     :class:`EngineStats` (cache hits, retries, failures) ride along.
 
     ``params`` applies machine-parameter overrides to every point of
@@ -533,16 +528,14 @@ def sweep(
             params, return_stats,
             rejected={
                 "workers": workers, "cache_dir": cache_dir,
-                "manifest": manifest, "machine_hook": machine_hook,
+                "machine_hook": machine_hook,
             },
         )
     if isinstance(workloads, str):
         workloads = (workloads,)
     if not isinstance(workloads, dict):
         workloads = {name: resolve_factory(name) for name in workloads}
-    engine = Engine(
-        workers=workers, cache_dir=cache_dir, manifest=manifest, progress=progress
-    )
+    engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
     points = _sweep_impl(
         configs=configs,
         workload_factories=workloads,

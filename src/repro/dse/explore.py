@@ -266,7 +266,6 @@ def _add(total: EngineStats, part: Optional[EngineStats]) -> None:
         return
     total.total += part.total
     total.cache_hits += part.cache_hits
-    total.resumed += part.resumed
     total.executed += part.executed
     total.retried += part.retried
     total.failed += part.failed

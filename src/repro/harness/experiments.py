@@ -3,22 +3,19 @@
 Each driver expresses its (config, workload, core-count) grid as
 :class:`repro.harness.jobs.JobSpec` points and runs them through the
 parallel experiment engine -- so every figure fans out across worker
-processes, is served from the result cache on repeat runs, and can be
-resumed from a manifest.  ``workers``/``cache_dir``/``progress`` on
+processes and is served from the result cache on repeat runs (rerunning
+with the same cache directory resumes an interrupted figure).
+``workers``/``cache_dir``/``progress`` on
 each driver (or the ``REPRO_WORKERS``/``REPRO_CACHE_DIR`` environment
 variables) configure the engine.
 
 Run standalone through the package CLI::
 
     python -m repro fig6 --cores 16 --scale 0.5 --workers 4
-
-(``python -m repro.harness.experiments`` still works and forwards to
-the same CLI.)
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +48,6 @@ def _grid(
     workers: Optional[int] = None,
     cache_dir=None,
     progress=False,
-    manifest=None,
 ) -> Dict[Tuple[str, str, int], RunResult]:
     """Run a driver's grid through the engine; results are keyed by
     (config, workload, cores).  Duplicate grid points collapse to one
@@ -60,9 +56,7 @@ def _grid(
     unique: Dict[Tuple[str, str, int], JobSpec] = {}
     for spec in specs:
         unique.setdefault((spec.config, spec.workload, spec.cores), spec)
-    engine = Engine(
-        workers=workers, cache_dir=cache_dir, progress=progress, manifest=manifest
-    )
+    engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
     out: Dict[Tuple[str, str, int], RunResult] = {}
     failures = []
     for job in engine.run(list(unique.values())):
@@ -595,26 +589,3 @@ def export_fig6_csv(grid: SpeedupGrid, path: str) -> None:
                 ]
             )
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Deprecated alias: the CLI lives in :mod:`repro.__main__`.
-
-    Kept so old ``python -m repro.harness.experiments`` invocations and
-    scripts importing :func:`main` keep working, but new code should
-    call ``python -m repro`` / :func:`repro.__main__.main` directly.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.harness.experiments.main is deprecated; use "
-        "`python -m repro` (repro.__main__.main) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.__main__ import main as cli_main
-
-    return cli_main(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

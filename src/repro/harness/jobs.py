@@ -17,18 +17,17 @@ substrate they now share:
   machine knob (including library defaults) misses cleanly.  Entries
   carry a sha256 of their own payload: a torn write *or any byte flip*
   reads back as a cache miss, never a crash and never a wrong result.
-* :class:`SweepManifest` records done/failed points in an append-only
-  JSONL ledger (one fsync-friendly line per completion); a killed sweep
-  resumes from the manifest -- a truncated trailing line from a
-  mid-append kill is repaired in place -- and only runs what is missing.
-* :class:`Engine` orchestrates.  With a cache directory it layers a
-  durable :class:`repro.resilience.store.JobStore` next to the cache
-  and every execution path (serial or a supervised worker pool) claims
-  points through expiring leases: workers heartbeat while simulating,
-  dead workers' points are reclaimed and retried elsewhere with seeded
-  exponential backoff, and a point that keeps failing is quarantined
-  with its traceback instead of starving the sweep.  Without a cache it
-  falls back to the original in-memory pool.
+* :class:`Engine` orchestrates, along one execution path: every point
+  not already cached is enqueued in a durable
+  :class:`repro.resilience.store.JobStore` and claimed through expiring
+  leases, in-process or by a supervised worker pool.  Workers heartbeat
+  while simulating, dead workers' points are reclaimed and retried
+  elsewhere with seeded exponential backoff, and a point that keeps
+  failing is quarantined with its traceback instead of starving the
+  sweep.  With a cache directory the store lives beside the cache, so a
+  killed sweep resumes by rerunning it: cached points are skipped and
+  quarantined ones requeued.  Without one, each run uses a throwaway
+  store and cache in a temporary directory.
 
 Environment defaults come from :mod:`repro.common.config`:
 ``REPRO_WORKERS`` (worker count when ``workers`` is not given; unset
@@ -43,8 +42,8 @@ import inspect
 import json
 import os
 import pickle
+import shutil
 import tempfile
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -403,15 +402,11 @@ class ResultCache:
 
 
 def _atomic_write_json(path: Path, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, str(path))
     except BaseException:
         try:
@@ -421,130 +416,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-# ---------------------------------------------------------------------------
-# Sweep manifest (resume support)
-# ---------------------------------------------------------------------------
-def repair_manifest_tail(path: Path, write: bool = True) -> int:
-    """Drop unparseable lines from a JSONL manifest (the torn trailing
-    line a mid-append kill leaves behind).  Returns how many lines were
-    dropped; with ``write``, the file is rewritten in place (atomic)
-    without them and a warning is emitted.  Missing files are fine."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return 0
-    good, dropped = [], 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            if not isinstance(entry, dict) or "key" not in entry:
-                raise ValueError("not a manifest record")
-        except ValueError:
-            dropped += 1
-            continue
-        good.append(line)
-    if dropped and write:
-        warnings.warn(
-            f"sweep manifest {path} had {dropped} torn/unparseable "
-            "line(s) (likely a kill mid-append); repaired in place -- "
-            "the affected points will simply re-run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        _atomic_write_text(path, "".join(line + "\n" for line in good))
-    return dropped
-
-
-class SweepManifest:
-    """Done/failed ledger for a sweep: one JSON line appended per
-    completion.
-
-    Append-only JSONL keeps the durability write O(1) per point (the
-    old format rewrote the whole document every completion) and makes
-    the failure mode of a kill-mid-write benign: at most the last line
-    is torn, and loading repairs the file in place (with a warning)
-    instead of throwing the whole ledger away.  Later lines for the
-    same key supersede earlier ones, so retries and resumed sweeps
-    just append.
-
-    Restarting the same sweep with the same manifest path skips every
-    point recorded ``done`` whose cached result is still readable and
-    re-runs the rest (pending *and* failed), so a crashed or killed
-    sweep loses at most the in-flight points.  Legacy whole-JSON
-    manifests (pre-v3) load transparently and are upgraded on the next
-    :meth:`save`.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.entries: Dict[str, Dict[str, Any]] = {}
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        stripped = text.lstrip()
-        if stripped.startswith("{") and '"points"' in stripped:
-            # Legacy single-document format.
-            try:
-                self.entries = json.loads(text).get("points", {})
-                return
-            except ValueError:
-                pass  # torn legacy file: fall through to line parsing
-        repair_manifest_tail(self.path, write=True)
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                key = entry.pop("key")
-            except (ValueError, KeyError, AttributeError, TypeError):
-                continue
-            if isinstance(entry, dict) and "status" in entry:
-                self.entries[key] = entry
-
-    def status(self, key: str) -> Optional[str]:
-        entry = self.entries.get(key)
-        return entry["status"] if entry else None
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for entry in self.entries.values():
-            out[entry["status"]] = out.get(entry["status"], 0) + 1
-        return out
-
-    def record(
-        self,
-        key: str,
-        spec: JobSpec,
-        status: str,
-        attempts: int,
-        error: Optional[str] = None,
-    ) -> None:
-        entry = {
-            "spec": spec.describe(),
-            "status": status,
-            "attempts": attempts,
-            "error": error,
-        }
-        self.entries[key] = entry
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as f:
-            f.write(json.dumps({"key": key, **entry}, sort_keys=True) + "\n")
-
-    def save(self) -> None:
-        """Compact the ledger: atomically rewrite one line per key (the
-        engine calls this once per run; appends stay O(1))."""
-        body = "".join(
-            json.dumps({"key": key, **entry}, sort_keys=True) + "\n"
-            for key, entry in sorted(self.entries.items())
-        )
-        _atomic_write_text(self.path, body)
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +423,14 @@ class SweepManifest:
 # ---------------------------------------------------------------------------
 @dataclass
 class EngineStats:
-    """What one :meth:`Engine.run` did with its grid."""
+    """What one :meth:`Engine.run` did with its grid.
+
+    ``total`` and ``cache_hits`` count specs; ``executed`` and
+    ``failed`` count distinct points (a grid that lists a point twice
+    simulates it once)."""
 
     total: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     executed: int = 0
     retried: int = 0
     failed: int = 0
@@ -567,9 +441,9 @@ class EngineStats:
 
     def describe(self) -> str:
         return (
-            f"{self.total} points: {self.cache_hits} cached "
-            f"({self.resumed} via manifest), {self.executed} ran, "
-            f"{self.retried} retried, {self.failed} failed"
+            f"{self.total} points: {self.cache_hits} cached, "
+            f"{self.executed} ran, {self.retried} retried, "
+            f"{self.failed} failed"
         )
 
 
@@ -581,7 +455,6 @@ class JobResult:
     key: str
     result: Optional[RunResult] = None
     cached: bool = False
-    resumed: bool = False
     attempts: int = 0
     error: Optional[str] = None
 
@@ -596,29 +469,31 @@ class Engine:
     ``workers``: process count; ``None`` reads ``REPRO_WORKERS``, and a
     value <= 1 runs in-process.  ``cache_dir``: result-cache root;
     ``None`` reads ``REPRO_CACHE_DIR``, empty means no caching.
-    ``manifest``: path of a :class:`SweepManifest` for resumable runs.
     ``retries``: extra attempts for a crashed/errored point (default 1).
     ``progress``: ``True`` for stderr progress lines, or a
     :class:`ProgressReporter`-compatible object.
 
-    With a cache directory, execution runs through the durable
-    :class:`repro.resilience.store.JobStore` living at
-    ``<cache_dir>/jobs.sqlite3``: points are claimed via expiring
-    leases (``lease_s``), failed attempts back off with deterministic
-    seeded jitter (``seed``), a point failing ``retries + 1`` times is
-    quarantined with its traceback, and ``point_timeout_s`` arms a
-    per-point :class:`repro.resilience.watchdog.Watchdog`.  Several
-    engines -- across processes or hosts sharing the cache directory --
-    can run the same grid concurrently and split the work.  ``chaos``
-    (a :class:`repro.resilience.supervise.ChaosPlan`) is the harness
-    chaos seam; leave it ``None`` outside ``repro chaos-harness``.
+    Every run executes through a durable
+    :class:`repro.resilience.store.JobStore`: points are claimed via
+    expiring leases (``lease_s``), failed attempts back off with
+    deterministic seeded jitter (``seed``), a point failing
+    ``retries + 1`` times is quarantined with its traceback, and
+    ``point_timeout_s`` arms a per-point
+    :class:`repro.resilience.watchdog.Watchdog`.  With a cache
+    directory the store lives at ``<cache_dir>/jobs.sqlite3``, so a
+    rerun skips every cached point and several engines -- across
+    processes or hosts sharing the directory -- can split one grid.
+    Without one (or when that store cannot open), each run uses a
+    throwaway store and cache in a temporary directory that is removed
+    when the run ends.  ``chaos`` (a
+    :class:`repro.resilience.supervise.ChaosPlan`) is the harness chaos
+    seam; leave it ``None`` outside ``repro chaos-harness``.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         cache_dir=None,
-        manifest=None,
         retries: int = 1,
         progress=False,
         lease_s: float = 30.0,
@@ -630,7 +505,6 @@ class Engine:
         self.workers = max(1, workers if workers is not None else 1)
         cache_dir = repro_config.cache_dir(cache_dir)
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self.manifest = SweepManifest(manifest) if manifest else None
         self.retries = retries
         self.progress = progress
         self.lease_s = lease_s
@@ -639,66 +513,61 @@ class Engine:
         self.chaos = chaos
         self.stats = EngineStats()
         self.pool_stats: Dict[str, int] = {}
-        self.store = None
-        if self.cache is not None:
-            try:
-                from repro.resilience.store import (
-                    JobStore,
-                    default_store_path,
-                )
-
-                self.store = JobStore(
-                    default_store_path(self.cache.root),
-                    lease_s=lease_s,
-                    quarantine_after=retries + 1,
-                )
-            except Exception:
-                # A read-only cache mount (or a hostile sqlite build)
-                # must not take caching down with it; the legacy
-                # in-memory paths still work.
-                self.store = None
+        self.store_counters: Dict[str, int] = {}
+        """:meth:`JobStore.counters` as the last run that executed a
+        point left them."""
 
     # -- public API ----------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
         """Run every spec; returns one :class:`JobResult` per spec, in
-        input order.  Failures are reported in the results (and the
-        manifest), not raised -- callers that need all points decide
-        what a hole means."""
+        input order.  Failures are reported in the results, not raised
+        -- callers that need all points decide what a hole means."""
         stats = self.stats = EngineStats(total=len(specs))
         results: List[Optional[JobResult]] = [None] * len(specs)
         reporter = self._reporter(len(specs))
-
-        pending: List[Tuple[int, JobSpec, str]] = []
+        pending: Dict[str, List[int]] = {}  # key -> indices into specs
         for index, spec in enumerate(specs):
             key = spec.key()
-            job = self._from_cache(spec, key)
-            if job is not None:
-                stats.cache_hits += 1
-                if job.resumed:
-                    stats.resumed += 1
-                results[index] = job
-                self._report(reporter, job)
-            else:
-                pending.append((index, spec, key))
-
+            result = None
+            if self.cache is not None and key not in pending:
+                result = self.cache.get(key)
+            if result is None:
+                pending.setdefault(key, []).append(index)
+                continue
+            stats.cache_hits += 1
+            results[index] = JobResult(
+                spec=spec, key=key, result=result, cached=True
+            )
+            if reporter is not None:
+                reporter.update(spec.describe(), cached=True)
         if pending:
-            if self.store is not None:
-                self._run_supervised(pending, results, reporter)
-            elif self.workers > 1 and len(pending) > 1:
-                self._run_parallel(pending, results, reporter)
-            else:
-                self._run_serial(pending, results, reporter)
-        if self.manifest is not None and pending:
-            self.manifest.save()  # compact the append-only ledger
-        return [job for job in results if job is not None]
+            cache, store, tmp = self.cache, None, None
+            if cache is not None:
+                try:
+                    store = self._open_store(cache.root)
+                except Exception:
+                    # A read-only cache mount (or a hostile sqlite
+                    # build) must not take the run down: cached points
+                    # still hit, the rest run as if there were no cache.
+                    store = None
+            try:
+                if store is None:
+                    tmp = tempfile.mkdtemp(prefix="repro-engine-")
+                    cache = ResultCache(tmp)
+                    store = self._open_store(tmp)
+                self._execute(store, cache, specs, pending, results, reporter)
+            finally:
+                if store is not None:
+                    store.close()
+                if tmp is not None:
+                    shutil.rmtree(tmp, ignore_errors=True)
+        return results
 
     def resilience_counters(self) -> Dict[str, int]:
         """Durability/supervision counters for :mod:`repro.obs` export:
-        job-store lifetime transitions plus cache hit/miss/corrupt
-        totals (empty when the engine runs without a cache)."""
-        out: Dict[str, int] = {}
-        if self.store is not None:
-            out.update(self.store.counters())
+        job-store lifetime transitions, cache hit/miss/corrupt totals
+        (with a cache directory) and worker-pool kills/restarts."""
+        out = dict(self.store_counters)
         if self.cache is not None:
             out["cache_hits"] = self.cache.hits
             out["cache_misses"] = self.cache.misses
@@ -707,117 +576,52 @@ class Engine:
             out[f"pool_{name}"] = value
         return out
 
-    # -- cache/manifest plumbing ---------------------------------------
-    def _from_cache(self, spec: JobSpec, key: str) -> Optional[JobResult]:
-        if self.cache is None:
-            return None
-        result = self.cache.get(key)
-        if result is None:
-            return None
-        resumed = (
-            self.manifest is not None and self.manifest.status(key) == "done"
-        )
-        return JobResult(
-            spec=spec, key=key, result=result, cached=True, resumed=resumed
+    # -- execution -----------------------------------------------------
+    def _open_store(self, root):
+        from repro.resilience.store import JobStore, default_store_path
+
+        return JobStore(
+            default_store_path(root),
+            lease_s=self.lease_s,
+            quarantine_after=self.retries + 1,
         )
 
-    def _complete(
-        self,
-        index: int,
-        spec: JobSpec,
-        key: str,
-        result: Optional[RunResult],
-        attempts: int,
-        error: Optional[str],
-        results: List[Optional[JobResult]],
-        reporter,
-    ) -> None:
-        job = JobResult(
-            spec=spec, key=key, result=result, attempts=attempts, error=error
-        )
-        if result is not None:
-            self.stats.executed += 1
-            if self.cache is not None:
-                self.cache.put(key, spec, result)
-        else:
-            self.stats.failed += 1
-        if self.manifest is not None:
-            self.manifest.record(
-                key,
-                spec,
-                "done" if result is not None else "failed",
-                attempts,
-                error,
-            )
-        results[index] = job
-        self._report(reporter, job)
-
-    # -- execution backends --------------------------------------------
-    def _run_serial(self, pending, results, reporter) -> None:
-        for index, spec, key in pending:
-            result, attempts, error = self._attempt_serial(spec)
-            self._complete(
-                index, spec, key, result, attempts, error, results, reporter
-            )
-
-    def _attempt_serial(self, spec: JobSpec):
-        error = None
-        for attempt in range(1, self.retries + 2):
-            try:
-                return execute_spec(spec), attempt, None
-            except Exception as exc:  # SimulationError, workload bugs, ...
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt <= self.retries:
-                    self.stats.retried += 1
-        return None, self.retries + 1, error
-
-    # -- supervised (durable-store) backend ----------------------------
-    def _run_supervised(self, pending, results, reporter) -> None:
-        """Execute through the job store: enqueue every point, claim by
-        lease (in-process, or via a supervised worker pool), then
-        collect outcomes from store + cache.  Crash-safe at every step:
-        a worker dying mid-point just stops heartbeating and the point
-        is reclaimed; a torn cache entry re-runs in the parent."""
+    def _execute(self, store, cache, specs, pending, results, reporter):
+        """Enqueue every pending point, claim by lease (in-process, or
+        via a supervised worker pool), then collect outcomes from store
+        + cache.  Crash-safe at every step: a worker dying mid-point
+        just stops heartbeating and the point is reclaimed; a torn cache
+        entry re-runs in the parent."""
         from repro.resilience.supervise import WorkerLoop, WorkerPool
 
-        store = self.store
-        specs_by_key: Dict[str, JobSpec] = {}
-        keys: List[str] = []
-        picklable: Dict[str, bool] = {}
-        for _index, spec, key in pending:
-            specs_by_key[key] = spec
-            keys.append(key)
+        specs_by_key = {key: specs[idx[0]] for key, idx in pending.items()}
+        keys = list(pending)
+        remote, local, rows = [], [], []
+        for key, spec in specs_by_key.items():
             try:
                 blob = pickle.dumps(spec)
             except Exception:
-                blob = None
-            picklable[key] = blob is not None
-            store.enqueue(key, spec.describe(), blob)
+                blob = None  # closure/lambda factory: runs in-process
+            (local if blob is None else remote).append(key)
+            rows.append((key, spec.describe(), blob))
+        store.enqueue_many(rows)
         before = store.counters()
-        recorded = set()
+        reported = set()
+
+        def report(key, failed):
+            reported.add(key)
+            if reporter is not None:
+                for index in pending[key]:
+                    reporter.update(specs[index].describe(), failed=failed)
 
         def on_terminal(key, row):
-            if row is None or not row.terminal or key in recorded:
-                return
-            recorded.add(key)
-            spec = specs_by_key[key]
-            if self.manifest is not None:
-                self.manifest.record(
-                    key,
-                    spec,
-                    "done" if row.status == "done" else "failed",
-                    row.attempts,
-                    row.error,
-                )
-            if reporter is not None:
-                reporter.update(
-                    spec.describe(), failed=row.status != "done"
-                )
+            if row is not None and row.terminal and key not in reported:
+                report(key, failed=row.status != "done")
 
         def in_process_loop(loop_keys):
             return WorkerLoop(
                 store,
-                self.cache,
+                cache,
                 keys=loop_keys,
                 specs_by_key=specs_by_key,
                 seed=self.seed,
@@ -825,14 +629,12 @@ class Engine:
                 on_complete=on_terminal,
             )
 
-        remote = [k for k in keys if picklable[k]]
-        local = [k for k in keys if not picklable[k]]
         if self.workers > 1 and len(remote) > 1:
             if local:
                 in_process_loop(local).drain()
             pool = WorkerPool(
                 store,
-                self.cache.root,
+                cache.root,
                 workers=self.workers,
                 lease_s=self.lease_s,
                 quarantine_after=self.retries + 1,
@@ -855,27 +657,22 @@ class Engine:
             in_process_loop(keys).drain()
 
         after = store.counters()
-        self.stats.retried += (
-            (after["retries"] - before["retries"])
-            + (after["leases_expired"] - before["leases_expired"])
-            + (after["leases_released"] - before["leases_released"])
+        self.stats.retried += sum(
+            after[name] - before[name]
+            for name in ("retries", "leases_expired", "leases_released")
         )
-        self._collect_supervised(pending, results, on_terminal)
-
-    def _collect_supervised(self, pending, results, on_terminal) -> None:
-        """Turn store rows + cache entries into ordered JobResults.  A
-        row marked done whose cache entry is unreadable (corruption
-        after completion) deterministically re-runs here, in-parent."""
-        store = self.store
-        for index, spec, key in pending:
+        # Turn store rows + cache entries into ordered JobResults.  A row
+        # marked done whose cache entry is unreadable (corruption after
+        # completion) deterministically re-runs here, in-parent.
+        for key, indices in pending.items():
             row = store.get(key)
-            attempts = row.attempts if row is not None else 0
             error = row.error if row is not None else None
-            result = self.cache.get(key)
+            result = cache.get(key)
             if result is None and (row is None or row.status == "done"):
+                spec = specs_by_key[key]
                 try:
                     result = execute_spec(spec)
-                    self.cache.put(key, spec, result)
+                    cache.put(key, spec, result)
                     store.mark_done(key)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
@@ -884,72 +681,17 @@ class Engine:
                 error = None
             else:
                 self.stats.failed += 1
-            on_terminal(key, store.get(key))
-            results[index] = JobResult(
-                spec=spec,
-                key=key,
-                result=result,
-                attempts=attempts,
-                error=error,
-            )
-
-    def _run_parallel(self, pending, results, reporter) -> None:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        # Specs that cannot cross a process boundary (closure/lambda
-        # factories) run in the parent instead of poisoning the pool.
-        local, remote = [], []
-        for item in pending:
-            try:
-                pickle.dumps(item[1])
-                remote.append(item)
-            except Exception:
-                local.append(item)
-
-        leftovers = list(local)
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {
-                    pool.submit(execute_spec, spec): (index, spec, key, 1)
-                    for index, spec, key in remote
-                }
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        index, spec, key, attempt = futures.pop(fut)
-                        exc = fut.exception()
-                        if exc is None:
-                            self._complete(
-                                index, spec, key, fut.result(), attempt,
-                                None, results, reporter,
-                            )
-                        elif isinstance(exc, BrokenProcessPool):
-                            raise exc
-                        elif attempt <= self.retries:
-                            self.stats.retried += 1
-                            futures[pool.submit(execute_spec, spec)] = (
-                                index, spec, key, attempt + 1,
-                            )
-                        else:
-                            self._complete(
-                                index, spec, key, None, attempt,
-                                f"{type(exc).__name__}: {exc}",
-                                results, reporter,
-                            )
-        except BrokenProcessPool:
-            # A worker died hard (OOM, signal).  Finish what the pool
-            # did not, one retry each, in-process -- points must be
-            # reported, never lost.
-            leftovers += [
-                item for item in remote
-                if results[item[0]] is None
-            ]
-        self._run_serial(
-            [item for item in leftovers if results[item[0]] is None],
-            results,
-            reporter,
-        )
+            if key not in reported:
+                report(key, failed=result is None)
+            for index in indices:
+                results[index] = JobResult(
+                    spec=specs[index],
+                    key=key,
+                    result=result,
+                    attempts=row.attempts if row is not None else 0,
+                    error=error,
+                )
+        self.store_counters = store.counters()
 
     # -- progress -------------------------------------------------------
     def _reporter(self, total: int):
@@ -959,18 +701,11 @@ class Engine:
             return self.progress
         return None
 
-    def _report(self, reporter, job: JobResult) -> None:
-        if reporter is not None:
-            reporter.update(
-                job.spec.describe(), cached=job.cached, failed=not job.ok
-            )
-
 
 def run_jobs(
     specs: Sequence[JobSpec],
     workers: Optional[int] = None,
     cache_dir=None,
-    manifest=None,
     retries: int = 1,
     progress=False,
 ) -> List[JobResult]:
@@ -978,7 +713,6 @@ def run_jobs(
     return Engine(
         workers=workers,
         cache_dir=cache_dir,
-        manifest=manifest,
         retries=retries,
         progress=progress,
     ).run(specs)

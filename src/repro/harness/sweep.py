@@ -44,7 +44,6 @@ def sweep(
     machine_hook: Optional[Callable] = None,
     workers: Optional[int] = None,
     cache_dir=None,
-    manifest=None,
     progress=False,
     engine: Optional[Engine] = None,
     checkers: Sequence[str] = (),
@@ -54,7 +53,7 @@ def sweep(
     """Run every (config, workload, cores) combination.
 
     ``workload_factories`` maps name -> factory(n_threads, scale).
-    ``workers``/``cache_dir``/``manifest``/``progress`` configure the
+    ``workers``/``cache_dir``/``progress`` configure the
     :class:`repro.harness.jobs.Engine` the grid runs on (or pass a
     pre-built ``engine``); per-point results are deterministic, so the
     parallel path returns bit-identical results to the serial one.
@@ -103,7 +102,6 @@ def sweep(
         engine = Engine(
             workers=workers,
             cache_dir=cache_dir,
-            manifest=manifest,
             progress=progress,
         )
     points: List[SweepPoint] = []

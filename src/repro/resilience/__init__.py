@@ -18,8 +18,8 @@ overflow and fail, and every failure mode gets an explicit manager:
   the :func:`~repro.resilience.watchdog.triage_dump` shared with
   deadlock diagnostics.
 * :mod:`~repro.resilience.fsck` -- storage self-healing for cache
-  entries, sweep manifests, and the job store (corrupt = miss, never
-  crash; ``python -m repro fsck``).
+  entries and the job store (corrupt = miss, never crash;
+  ``python -m repro fsck``).
 * :mod:`~repro.resilience.chaos` -- the harness-level chaos gauntlet
   (``python -m repro chaos-harness``): kill workers, corrupt entries,
   fake disk-full, then assert byte-identical convergence.

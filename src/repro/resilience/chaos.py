@@ -163,11 +163,9 @@ def chaos_harness(
 
     # 2. The same grid through the supervised engine, under fire.
     cache_dir = workdir / "cache"
-    manifest = workdir / "manifest.jsonl"
     engine = Engine(
         workers=workers,
         cache_dir=cache_dir,
-        manifest=manifest,
         retries=retries,
         progress=progress,
         seed=seed,
@@ -197,7 +195,7 @@ def chaos_harness(
     # 4. fsck over the battered cache: whatever the injections tore up
     #    must be found and healed.
     counters = engine.resilience_counters()
-    fsck_report = fsck(cache_dir, manifest=manifest, repair=True)
+    fsck_report = fsck(cache_dir, repair=True)
     pool_stats = engine.pool_stats
     return ChaosHarnessResult(
         total=len(specs),

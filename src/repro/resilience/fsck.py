@@ -1,15 +1,13 @@
 """Storage self-healing: scan and repair the harness's on-disk state.
 
 ``python -m repro fsck`` (and :func:`fsck` programmatically) walks the
-three durable artifacts a sweep leaves behind and classifies every
+two durable artifacts a sweep leaves behind and classifies every
 defect it finds:
 
 * **result cache** entries -- torn JSON, checksum mismatches (a
   byte-flip anywhere in the entry), key/filename mismatches, stale
   cache versions, schema drift the result decoder rejects, and orphaned
   ``*.tmp`` files from interrupted atomic writes;
-* **sweep manifest** -- a truncated trailing JSONL line (the classic
-  kill-during-append artifact);
 * **job store** -- SQLite corruption (``PRAGMA integrity_check``) and
   leases whose workers are long gone.
 
@@ -23,10 +21,9 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Issue kinds, in scan order (stable vocabulary for tests and reports).
 ISSUE_KINDS = (
@@ -36,7 +33,6 @@ ISSUE_KINDS = (
     "key-mismatch",
     "stale-version",
     "schema-drift",
-    "manifest-torn-tail",
     "store-corrupt",
     "expired-lease",
 )
@@ -92,24 +88,17 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def fsck(
-    cache_dir,
-    manifest: Optional[object] = None,
-    repair: bool = True,
-) -> FsckReport:
+def fsck(cache_dir, repair: bool = True) -> FsckReport:
     """Scan (and with ``repair``, heal) a sweep's durable state.
 
     ``cache_dir`` is the result-cache root; the job store is found next
     to it automatically (``<cache_dir>/jobs.sqlite3``) when present.
-    ``manifest`` optionally names a sweep-manifest path to check for a
-    torn tail.  Returns a :class:`FsckReport`; nothing here ever raises
-    on corrupt input -- that is the point.
+    Returns a :class:`FsckReport`; nothing here ever raises on corrupt
+    input -- that is the point.
     """
     root = Path(cache_dir)
     report = FsckReport(cache_dir=str(root))
     _scan_cache(root, report, repair)
-    if manifest is not None:
-        _scan_manifest(Path(manifest), report, repair)
     _scan_store(root, report, repair)
     return report
 
@@ -172,32 +161,10 @@ def _classify_entry(path: Path, version, checksum_fn, result_cls):
 
 
 # ---------------------------------------------------------------------------
-# Sweep manifest
-# ---------------------------------------------------------------------------
-def _scan_manifest(path: Path, report: FsckReport, repair: bool) -> None:
-    from repro.harness.jobs import repair_manifest_tail
-
-    if not path.is_file():
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dropped = repair_manifest_tail(path, write=repair)
-    if dropped:
-        report.issues.append(
-            FsckIssue(
-                "manifest-torn-tail",
-                str(path),
-                f"{dropped} unparseable line(s) dropped",
-                repaired=repair,
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
 # Job store
 # ---------------------------------------------------------------------------
 def _scan_store(root: Path, report: FsckReport, repair: bool) -> None:
-    from repro.resilience.store import JobStore, default_store_path
+    from repro.resilience.store import JobStore, default_store_path, journal_path
 
     path = default_store_path(root)
     if not path.is_file():
@@ -216,6 +183,7 @@ def _scan_store(root: Path, report: FsckReport, repair: bool) -> None:
             # Same policy as cache entries: the ledger is rebuildable
             # (JobStore re-creates it; jobs re-enqueue on the next run).
             path.unlink(missing_ok=True)
+            journal_path(path).unlink(missing_ok=True)
             issue.repaired = True
         report.issues.append(issue)
         return

@@ -32,9 +32,10 @@ import os
 import socket
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Bump on incompatible jobs-table changes; a drifted store is rebuilt
 #: (jobs are re-runnable by construction -- results live in the cache).
@@ -43,7 +44,15 @@ STORE_SCHEMA_VERSION = 1
 #: Terminal row statuses (nothing left to execute for this row).
 TERMINAL = ("done", "quarantined")
 
-_SCHEMA = """
+#: Run on every connect.  The connection keeps its rollback journal
+#: between commits (zeroing its header instead of deleting the file):
+#: as durable as the default mode, and it works on network filesystems,
+#: but a commit costs about half as much -- the engine commits twice per
+#: point.  Creating the schema is one transaction (one commit), so a
+#: fresh store opens in about the time of a single job transition.
+_SCHEMA = f"""
+PRAGMA journal_mode=PERSIST;
+BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -68,6 +77,8 @@ CREATE TABLE IF NOT EXISTS counters (
     name  TEXT PRIMARY KEY,
     value INTEGER NOT NULL DEFAULT 0
 );
+INSERT OR IGNORE INTO meta VALUES ('schema', '{STORE_SCHEMA_VERSION}');
+COMMIT;
 """
 
 #: Counter names the store maintains (all start at zero).
@@ -152,17 +163,12 @@ class JobStore:
         db.execute("PRAGMA busy_timeout=30000")
         try:
             db.executescript(_SCHEMA)
-            row = db.execute(
+            (version,) = db.execute(
                 "SELECT value FROM meta WHERE key='schema'"
             ).fetchone()
-            if row is None:
-                db.execute(
-                    "INSERT OR IGNORE INTO meta VALUES ('schema', ?)",
-                    (str(STORE_SCHEMA_VERSION),),
-                )
-            elif row[0] != str(STORE_SCHEMA_VERSION):
+            if version != str(STORE_SCHEMA_VERSION):
                 raise sqlite3.DatabaseError(
-                    f"job store schema {row[0]} != {STORE_SCHEMA_VERSION}"
+                    f"job store schema {version} != {STORE_SCHEMA_VERSION}"
                 )
         except sqlite3.DatabaseError:
             # Torn or drifted store: rebuild.  Jobs are re-runnable by
@@ -170,18 +176,28 @@ class JobStore:
             # ledger is evicted, never fatal.
             db.close()
             self.path.unlink(missing_ok=True)
+            journal_path(self.path).unlink(missing_ok=True)
             db = sqlite3.connect(str(self.path), timeout=30.0)
             db.isolation_level = None
             db.execute("PRAGMA busy_timeout=30000")
             db.executescript(_SCHEMA)
-            db.execute(
-                "INSERT OR IGNORE INTO meta VALUES ('schema', ?)",
-                (str(STORE_SCHEMA_VERSION),),
-            )
         return db
 
     def close(self) -> None:
         self._db.close()
+
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE`` transaction: every write inside it,
+        counter bumps included, commits (and hits the disk) once."""
+        db = self._db
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            yield db
+        except BaseException:
+            db.execute("ROLLBACK")
+            raise
+        db.execute("COMMIT")
 
     # ------------------------------------------------------------------
     # Enqueue
@@ -200,46 +216,54 @@ class JobStore:
         an explicit request to try it again).  ``done`` and in-flight
         rows are left untouched.
         """
+        return self.enqueue_many([(key, describe, spec_blob)], requeue_failed)[0]
+
+    def enqueue_many(
+        self,
+        jobs: Iterable[Tuple[str, str, Optional[bytes]]],
+        requeue_failed: bool = True,
+    ) -> List[str]:
+        """:meth:`enqueue` for ``(key, describe, spec_blob)`` triples in
+        one transaction (one commit for a whole grid); returns their
+        statuses in order.  Claims take rows in enqueue order."""
         now = self.clock()
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT status FROM jobs WHERE key=?", (key,)
-            ).fetchone()
-            if row is None:
-                db.execute(
-                    "INSERT INTO jobs (key, describe, spec_blob, status,"
-                    " created, updated) VALUES (?,?,?, 'pending', ?, ?)",
-                    (key, describe, spec_blob, now, now),
-                )
-                self._bump("enqueued")
-                status = "pending"
-            else:
-                status = row[0]
-                if status == "quarantined" and requeue_failed:
-                    # A fresh retry budget comes with the explicit
-                    # re-enqueue; lifetime attempt history stays in the
-                    # counters.
+        statuses = []
+        with self._transaction() as db:
+            for key, describe, spec_blob in jobs:
+                row = db.execute(
+                    "SELECT status FROM jobs WHERE key=?", (key,)
+                ).fetchone()
+                if row is None:
                     db.execute(
-                        "UPDATE jobs SET status='pending', not_before=0,"
-                        " attempts=0, error=NULL,"
-                        " spec_blob=COALESCE(?, spec_blob),"
-                        " updated=? WHERE key=?",
-                        (spec_blob, now, key),
+                        "INSERT INTO jobs (key, describe, spec_blob, status,"
+                        " created, updated) VALUES (?,?,?, 'pending', ?, ?)",
+                        (key, describe, spec_blob, now, now),
                     )
-                    self._bump("requeued")
+                    self._bump("enqueued")
                     status = "pending"
-                elif spec_blob is not None:
-                    db.execute(
-                        "UPDATE jobs SET spec_blob=?, updated=? WHERE key=?",
-                        (spec_blob, now, key),
-                    )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return status
+                else:
+                    status = row[0]
+                    if status == "quarantined" and requeue_failed:
+                        # A fresh retry budget comes with the explicit
+                        # re-enqueue; lifetime attempt history stays in
+                        # the counters.
+                        db.execute(
+                            "UPDATE jobs SET status='pending', not_before=0,"
+                            " attempts=0, error=NULL,"
+                            " spec_blob=COALESCE(?, spec_blob),"
+                            " updated=? WHERE key=?",
+                            (spec_blob, now, key),
+                        )
+                        self._bump("requeued")
+                        status = "pending"
+                    elif spec_blob is not None:
+                        db.execute(
+                            "UPDATE jobs SET spec_blob=?, updated=?"
+                            " WHERE key=?",
+                            (spec_blob, now, key),
+                        )
+                statuses.append(status)
+        return statuses
 
     def requeue(self, key: str) -> bool:
         """Force a terminal row (``done`` or ``quarantined``) back to
@@ -248,14 +272,15 @@ class JobStore:
         (e.g. by ``fsck`` after corruption) -- the row's claim of
         completion is only as good as the bytes backing it."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', attempts=0, error=NULL,"
-            " not_before=0, lease_owner=NULL, lease_expires=NULL,"
-            " updated=? WHERE key=? AND status IN ('done', 'quarantined')",
-            (now, key),
-        )
-        if cur.rowcount:
-            self._bump("requeued", commit=True)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', attempts=0, error=NULL,"
+                " not_before=0, lease_owner=NULL, lease_expires=NULL,"
+                " updated=? WHERE key=? AND status IN ('done', 'quarantined')",
+                (now, key),
+            )
+            if cur.rowcount:
+                self._bump("requeued")
         return bool(cur.rowcount)
 
     # ------------------------------------------------------------------
@@ -271,14 +296,12 @@ class JobStore:
         Returns ``None`` when nothing is claimable right now."""
         now = self.clock()
         keyset = None if keys is None else set(keys)
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             rows = db.execute(
                 "SELECT key, describe, spec_blob, attempts, status"
                 " FROM jobs WHERE (status='pending' AND not_before<=?)"
                 " OR (status='leased' AND lease_expires<=?)"
-                " ORDER BY created, key",
+                " ORDER BY created, rowid",
                 (now, now),
             ).fetchall()
             for key, describe, blob, attempts, status in rows:
@@ -302,7 +325,6 @@ class JobStore:
                 self._bump("leases_granted")
                 if reclaimed:
                     self._bump("leases_expired")
-                db.execute("COMMIT")
                 return Claim(
                     key=key,
                     describe=describe,
@@ -311,27 +333,20 @@ class JobStore:
                     owner=owner,
                     reclaimed=reclaimed,
                 )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
         return None
-
-    def claim_key(self, key: str, owner: str) -> Optional[Claim]:
-        """Lease one specific job (serial execution path)."""
-        return self.claim(owner, keys=(key,))
 
     def heartbeat(self, key: str, owner: str) -> bool:
         """Extend the lease on a job this owner holds; returns False if
         the lease was lost (expired and reclaimed by someone else)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET lease_expires=?, updated=? WHERE key=?"
-            " AND status='leased' AND lease_owner=?",
-            (now + self.lease_s, now, key, owner),
-        )
-        if cur.rowcount:
-            self._bump("heartbeats", commit=True)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET lease_expires=?, updated=? WHERE key=?"
+                " AND status='leased' AND lease_owner=?",
+                (now + self.lease_s, now, key, owner),
+            )
+            if cur.rowcount:
+                self._bump("heartbeats")
         return bool(cur.rowcount)
 
     # ------------------------------------------------------------------
@@ -343,23 +358,22 @@ class JobStore:
         hung worker whose job was reclaimed and finished elsewhere must
         not overwrite the fresher outcome."""
         now = self.clock()
-        if owner is None:
-            cur = self._db.execute(
-                "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
-                " lease_expires=NULL, updated=? WHERE key=?",
-                (now, key),
-            )
-        else:
-            cur = self._db.execute(
-                "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
-                " lease_expires=NULL, updated=? WHERE key=?"
-                " AND status='leased' AND lease_owner=?",
-                (now, key, owner),
-            )
-        if cur.rowcount:
-            self._bump("done", commit=True)
-        elif owner is not None:
-            self._bump("stale_completions", commit=True)
+        sql = (
+            "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
+            " lease_expires=NULL, updated=? WHERE key=?"
+        )
+        with self._transaction() as db:
+            if owner is None:
+                cur = db.execute(sql, (now, key))
+            else:
+                cur = db.execute(
+                    sql + " AND status='leased' AND lease_owner=?",
+                    (now, key, owner),
+                )
+            if cur.rowcount:
+                self._bump("done")
+            elif owner is not None:
+                self._bump("stale_completions")
         return bool(cur.rowcount)
 
     def mark_failed(
@@ -379,22 +393,18 @@ class JobStore:
         rejected with status ``stale``.
         """
         now = self.clock()
-        db = self._db
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             row = db.execute(
                 "SELECT attempts, status, lease_owner FROM jobs WHERE key=?",
                 (key,),
             ).fetchone()
             if row is None:
-                db.execute("COMMIT")
                 return "missing"
             attempts, status, lease_owner = row
             if owner is not None and (
                 status != "leased" or lease_owner != owner
             ):
                 self._bump("stale_completions")
-                db.execute("COMMIT")
                 return "stale"
             if attempts >= self.quarantine_after:
                 db.execute(
@@ -414,10 +424,6 @@ class JobStore:
                 )
                 self._bump("retries")
                 new_status = "pending"
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
         if new_status == "quarantined" and traceback_text is not None:
             self._write_quarantine_artifact(key, error, traceback_text)
         return new_status
@@ -444,28 +450,30 @@ class JobStore:
         """Expire every lease held by ``owner`` *now* (the supervisor
         observed its worker die; no need to wait out the lease)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', lease_owner=NULL,"
-            " lease_expires=NULL, updated=? WHERE status='leased'"
-            " AND lease_owner=?",
-            (now, owner),
-        )
-        if cur.rowcount:
-            self._bump("leases_released", commit=True, n=cur.rowcount)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', lease_owner=NULL,"
+                " lease_expires=NULL, updated=? WHERE status='leased'"
+                " AND lease_owner=?",
+                (now, owner),
+            )
+            if cur.rowcount:
+                self._bump("leases_released", n=cur.rowcount)
         return cur.rowcount
 
     def reclaim_expired(self) -> int:
         """Return expired leases to ``pending`` (normally claims do this
         lazily; fsck and supervisors may sweep eagerly)."""
         now = self.clock()
-        cur = self._db.execute(
-            "UPDATE jobs SET status='pending', lease_owner=NULL,"
-            " lease_expires=NULL, updated=? WHERE status='leased'"
-            " AND lease_expires<=?",
-            (now, now),
-        )
-        if cur.rowcount:
-            self._bump("leases_expired", commit=True, n=cur.rowcount)
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', lease_owner=NULL,"
+                " lease_expires=NULL, updated=? WHERE status='leased'"
+                " AND lease_expires<=?",
+                (now, now),
+            )
+            if cur.rowcount:
+                self._bump("leases_expired", n=cur.rowcount)
         return cur.rowcount
 
     # ------------------------------------------------------------------
@@ -486,7 +494,7 @@ class JobStore:
             for row in self._db.execute(
                 "SELECT key, describe, status, attempts, lease_owner,"
                 " lease_expires, not_before, host, pid, error, created,"
-                " updated FROM jobs ORDER BY created, key"
+                " updated FROM jobs ORDER BY created, rowid"
             )
         ]
         if keys is not None:
@@ -513,17 +521,21 @@ class JobStore:
         return out
 
     # ------------------------------------------------------------------
-    def _bump(self, name: str, commit: bool = False, n: int = 1) -> None:
+    def _bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to a lifetime counter (inside the caller's
+        transaction)."""
         self._db.execute(
             "INSERT INTO counters (name, value) VALUES (?, ?)"
             " ON CONFLICT(name) DO UPDATE SET value=value+?",
             (name, n, n),
         )
-        # Inside an explicit BEGIN IMMEDIATE the caller commits; bare
-        # calls run in autocommit, nothing to do.
-        _ = commit
 
 
 def default_store_path(cache_dir) -> Path:
     """Where the job store lives for a given result-cache directory."""
     return Path(cache_dir) / "jobs.sqlite3"
+
+
+def journal_path(store_path) -> Path:
+    """The rollback journal SQLite keeps next to a store file."""
+    return Path(f"{store_path}-journal")

@@ -9,7 +9,7 @@ JobStore`:
   workers that fail together.
 * :class:`WorkerLoop` -- claim / execute / heartbeat / complete for one
   worker, whether that worker is a child process or the engine's own
-  process (the serial path uses the same loop, so every execution mode
+  process (a one-worker engine run uses the same loop, so every run
   shares one supervision discipline).  While a point simulates, a
   daemon thread heartbeats the lease; a worker that is SIGKILLed stops
   heartbeating and its lease expires.
@@ -121,9 +121,9 @@ def make_diskfull_hook(puts: int) -> Callable[[], None]:
 class WorkerLoop:
     """Claim-execute-complete loop for one worker (any process).
 
-    ``specs_by_key`` serves specs from memory (the engine's serial path
-    and unpicklable-factory fallback); without it, specs are unpickled
-    from the claim's stored blob.  ``point_timeout_s`` arms a
+    ``specs_by_key`` serves specs from memory (the engine's in-process
+    loop, which also runs unpicklable-factory specs); without it, specs
+    are unpickled from the claim's stored blob.  ``point_timeout_s`` arms a
     :class:`~repro.resilience.watchdog.Watchdog` per point.
     """
 
@@ -221,13 +221,25 @@ class WorkerLoop:
         return claim
 
     def _beat(self, key: str, stop: threading.Event) -> None:
+        # SQLite connections belong to the thread that opened them, so
+        # the beater opens its own -- only once a heartbeat is due.
         interval = max(0.01, self.store.lease_s / HEARTBEAT_DIVISOR)
-        while not stop.wait(interval):
-            try:
-                if not self.store.heartbeat(key, self.owner):
+        store = None
+        try:
+            while not stop.wait(interval):
+                if store is None:
+                    store = JobStore(
+                        self.store.path,
+                        lease_s=self.store.lease_s,
+                        quarantine_after=self.store.quarantine_after,
+                    )
+                if not store.heartbeat(key, self.owner):
                     return  # lease lost; stop renewing
-            except Exception:
-                return  # a dying store must not crash the sim thread
+        except Exception:
+            return  # a dying store must not crash the sim thread
+        finally:
+            if store is not None:
+                store.close()
 
     def drain(self, poll_s: float = DEFAULT_POLL_S) -> int:
         """Run until every tracked job is terminal; returns how many
@@ -287,7 +299,7 @@ class WorkerPool:
     bounded budget; expired leases of hung-but-alive workers are left
     to lease expiry (claims reclaim them lazily).  ``on_terminal(key,
     row)`` fires once per job as it reaches a terminal status, so the
-    caller can persist manifests incrementally.
+    caller can report progress incrementally.
     """
 
     def __init__(
@@ -354,8 +366,8 @@ class WorkerPool:
 
     def run(self, keys: Sequence[str]) -> None:
         """Supervise until every key is terminal (or the restart budget
-        is exhausted with no live workers -- the caller then falls back
-        to in-process execution for whatever remains)."""
+        is exhausted with no live workers -- the caller then finishes
+        whatever remains in-process)."""
         keys = list(keys)
         budget = (
             self.max_restarts
@@ -422,7 +434,7 @@ class WorkerPool:
                 fleet = alive
                 if not fleet:
                     if self.restarts >= budget:
-                        return  # caller's serial fallback finishes the rest
+                        return  # the caller finishes the rest in-process
                     fleet = [self._spawn(keys)]
                 now = time.monotonic()
                 if next_kill is not None and now >= next_kill:

@@ -34,7 +34,6 @@ def load_sweep(
     fault_plan=None,
     workers: Optional[int] = None,
     cache_dir=None,
-    manifest=None,
     progress: bool = False,
     engine: Optional[Engine] = None,
 ) -> List[SweepPoint]:
@@ -70,7 +69,6 @@ def load_sweep(
         engine = Engine(
             workers=workers,
             cache_dir=cache_dir,
-            manifest=manifest,
             progress=progress,
         )
     points: List[SweepPoint] = []

@@ -179,10 +179,3 @@ class TestCli:
 
         assert main(["table1"]) == 0
         assert "MSA/OMU" in capsys.readouterr().out
-
-    def test_experiments_main_is_thin_alias(self, capsys):
-        from repro.harness.experiments import main
-
-        with pytest.warns(DeprecationWarning, match="python -m repro"):
-            assert main(["table1"]) == 0
-        assert "MSA/OMU" in capsys.readouterr().out

@@ -1,8 +1,7 @@
 """Tests for the parallel experiment engine (:mod:`repro.harness.jobs`):
 spec hashing, the result cache, determinism of parallel vs serial
-execution, retry handling, and manifest-based resume."""
-
-import json
+execution, retry handling, resume from the cache directory, and
+cleanup of the throwaway store a cache-less run uses."""
 
 import pytest
 
@@ -12,12 +11,12 @@ from repro.harness.jobs import (
     Engine,
     JobSpec,
     ResultCache,
-    SweepManifest,
     execute_spec,
     resolve_factory,
     run_jobs,
 )
 from repro.harness.runner import RunResult
+from repro.resilience.store import JobStore, default_store_path
 from repro.workloads.kernels import KERNELS
 
 SPEC = dict(config="pthread", workload="canneal", cores=16, scale=0.25, seed=7)
@@ -197,45 +196,45 @@ class TestEngineParallel:
 
 
 class TestManifestResume:
+    """Resume comes from the cache directory: the job store beside the
+    cache records every point, and a rerun skips cached points."""
+
     def test_manifest_records_every_completion(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        Engine(workers=1, cache_dir=tmp_path / "c", manifest=manifest).run(
-            [spec(), spec(workload="broken", factory=_always_fail)]
-        )
-        # Append-only JSONL: one self-contained record per line.
-        entries = [
-            json.loads(line)
-            for line in manifest.read_text().splitlines()
-            if line.strip()
-        ]
-        by_key = {e["key"]: e for e in entries}
-        statuses = sorted(e["status"] for e in by_key.values())
-        assert statuses == ["done", "failed"]
-        assert SweepManifest(manifest).counts() == {"done": 1, "failed": 1}
+        cache = tmp_path / "c"
+        bad = spec(workload="broken", factory=_always_fail)
+        Engine(workers=1, cache_dir=cache).run([spec(), bad])
+        store = JobStore(default_store_path(cache))
+        try:
+            assert store.statuses() == {
+                spec().key(): "done",
+                bad.key(): "quarantined",
+            }
+            assert "synthetic workload failure" in store.get(bad.key()).error
+            assert store.quarantine_path(bad.key()).exists()
+        finally:
+            store.close()
 
     def test_resume_after_kill_runs_only_missing_points(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
         cache = tmp_path / "cache"
         grid = [spec(**g) for g in TestEngineParallel.GRID]
-        # A sweep that dies after two points: only they reach the
-        # manifest (it is rewritten after every completion).
-        first = Engine(workers=1, cache_dir=cache, manifest=manifest)
+        # A sweep that dies after two points: only they reach the cache.
+        first = Engine(workers=1, cache_dir=cache)
         first.run(grid[:2])
         assert first.stats.executed == 2
 
-        resumed = Engine(workers=1, cache_dir=cache, manifest=manifest)
+        resumed = Engine(workers=1, cache_dir=cache)
         jobs = resumed.run(grid)
-        assert resumed.stats.resumed == 2
         assert resumed.stats.cache_hits == 2
         assert resumed.stats.executed == 2
         assert all(j.ok for j in jobs)
-        statuses = [
-            e["status"] for e in SweepManifest(manifest).entries.values()
-        ]
-        assert statuses == ["done"] * 4
+        assert [j.cached for j in jobs] == [True, True, False, False]
+        store = JobStore(default_store_path(cache))
+        try:
+            assert sorted(store.statuses().values()) == ["done"] * 4
+        finally:
+            store.close()
 
     def test_failed_points_are_rerun_on_resume(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
         cache = tmp_path / "cache"
         marker = tmp_path / "now-works"
 
@@ -245,14 +244,102 @@ class TestManifestResume:
             return KERNELS["canneal"](n, scale)
 
         bad = spec(workload="flaky2", factory=flaky_twice)
-        first = Engine(workers=1, cache_dir=cache, manifest=manifest)
+        first = Engine(workers=1, cache_dir=cache)
         assert not first.run([bad])[0].ok
 
         marker.write_text("fixed")
-        second = Engine(workers=1, cache_dir=cache, manifest=manifest)
+        second = Engine(workers=1, cache_dir=cache)
         jobs = second.run([bad])
         assert jobs[0].ok
-        assert SweepManifest(manifest).status(bad.key()) == "done"
+        store = JobStore(default_store_path(cache))
+        try:
+            assert store.get(bad.key()).status == "done"
+            assert store.counters()["requeued"] == 1
+        finally:
+            store.close()
+
+
+class _RecordingReporter:
+    def __init__(self):
+        self.updates = []
+
+    def update(self, label, cached=False, failed=False):
+        self.updates.append((label, cached, failed))
+
+
+class TestDuplicatePoints:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_duplicate_spec_runs_once_and_reports_twice(
+        self, tmp_path, cached
+    ):
+        reporter = _RecordingReporter()
+        engine = Engine(
+            workers=1,
+            cache_dir=tmp_path / "cache" if cached else None,
+            progress=reporter,
+        )
+        jobs = engine.run([spec(), spec()])
+        assert [j.ok for j in jobs] == [True, True]
+        assert jobs[0].result.to_json() == jobs[1].result.to_json()
+        assert engine.stats.executed == 1
+        assert engine.stats.total == 2
+        assert reporter.updates == [("canneal/pthread@16", False, False)] * 2
+
+
+class TestEngineCleanup:
+    def test_throwaway_store_closed_and_removed(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.resilience import store as store_mod
+
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        opened, closed = [], []
+        real_init, real_close = store_mod.JobStore.__init__, JobStore.close
+
+        def init(self, *args, **kwargs):
+            opened.append(self)
+            real_init(self, *args, **kwargs)
+
+        def close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(store_mod.JobStore, "__init__", init)
+        monkeypatch.setattr(store_mod.JobStore, "close", close)
+
+        assert Engine(workers=1).run([spec()])[0].ok
+        bad = spec(workload="broken", factory=_always_fail)
+        jobs = Engine(workers=2).run([bad, spec(), spec(seed=8)])
+        assert [j.ok for j in jobs] == [False, True, True]
+        assert list(tmpdir.iterdir()) == []
+        assert len(opened) == 2 and closed == opened
+
+    def test_unopenable_store_falls_back_to_a_throwaway(self, tmp_path):
+        cache = tmp_path / "cache"
+        Engine(workers=1, cache_dir=cache).run([spec()])
+        default_store_path(cache).unlink()
+        default_store_path(cache).mkdir()  # SQLite cannot open a directory
+        engine = Engine(workers=1, cache_dir=cache)
+        jobs = engine.run([spec(), spec(seed=8)])
+        assert [j.ok for j in jobs] == [True, True]
+        assert [j.cached for j in jobs] == [True, False]
+        assert engine.stats.executed == 1
+
+    def test_cache_dir_store_is_closed(self, tmp_path, monkeypatch):
+        from repro.resilience import store as store_mod
+
+        closed = []
+        real_close = JobStore.close
+
+        def close(self):
+            closed.append(self.path)
+            real_close(self)
+
+        monkeypatch.setattr(store_mod.JobStore, "close", close)
+        Engine(workers=1, cache_dir=tmp_path).run([spec()])
+        assert closed == [default_store_path(tmp_path)]
 
 
 class TestRunJobsWrapper:

@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.resilience`: the durable job store (leases,
 heartbeats, quarantine), deterministic backoff, the escalating watchdog
-and its triage dump, manifest tail repair, cache checksums, and fsck."""
+and its triage dump, cache checksums, and fsck."""
 
 import json
 import os
@@ -16,16 +16,15 @@ from repro.harness.jobs import (
     Engine,
     JobSpec,
     ResultCache,
-    SweepManifest,
     entry_checksum,
     execute_spec,
-    repair_manifest_tail,
 )
 from repro.resilience import (
     Claim,
     JobStore,
     Watchdog,
     WatchdogWarning,
+    WorkerLoop,
     backoff_delay,
     default_store_path,
     format_triage,
@@ -204,6 +203,32 @@ class TestBackoff:
         assert backoff_delay("k", 0) == 0.0
 
 
+class TestWorkerLoop:
+    def test_heartbeats_renew_the_lease_of_a_long_point(self, tmp_path):
+        """The beater thread must reach the store: a point that outlives
+        its lease several times over is renewed, never reclaimed."""
+        from repro.workloads.kernels import KERNELS
+
+        def slow(n, scale=1.0):
+            time.sleep(0.4)
+            return KERNELS["canneal"](n, scale)
+
+        slow_spec = spec(workload="slow", factory=slow)
+        key = slow_spec.key()
+        store = JobStore(tmp_path / "jobs.sqlite3", lease_s=0.06)
+        store.enqueue(key, slow_spec.describe())
+        WorkerLoop(
+            store,
+            ResultCache(tmp_path / "cache"),
+            specs_by_key={key: slow_spec},
+        ).drain()
+        counters = store.counters()
+        assert store.get(key).status == "done"
+        assert counters["heartbeats"] > 0
+        assert counters["stale_completions"] == 0
+        store.close()
+
+
 # ---------------------------------------------------------------------------
 # Watchdog
 # ---------------------------------------------------------------------------
@@ -372,60 +397,6 @@ class TestCacheChecksums:
 
 
 # ---------------------------------------------------------------------------
-# Manifest tail repair
-# ---------------------------------------------------------------------------
-class TestManifestRepair:
-    def _manifest_with_tail(self, tmp_path, tail):
-        path = tmp_path / "manifest.jsonl"
-        records = [
-            {"key": "k1", "spec": "a/p@4", "status": "done",
-             "attempts": 1, "error": None},
-            {"key": "k2", "spec": "b/p@4", "status": "failed",
-             "attempts": 2, "error": "boom"},
-        ]
-        body = "".join(json.dumps(r) + "\n" for r in records)
-        path.write_text(body + tail)
-        return path
-
-    def test_truncated_tail_is_repaired_in_place(self, tmp_path):
-        """Satellite: resume tolerates the torn trailing line a
-        kill-mid-append leaves, repairs the file, and keeps every
-        complete record."""
-        path = self._manifest_with_tail(
-            tmp_path, '{"key": "k3", "spec": "c/p@4", "sta'
-        )
-        with pytest.warns(RuntimeWarning, match="torn"):
-            manifest = SweepManifest(path)
-        assert manifest.status("k1") == "done"
-        assert manifest.status("k2") == "failed"
-        assert manifest.status("k3") is None
-        # Repaired in place: a re-load is clean (no warning).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reloaded = SweepManifest(path)
-        assert reloaded.counts() == {"done": 1, "failed": 1}
-
-    def test_repair_is_a_noop_on_clean_manifests(self, tmp_path):
-        path = self._manifest_with_tail(tmp_path, "")
-        before = path.read_text()
-        assert repair_manifest_tail(path) == 0
-        assert path.read_text() == before
-
-    def test_legacy_whole_json_manifest_still_loads(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({
-            "version": 2,
-            "counts": {"done": 1},
-            "points": {"k1": {"spec": "a/p@4", "status": "done",
-                              "attempts": 1, "error": None}},
-        }))
-        manifest = SweepManifest(path)
-        assert manifest.status("k1") == "done"
-        manifest.save()  # upgrades to JSONL
-        assert SweepManifest(path).status("k1") == "done"
-
-
-# ---------------------------------------------------------------------------
 # fsck
 # ---------------------------------------------------------------------------
 class TestFsck:
@@ -487,20 +458,17 @@ class TestFsck:
     def test_fsck_repairs_manifest_and_expired_leases(
         self, tmp_path, small_result
     ):
+        # The sweep manifest is gone (the job store holds the same
+        # facts); the expired-lease repair half of this test remains.
         cache, _ = self._cache_with_entries(tmp_path, small_result, n=1)
-        manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text(
-            json.dumps({"key": "k1", "status": "done", "spec": "a",
-                        "attempts": 1, "error": None}) + "\n" + '{"torn'
-        )
         store = JobStore(default_store_path(cache.root), lease_s=0.01)
         store.enqueue("k1")
         store.claim("w-dead")
         store.close()
         time.sleep(0.05)
-        report = fsck(cache.root, manifest=manifest, repair=True)
+        report = fsck(cache.root, repair=True)
         kinds = sorted(i.kind for i in report.issues)
-        assert kinds == ["expired-lease", "manifest-torn-tail"]
+        assert kinds == ["expired-lease"]
         assert report.ok
         store = JobStore(default_store_path(cache.root))
         assert store.get("k1").status == "pending"
