@@ -24,6 +24,12 @@ Statuses: ``pending`` -> ``leased`` -> ``done`` | ``quarantined``
 explicitly re-enqueues them).  All transitions bump the store's
 lifetime counters (:meth:`JobStore.counters`), which the harness
 exports through :class:`repro.obs.MetricsRegistry`.
+
+Reads cost what they ask for, not what the store holds: a store that
+backs a long-running service only grows, so :meth:`JobStore.rows` with
+keys is a primary-key lookup and :meth:`JobStore.open_keys` /
+:meth:`JobStore.open_jobs` search the ``jobs_status`` index.  A
+re-enqueue that changes nothing writes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +41,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: Bump on incompatible jobs-table changes; a drifted store is rebuilt
 #: (jobs are re-runnable by construction -- results live in the cache).
@@ -43,6 +58,18 @@ STORE_SCHEMA_VERSION = 1
 
 #: Terminal row statuses (nothing left to execute for this row).
 TERMINAL = ("done", "quarantined")
+
+#: Keys per ``WHERE key IN (...)`` query: SQLite's smallest default
+#: limit on bound variables (999 before 3.32).
+_KEY_CHUNK = 999
+
+_ROW_COLUMNS = (
+    "key, describe, status, attempts, lease_owner, lease_expires,"
+    " not_before, host, pid, error, created, updated"
+)
+#: The rows that are not TERMINAL, as a condition the ``jobs_status``
+#: index can serve (``NOT IN`` could not use it).
+_OPEN_WHERE = "status IN ('pending', 'leased')"
 
 #: Run on every connect.  The connection keeps its rollback journal
 #: between commits (zeroing its header instead of deleting the file):
@@ -257,10 +284,12 @@ class JobStore:
                         self._bump("requeued")
                         status = "pending"
                     elif spec_blob is not None:
+                        # A dedup hit re-sends the same blob: leave the
+                        # row alone so the commit has nothing to write.
                         db.execute(
                             "UPDATE jobs SET spec_blob=?, updated=?"
-                            " WHERE key=?",
-                            (spec_blob, now, key),
+                            " WHERE key=? AND spec_blob IS NOT ?",
+                            (spec_blob, now, key, spec_blob),
                         )
                 statuses.append(status)
         return statuses
@@ -481,33 +510,60 @@ class JobStore:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[JobRow]:
         row = self._db.execute(
-            "SELECT key, describe, status, attempts, lease_owner,"
-            " lease_expires, not_before, host, pid, error, created, updated"
-            " FROM jobs WHERE key=?",
-            (key,),
+            f"SELECT {_ROW_COLUMNS} FROM jobs WHERE key=?", (key,)
         ).fetchone()
         return JobRow(*row) if row else None
 
     def rows(self, keys: Optional[Sequence[str]] = None) -> List[JobRow]:
-        out = [
-            JobRow(*row)
-            for row in self._db.execute(
-                "SELECT key, describe, status, attempts, lease_owner,"
-                " lease_expires, not_before, host, pid, error, created,"
-                " updated FROM jobs ORDER BY created, rowid"
+        """Rows in enqueue order (``created``, then ``rowid``); with
+        ``keys``, only the rows of those keys (unknown keys and
+        duplicates are ignored), read by primary key, so the cost
+        follows ``len(keys)`` and not the size of the store."""
+        if keys is None:
+            return [
+                JobRow(*row)
+                for row in self._db.execute(
+                    f"SELECT {_ROW_COLUMNS} FROM jobs ORDER BY created, rowid"
+                )
+            ]
+        found = []
+        for chunk, marks in _key_chunks(keys):
+            found.extend(
+                self._db.execute(
+                    f"SELECT created, rowid, {_ROW_COLUMNS} FROM jobs"
+                    f" WHERE key IN ({marks})",
+                    chunk,
+                )
             )
-        ]
-        if keys is not None:
-            keyset = set(keys)
-            out = [r for r in out if r.key in keyset]
-        return out
+        found.sort(key=lambda row: (row[0], row[1]))
+        return [JobRow(*row[2:]) for row in found]
 
     def statuses(self, keys: Optional[Sequence[str]] = None) -> Dict[str, str]:
         return {row.key: row.status for row in self.rows(keys)}
 
+    def open_keys(self, limit: Optional[int] = None) -> List[str]:
+        """Keys of open (pending or leased) jobs in enqueue order, at
+        most ``limit`` of them, found through the ``jobs_status`` index."""
+        return [
+            key
+            for (key,) in self._db.execute(
+                f"SELECT key FROM jobs WHERE {_OPEN_WHERE}"
+                " ORDER BY created, rowid LIMIT ?",
+                (-1 if limit is None else limit,),
+            )
+        ]
+
     def open_jobs(self, keys: Optional[Sequence[str]] = None) -> int:
-        """Jobs not yet terminal (pending or leased) among ``keys``."""
-        return sum(1 for r in self.rows(keys) if not r.terminal)
+        """Jobs not yet terminal (pending or leased) among ``keys``, or
+        in the whole store; counted in SQL, through the
+        ``jobs_status`` index or by primary key."""
+        sql = f"SELECT COUNT(*) FROM jobs WHERE {_OPEN_WHERE}"
+        if keys is None:
+            return self._db.execute(sql).fetchone()[0]
+        return sum(
+            self._db.execute(f"{sql} AND key IN ({marks})", chunk).fetchone()[0]
+            for chunk, marks in _key_chunks(keys)
+        )
 
     def counters(self) -> Dict[str, int]:
         """Lifetime transition counters plus current per-status totals."""
@@ -529,6 +585,15 @@ class JobStore:
             " ON CONFLICT(name) DO UPDATE SET value=value+?",
             (name, n, n),
         )
+
+
+def _key_chunks(keys: Iterable[str]) -> Iterator[Tuple[List[str], str]]:
+    """Distinct ``keys`` in chunks of at most ``_KEY_CHUNK``, each with
+    its ``?,?,...`` placeholder list for ``key IN (...)``."""
+    wanted = list(dict.fromkeys(keys))
+    for at in range(0, len(wanted), _KEY_CHUNK):
+        chunk = wanted[at:at + _KEY_CHUNK]
+        yield chunk, ",".join("?" * len(chunk))
 
 
 def default_store_path(cache_dir) -> Path:

@@ -37,6 +37,16 @@ point executes exactly once.  Crash-safety is inherited from the
 store/cache contracts: SIGKILL the server mid-sweep, restart it on the
 same cache directory, and the sweep converges (expired leases are
 reclaimed, finished points are already durable).
+
+Waiting is pushed, not polled.  A submission that creates or re-pends
+a job sets the executor's wake event, so an idle executor claims it at
+once.  Each finished point wakes the event loop
+(``loop.call_soon_threadsafe``), which releases every ``?wait``
+long-poll and SSE stream to re-read the status.  The store is still the
+only source of truth: a wake-up only says "look again", and the
+``WATCH_POLL_S`` / ``DEFAULT_POLL_S`` re-checks stay as a backstop for
+changes made outside this process (lease expiry, another server on the
+same cache directory, pool children).
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common import config as repro_config
@@ -58,7 +68,7 @@ from repro.common.errors import ConfigError, SchemaError, ServiceError
 from repro.common.schema import SERVE_SCHEMA, check_schema
 from repro.harness.jobs import ResultCache, _atomic_write_json
 from repro.resilience.store import JobStore, default_store_path
-from repro.resilience.supervise import WorkerLoop, WorkerPool
+from repro.resilience.supervise import DEFAULT_POLL_S, WorkerLoop, WorkerPool
 from repro.serve import wire
 
 DEFAULT_HOST = "127.0.0.1"
@@ -69,7 +79,9 @@ MAX_BODY_BYTES = 8 << 20
 #: (clients re-issue; an unbounded wait would pin a dead client's
 #: connection forever).
 LONG_POLL_CAP_S = 60.0
-#: Status re-check cadence for long-polls and SSE streams.
+#: Longest a long-poll or SSE stream goes without re-reading status.
+#: Completions in this process wake them at once; the re-check catches
+#: changes made by other processes sharing the store.
 WATCH_POLL_S = 0.1
 
 _REASONS = {
@@ -97,9 +109,12 @@ class Server:
 
     ``workers`` > 1 executes through a supervised multiprocess
     :class:`WorkerPool` per batch; otherwise a single in-process
-    :class:`WorkerLoop` claims jobs continuously.  Use :meth:`start` /
-    :meth:`stop` for embedding (tests), :meth:`serve_forever` for the
-    CLI (installs SIGTERM/SIGINT handlers for a clean shutdown).
+    :class:`WorkerLoop` claims jobs continuously.  Either way an idle
+    executor sleeps on a wake event that submissions set, re-checking
+    the store every ``DEFAULT_POLL_S`` for work enqueued elsewhere.
+    Use :meth:`start` / :meth:`stop` for embedding (tests),
+    :meth:`serve_forever` for the CLI (installs SIGTERM/SIGINT handlers
+    for a clean shutdown).
     """
 
     def __init__(
@@ -112,7 +127,6 @@ class Server:
         lease_s: float = 30.0,
         point_timeout_s: Optional[float] = None,
         seed: int = 0,
-        poll_s: float = 0.05,
     ):
         cache_dir = repro_config.cache_dir(cache_dir)
         if cache_dir is None:
@@ -130,7 +144,6 @@ class Server:
         self.lease_s = lease_s
         self.point_timeout_s = point_timeout_s
         self.seed = seed
-        self.poll_s = poll_s
 
         #: Service-level counters, exported at ``/v1/metrics`` under
         #: the ``serve.`` prefix (the job store's lifetime counters --
@@ -146,6 +159,13 @@ class Server:
         }
 
         self._stop = threading.Event()
+        #: Set when there is new work to claim (or on stop).
+        self._wake = threading.Event()
+        #: Set (on the event loop) when a job may have changed status;
+        #: replaced by a fresh event each time, so a waiter that took
+        #: the current one before reading status cannot miss a change.
+        self._changed: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._boot_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
@@ -201,6 +221,8 @@ class Server:
         """Stop accepting requests, let the executor finish its current
         point, and join both threads."""
         self._stop.set()
+        self._wake.set()
+        self._notify()
         if self._exec_thread is not None:
             self._exec_thread.join(timeout=60.0)
         if self._thread is not None:
@@ -237,6 +259,8 @@ class Server:
             self._ready.set()
 
     async def _amain(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._changed = asyncio.Event()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._front = JobStore(
             self.store_path,
@@ -272,6 +296,21 @@ class Server:
                 self.discovery_path.unlink()
 
     # ------------------------------------------------------------------
+    # Wake-ups (best effort: the store stays the source of truth)
+    # ------------------------------------------------------------------
+    def _notify(self, *_) -> None:
+        """From any thread: wake every long-poll and SSE stream.  A loop
+        that has not started or is already closed is ignored."""
+        loop = self._loop
+        if loop is not None:
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(self._changed_now)
+
+    def _changed_now(self) -> None:
+        self._changed.set()
+        self._changed = asyncio.Event()
+
+    # ------------------------------------------------------------------
     # Execution backend (reuses the resilience substrate wholesale)
     # ------------------------------------------------------------------
     def _executor_main(self) -> None:
@@ -300,10 +339,14 @@ class Server:
             keys=None,
             seed=self.seed,
             point_timeout_s=self.point_timeout_s,
+            on_complete=self._notify,
         )
         while not self._stop.is_set():
+            # Clear before claiming: a submission after a failed claim
+            # leaves the event set, so the wait below returns at once.
+            self._wake.clear()
             if loop.run_one() is None:
-                self._stop.wait(self.poll_s)
+                self._wake.wait(DEFAULT_POLL_S)
 
     def _executor_pooled(self, store: JobStore, cache: ResultCache) -> None:
         """Multiprocess execution: batches of open jobs run through a
@@ -312,11 +355,11 @@ class Server:
         exhausted) drains in-process so points are never stranded."""
         batch_cap = max(8, 4 * self.workers)
         while not self._stop.is_set():
-            open_keys = [r.key for r in store.rows() if not r.terminal]
-            if not open_keys:
-                self._stop.wait(self.poll_s)
+            self._wake.clear()
+            batch = store.open_keys(limit=batch_cap)
+            if not batch:
+                self._wake.wait(DEFAULT_POLL_S)
                 continue
-            batch = open_keys[:batch_cap]
             pool = WorkerPool(
                 store,
                 cache.root,
@@ -325,6 +368,7 @@ class Server:
                 quarantine_after=self.retries + 1,
                 seed=self.seed,
                 point_timeout_s=self.point_timeout_s,
+                on_terminal=self._notify,
             )
             pool.run(batch)
             if store.open_jobs(batch):
@@ -334,6 +378,7 @@ class Server:
                     keys=batch,
                     seed=self.seed,
                     point_timeout_s=self.point_timeout_s,
+                    on_complete=self._notify,
                 ).drain()
 
     # ------------------------------------------------------------------
@@ -481,25 +526,39 @@ class Server:
             raise ConfigError("request body is not valid JSON") from None
         specs = wire.expand_sweep_request(data)
         store, cache = self._front, self._front_cache
-        keys: List[str] = []
+        keys = [spec.key() for spec in specs]
+        prior = {row.key: row.status for row in store.rows(keys)}
         created_jobs = 0
-        for spec in specs:
-            key = spec.key()
-            keys.append(key)
-            row = store.get(key)
-            if row is None:
+        wake = False
+        for key in keys:
+            status = prior.get(key)
+            # A key repeated within the submission dedups against its
+            # first occurrence.
+            prior[key] = "repeat"
+            if status is None:
                 created_jobs += 1
                 self.counters["jobs_enqueued"] += 1
-            elif row.status == "done" and cache.get(key) is None:
+                wake = True
+            elif status == "done" and cache.get(key) is None:
                 # The row claims completion but the cached bytes are
                 # gone (fsck eviction after corruption): resubmission
                 # is an explicit request for the result, so re-run.
                 store.requeue(key)
                 created_jobs += 1
                 self.counters["jobs_requeued"] += 1
+                wake = True
             else:
                 self.counters["jobs_deduped"] += 1
-            store.enqueue(key, spec.describe(), _spec_blob(spec))
+                # enqueue_many below re-pends a quarantined row.
+                wake = wake or status == "quarantined"
+        store.enqueue_many(
+            [
+                (key, spec.describe(), _spec_blob(spec))
+                for key, spec in zip(keys, specs)
+            ]
+        )
+        if wake:
+            self._wake.set()
         sid = wire.sweep_id(keys)
         record = wire.sweep_record(sid, specs, keys)
         path = self.sweeps_dir / f"{sid}.json"
@@ -593,15 +652,16 @@ class Server:
             raise ConfigError("?wait= must be a number of seconds") from None
         deadline = time.monotonic() + min(max(wait_s, 0.0), LONG_POLL_CAP_S)
         while True:
+            changed = self._changed
             doc = self._sweep_status(record)
-            if (
-                doc["done"]
-                or time.monotonic() >= deadline
-                or self._stop.is_set()
-            ):
+            remaining = deadline - time.monotonic()
+            if doc["done"] or remaining <= 0 or self._stop.is_set():
                 await self._send_json(writer, 200, doc)
                 return
-            await asyncio.sleep(WATCH_POLL_S)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    changed.wait(), min(WATCH_POLL_S, remaining)
+                )
 
     async def _stream_sweep(self, writer, record) -> None:
         writer.write(
@@ -613,6 +673,7 @@ class Server:
         await writer.drain()
         last = None
         while True:
+            changed = self._changed
             doc = self._sweep_status(record)
             snapshot = json.dumps(doc["counts"], sort_keys=True)
             if snapshot != last:
@@ -624,7 +685,8 @@ class Server:
                 writer.write(b"event: done\ndata: {}\n\n")
                 await writer.drain()
                 return
-            await asyncio.sleep(WATCH_POLL_S)
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(changed.wait(), WATCH_POLL_S)
 
     def _health_doc(self) -> Dict:
         counters = self._front.counters()

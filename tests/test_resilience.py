@@ -4,10 +4,13 @@ and its triage dump, cache checksums, and fsck."""
 
 import json
 import os
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DeadlockError, WatchdogTimeout
 from repro.harness.configs import build_machine
@@ -178,6 +181,125 @@ class TestJobStore:
         names = {m.name for m in reg.metrics()}
         assert "harness.enqueued" in names
         assert "harness.leases_granted" in names
+
+
+    def test_dedup_enqueue_writes_nothing(self, tmp_path):
+        store, clock = self.make(tmp_path)
+        store.enqueue("k1", "point", b"blob")
+        store.claim("w1")
+        store.mark_done("k1", "w1")
+        clock.advance(1.0)
+        before, changes = store.get("k1"), store._db.total_changes
+        assert store.enqueue_many([("k1", "point", b"blob")]) == ["done"]
+        assert store._db.total_changes == changes
+        assert store.get("k1") == before
+        # A different blob is still recorded.
+        store.enqueue("k1", "point", b"blob-2")
+        assert store._db.total_changes == changes + 1
+        assert store.get("k1").updated == before.updated + 1.0
+
+
+def _scan_then_filter(store, keys):
+    """What ``rows(keys)`` returned before it was a keyed lookup: every
+    row in enqueue order, then filtered."""
+    keyset = set(keys)
+    return [r for r in store.rows() if r.key in keyset]
+
+
+class TestKeyedReads:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n_rows=st.one_of(st.integers(0, 30), st.integers(1000, 1100)),
+    )
+    def test_rows_by_key_match_scan_then_filter(self, data, n_rows):
+        """Order, duplicates, unknown keys and key lists longer than
+        one ``IN (...)`` chunk all read as the full scan filtered."""
+        order = data.draw(st.permutations(range(n_rows)))
+        names = [f"job-{i:05d}" for i in order]
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=4)))
+        clock = FakeClock()
+        with tempfile.TemporaryDirectory() as tmp:
+            store = JobStore(Path(tmp) / "jobs.sqlite3", clock=clock)
+            try:
+                # Batches enqueued at equal or later times: rows tie on
+                # ``created`` within (and sometimes across) batches.
+                for lo, hi in zip([0] + cuts, cuts + [n_rows]):
+                    store.enqueue_many([(k, "", None) for k in names[lo:hi]])
+                    clock.advance(data.draw(st.sampled_from([0.0, 1.0])))
+                if names:
+                    for key in data.draw(
+                        st.lists(st.sampled_from(names), max_size=5)
+                    ):
+                        store.mark_done(key)
+                pool = names + [f"unknown-{i}" for i in range(5)]
+                if n_rows >= 1000:
+                    keys = data.draw(st.permutations(pool)) + data.draw(
+                        st.lists(st.sampled_from(pool), max_size=20)
+                    )
+                else:
+                    keys = data.draw(
+                        st.lists(st.sampled_from(pool), max_size=60)
+                    )
+                expected = _scan_then_filter(store, keys)
+                assert store.rows(keys) == expected
+                assert store.open_jobs(keys) == sum(
+                    not r.terminal for r in expected
+                )
+                open_keys = [r.key for r in store.rows() if not r.terminal]
+                assert store.open_keys() == open_keys
+                assert store.open_keys(limit=3) == open_keys[:3]
+                assert store.open_jobs() == len(open_keys)
+            finally:
+                store.close()
+
+    @staticmethod
+    def _vm_steps(store, read):
+        """SQLite virtual-machine steps ``read()`` executes on the
+        store's connection."""
+        steps = [0]
+
+        def count():
+            steps[0] += 1
+            return 0
+
+        store._db.set_progress_handler(count, 1)
+        try:
+            read()
+        finally:
+            store._db.set_progress_handler(None, 1)
+        return steps[0]
+
+    def _store(self, path, n_rows, n_open):
+        store = JobStore(path)
+        store.enqueue_many([(f"k{i:05d}", "", None) for i in range(n_rows)])
+        # Close all but the first ``n_open`` rows in one statement (one
+        # mark_done per row would dominate the test's run time).
+        store._db.execute(
+            "UPDATE jobs SET status='done' WHERE rowid > ?", (n_open,)
+        )
+        return store
+
+    def test_reads_do_not_scan_the_store(self, tmp_path):
+        """Reading one key, or the open jobs, costs the same in a
+        10-row store as in a 5,000-row store with as many open jobs."""
+        small = self._store(tmp_path / "small.sqlite3", 10, 10)
+        large = self._store(tmp_path / "large.sqlite3", 5000, 10)
+        try:
+            for read in (
+                lambda s: s.rows(["k00003"]),
+                lambda s: s.rows(["k00003", "k00007", "missing"]),
+                lambda s: s.open_keys(),
+                lambda s: s.open_jobs(),
+            ):
+                assert self._vm_steps(
+                    large, lambda: read(large)
+                ) == self._vm_steps(small, lambda: read(small))
+            assert large.rows(["k04999"])[0].status == "done"
+            assert len(large.open_keys()) == 10
+        finally:
+            small.close()
+            large.close()
 
 
 # ---------------------------------------------------------------------------

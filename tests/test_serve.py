@@ -229,6 +229,99 @@ class TestWire:
         assert spec.key() == local.key()
 
 
+class TestPushWakeups:
+    """Waiting is pushed: with the status re-check and the executor's
+    idle re-check both stretched to 30 s, a fresh point still finishes
+    within seconds, because the submission wakes the executor and the
+    completion wakes the long-poll or SSE stream."""
+
+    @pytest.fixture
+    def slow_backstops(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "WATCH_POLL_S", 30.0)
+        monkeypatch.setattr(server_module, "DEFAULT_POLL_S", 30.0)
+
+    def _fresh_point(self, tmp_path, path_suffix, workers=1):
+        srv = Server(cache_dir=tmp_path, port=0, workers=workers).start()
+        try:
+            t0 = time.monotonic()
+            _, doc = _post(
+                srv.url, "/v1/sweeps", dict(POINT, schema=SERVE_SCHEMA)
+            )
+            assert doc["created_jobs"] == 1
+            _, body = _get(srv.url, f"/v1/sweeps/{doc['id']}{path_suffix}")
+            return body.decode(), time.monotonic() - t0
+        finally:
+            srv.stop()
+
+    def test_long_poll_woken_by_completion(self, tmp_path, slow_backstops):
+        body, elapsed = self._fresh_point(tmp_path, "?wait=60")
+        assert json.loads(body)["done"]
+        assert elapsed < 10.0
+
+    def test_sse_woken_by_completion(self, tmp_path, slow_backstops):
+        body, elapsed = self._fresh_point(tmp_path, "?stream=sse")
+        assert body.rstrip().endswith("event: done\ndata: {}")
+        progress = [
+            json.loads(line[len("data: "):])
+            for line in body.splitlines()
+            if line.startswith("data: {\"")
+        ]
+        assert progress[-1]["done"] and progress[-1]["ok"]
+        assert elapsed < 10.0
+
+    def test_pooled_long_poll_woken_by_completion(
+        self, tmp_path, slow_backstops
+    ):
+        body, elapsed = self._fresh_point(tmp_path, "?wait=60", workers=2)
+        assert json.loads(body)["done"]
+        assert elapsed < 10.0
+
+    def test_concurrent_long_polls_lose_no_wakeup(
+        self, tmp_path, slow_backstops
+    ):
+        """Eight clients, each submitting and long-polling its own
+        fresh point, with a tiny thread switch interval: every one is
+        woken long before the 30 s backstop would fire."""
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        results, errors = [], []
+
+        def client(seed):
+            try:
+                t0 = time.monotonic()
+                _, doc = _post(
+                    srv.url,
+                    "/v1/sweeps",
+                    dict(POINT, schema=SERVE_SCHEMA, seed=seed),
+                )
+                _, body = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+                results.append(
+                    (json.loads(body)["done"], time.monotonic() - t0)
+                )
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(100 + i,))
+                for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            srv.stop()
+        assert not errors
+        assert len(results) == 8
+        assert all(done and elapsed < 20.0 for done, elapsed in results)
+
+
 class TestConcurrentDedup:
     def test_two_clients_one_execution_per_point(self, tmp_path):
         """The single-execution acceptance bar: two clients racing the
@@ -274,6 +367,18 @@ class TestConcurrentDedup:
             assert counters["enqueued"] == 2
             assert counters["done"] == 2
             assert counters.get("retries", 0) == 0
+        finally:
+            srv.stop()
+
+    def test_point_repeated_in_one_submission_is_created_once(self, tmp_path):
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            body = dict(POINT, schema=SERVE_SCHEMA, configs=["pthread"] * 2)
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            assert (doc["created_jobs"], doc["deduped_jobs"]) == (1, 1)
+            _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=120")
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            assert (doc["created_jobs"], doc["deduped_jobs"]) == (0, 2)
         finally:
             srv.stop()
 
