@@ -61,6 +61,13 @@ CACHE_VERSION = 3
 
 DEFAULT_MAX_EVENTS = 50_000_000
 
+#: ``json.dumps`` settings of cache keys, of the machine memo's keys
+#: and of entry checksums, built once (``json.dumps`` with any option
+#: builds an encoder per call).
+_KEY_JSON = json.JSONEncoder(sort_keys=True, default=repr)
+_MEMO_JSON = json.JSONEncoder(sort_keys=True)
+_CHECKSUM_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 # ---------------------------------------------------------------------------
 # Job specification
@@ -188,8 +195,17 @@ class JobSpec:
         Hashes the spec fields *and* the fully resolved machine
         parameters, so a change to any default (in code) or any override
         (in the spec) invalidates exactly the affected points.
+
+        The key is the sha256 of ``json.dumps(payload, sort_keys=True)``
+        where ``payload["machine"]`` is ``MachineParams.to_dict()``.
+        Resolving and serialising the machine is most of that cost, and
+        a grid has few distinct machines, so the canonical machine JSON
+        is memoised per ``(config, cores, seed, params)`` value
+        (:func:`_machine_json`) and spliced into the blob: each distinct
+        machine is resolved once per process, the other points pay two
+        small dumps and the hash, and the bytes hashed are unchanged.
         """
-        params, library = self.resolved_params()
+        library, machine = _machine_json(self)
         payload = {
             "v": CACHE_VERSION,
             "config": self.config,
@@ -202,13 +218,60 @@ class JobSpec:
             "check": self.check,
             "checkers": list(self.checkers),
             "library": library,
-            "machine": params.to_dict(),
             "fault_plan": (
                 asdict(self.fault_plan) if self.fault_plan is not None else None
             ),
         }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        # Keys are sorted, so "machine" goes between these two halves.
+        head = _KEY_JSON.encode(
+            {k: v for k, v in payload.items() if k < "machine"}
+        )
+        tail = _KEY_JSON.encode(
+            {k: v for k, v in payload.items() if k > "machine"}
+        )
+        digest = hashlib.sha256(head[:-1].encode())
+        digest.update(b', "machine": ')
+        digest.update(machine)
+        digest.update(b", " + tail[1:].encode())
+        return digest.hexdigest()
+
+
+#: Most distinct machines :func:`_machine_json` keeps; the memo is
+#: emptied when it fills (a paper figure has a handful of machines, a
+#: design-space sweep a few hundred).
+MACHINE_MEMO_SIZE = 1024
+
+_MACHINE_MEMO: Dict[str, Tuple[str, bytes]] = {}
+
+
+def _machine_json(spec: JobSpec) -> Tuple[str, bytes]:
+    """``(library, canonical machine JSON)`` of a spec: its resolved
+    :class:`MachineParams` dumped as :meth:`JobSpec.key` hashes them.
+
+    Memoised by the *value* of ``(config, cores, seed, params)`` --
+    their JSON, which tells ``2`` from ``2.0`` and ``True`` -- never by
+    spec object, so mutating a spec changes its key.  Specs whose
+    ``params`` carry non-JSON values (whole parameter dataclasses) are
+    resolved every time.  The entries are immutable and depend only on
+    code, so one process-wide memo serves every caller.
+    """
+    try:
+        memo_key = _MEMO_JSON.encode(
+            [spec.config, spec.cores, spec.seed, spec.params]
+        )
+    except TypeError:
+        memo_key = None
+    else:
+        found = _MACHINE_MEMO.get(memo_key)
+        if found is not None:
+            return found
+    params, library = spec.resolved_params()
+    entry = (library, _KEY_JSON.encode(params.to_dict()).encode())
+    if memo_key is not None:
+        if len(_MACHINE_MEMO) >= MACHINE_MEMO_SIZE:
+            _MACHINE_MEMO.clear()
+        _MACHINE_MEMO[memo_key] = entry
+    return entry
 
 
 def _factory_fingerprint(factory: Optional[Callable]) -> Optional[str]:
@@ -293,8 +356,19 @@ def entry_checksum(data: Dict[str, Any]) -> str:
     byte flip anywhere in the stored payload -- even one that leaves
     the JSON parseable -- changes this digest."""
     body = {k: v for k, v in data.items() if k != "sha256"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    blob = _CHECKSUM_JSON.encode(body)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _is_whole(data, key: str) -> bool:
+    """Whether decoded entry ``data`` is a current-version entry for
+    ``key`` whose checksum matches its payload."""
+    return (
+        isinstance(data, dict)
+        and data.get("v") == CACHE_VERSION
+        and data.get("key") == key
+        and entry_checksum(data) == data.get("sha256")
+    )
 
 
 class ResultCache:
@@ -311,6 +385,7 @@ class ResultCache:
 
     def __init__(self, root):
         self.root = Path(root)
+        self._root = str(self.root)
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -324,30 +399,44 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[RunResult]:
-        path = self.path(key)
+    def _entry(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored entry for ``key`` if it is whole -- current
+        version, its own key, matching checksum -- else ``None``,
+        counted as a miss (and as corrupt unless the file is absent)."""
         try:
-            data = json.loads(path.read_text())
+            with open(os.path.join(self._root, key[:2], key + ".json"),
+                      "rb") as f:
+                data = json.loads(f.read())
         except OSError:
             self.misses += 1
             return None
         except ValueError:
-            self.misses += 1
-            self.corrupt += 1
+            data = None
+        if _is_whole(data, key):
+            return data
+        self.misses += 1
+        self.corrupt += 1
+        return None
+
+    def has(self, key: str) -> bool:
+        """Whether a whole entry for ``key`` is stored: :meth:`get`'s
+        validation (version, key, checksum) without decoding the
+        :class:`RunResult`."""
+        if self._entry(key) is None:
+            return False
+        self.hits += 1
+        return True
+
+    def get(self, key: str) -> Optional[RunResult]:
+        data = self._entry(key)
+        if data is None:
             return None
         try:
-            if (
-                not isinstance(data, dict)
-                or data.get("v") != CACHE_VERSION
-                or data.get("key") != key
-                or entry_checksum(data) != data.get("sha256")
-            ):
-                raise ValueError("corrupt or stale cache entry")
             result = RunResult.from_dict(data["result"])
         except Exception:
-            # Corrupt means miss, never crash: byte flips can rename
-            # required keys or retype values, so *anything* the decode
-            # raises lands here.
+            # Corrupt means miss, never crash: an entry can carry a
+            # valid checksum over a payload this code cannot decode,
+            # so *anything* the decode raises lands here.
             self.misses += 1
             self.corrupt += 1
             return None
@@ -388,11 +477,7 @@ class ResultCache:
         for path in sorted(self.root.glob("*/*.json")):
             try:
                 data = json.loads(path.read_text())
-                if (
-                    data.get("v") != CACHE_VERSION
-                    or data.get("key") != path.stem
-                    or entry_checksum(data) != data.get("sha256")
-                ):
+                if not _is_whole(data, path.stem):
                     continue
                 spec = data["spec"]
                 result = RunResult.from_dict(data["result"])
@@ -664,8 +749,9 @@ class Engine:
         # Turn store rows + cache entries into ordered JobResults.  A row
         # marked done whose cache entry is unreadable (corruption after
         # completion) deterministically re-runs here, in-parent.
+        rows = {row.key: row for row in store.rows(keys)}
         for key, indices in pending.items():
-            row = store.get(key)
+            row = rows.get(key)
             error = row.error if row is not None else None
             result = cache.get(key)
             if result is None and (row is None or row.status == "done"):

@@ -11,6 +11,9 @@ expiring leases:
   eligible row to ``leased`` with this worker's owner id and a lease
   deadline.  Any number of workers -- in one process pool, or on
   different hosts sharing a cache directory -- can pull safely.
+  :meth:`JobStore.finish` records a point's outcome and claims the
+  worker's next point in one transaction, so an executed point costs
+  one commit.
 * **heartbeat** -- a live worker extends its lease while it simulates;
   a worker that is SIGKILLed simply stops heartbeating and its lease
   expires, making the row claimable again (counted as a reclaim).
@@ -74,9 +77,11 @@ _OPEN_WHERE = "status IN ('pending', 'leased')"
 #: Run on every connect.  The connection keeps its rollback journal
 #: between commits (zeroing its header instead of deleting the file):
 #: as durable as the default mode, and it works on network filesystems,
-#: but a commit costs about half as much -- the engine commits twice per
-#: point.  Creating the schema is one transaction (one commit), so a
-#: fresh store opens in about the time of a single job transition.
+#: but a commit costs about half as much.  An executed point costs one
+#: commit: :meth:`JobStore.finish` records its outcome and claims the
+#: next point together.  Creating the schema is one transaction (one
+#: commit), so a fresh store opens in about the time of a single job
+#: transition.
 _SCHEMA = f"""
 PRAGMA journal_mode=PERSIST;
 BEGIN IMMEDIATE;
@@ -147,8 +152,8 @@ class JobRow:
 
 @dataclass
 class Claim:
-    """A successfully leased job: execute it, then :meth:`JobStore.mark_done`
-    or :meth:`JobStore.mark_failed` *with the same owner id*."""
+    """A successfully leased job: execute it and :meth:`JobStore.finish`
+    it, or :meth:`JobStore.release` it unrun."""
 
     key: str
     describe: str
@@ -322,47 +327,83 @@ class JobStore:
     ) -> Optional[Claim]:
         """Lease one eligible job: ``pending`` past its backoff deadline,
         or ``leased`` with an expired lease (the previous worker died).
-        Returns ``None`` when nothing is claimable right now."""
-        now = self.clock()
-        keyset = None if keys is None else set(keys)
+        With ``keys``, only those jobs are eligible; they are filtered
+        in SQL by primary key, so the cost follows ``len(keys)`` and not
+        the size of the store.  Returns ``None`` when nothing is
+        claimable right now."""
         with self._transaction() as db:
-            rows = db.execute(
-                "SELECT key, describe, spec_blob, attempts, status"
-                " FROM jobs WHERE (status='pending' AND not_before<=?)"
-                " OR (status='leased' AND lease_expires<=?)"
-                " ORDER BY created, rowid",
-                (now, now),
+            return self._claim(db, owner, keys, self.clock())
+
+    def _claim(self, db, owner, keys, now) -> Optional[Claim]:
+        sql = (
+            "SELECT created, rowid, key, describe, spec_blob, attempts,"
+            " status FROM jobs WHERE ((status='pending' AND not_before<=?)"
+            " OR (status='leased' AND lease_expires<=?))"
+        )
+        if keys is None:
+            found = db.execute(
+                sql + " ORDER BY created, rowid LIMIT 1", (now, now)
             ).fetchall()
-            for key, describe, blob, attempts, status in rows:
-                if keyset is not None and key not in keyset:
-                    continue
-                reclaimed = status == "leased"
-                db.execute(
-                    "UPDATE jobs SET status='leased', lease_owner=?,"
-                    " lease_expires=?, attempts=?, host=?, pid=?, updated=?"
-                    " WHERE key=?",
-                    (
-                        owner,
-                        now + self.lease_s,
-                        attempts + 1,
-                        socket.gethostname(),
-                        os.getpid(),
-                        now,
-                        key,
-                    ),
+        else:
+            # One candidate per chunk; the earliest enqueued wins.
+            found = []
+            for chunk, marks in _key_chunks(keys):
+                found.extend(
+                    db.execute(
+                        f"{sql} AND key IN ({marks})"
+                        " ORDER BY created, rowid LIMIT 1",
+                        (now, now, *chunk),
+                    )
                 )
-                self._bump("leases_granted")
-                if reclaimed:
-                    self._bump("leases_expired")
-                return Claim(
-                    key=key,
-                    describe=describe,
-                    spec_blob=blob,
-                    attempt=attempts + 1,
-                    owner=owner,
-                    reclaimed=reclaimed,
-                )
-        return None
+        if not found:
+            return None
+        _, _, key, describe, blob, attempts, status = min(
+            found, key=lambda row: (row[0], row[1])
+        )
+        reclaimed = status == "leased"
+        db.execute(
+            "UPDATE jobs SET status='leased', lease_owner=?,"
+            " lease_expires=?, attempts=?, host=?, pid=?, updated=?"
+            " WHERE key=?",
+            (
+                owner,
+                now + self.lease_s,
+                attempts + 1,
+                socket.gethostname(),
+                os.getpid(),
+                now,
+                key,
+            ),
+        )
+        self._bump("leases_granted")
+        if reclaimed:
+            self._bump("leases_expired")
+        return Claim(
+            key=key,
+            describe=describe,
+            spec_blob=blob,
+            attempt=attempts + 1,
+            owner=owner,
+            reclaimed=reclaimed,
+        )
+
+    def release(self, claim: Claim) -> bool:
+        """Hand back a claim that never started: the row returns to
+        ``pending`` with its attempt given back.  A worker that claimed
+        its next point in the same commit as its last one (see
+        :meth:`finish`) and then stops calls this; returns False if the
+        lease was already lost."""
+        now = self.clock()
+        with self._transaction() as db:
+            cur = db.execute(
+                "UPDATE jobs SET status='pending', attempts=?,"
+                " lease_owner=NULL, lease_expires=NULL, updated=?"
+                " WHERE key=? AND status='leased' AND lease_owner=?",
+                (claim.attempt - 1, now, claim.key, claim.owner),
+            )
+            if cur.rowcount:
+                self._bump("leases_released")
+        return bool(cur.rowcount)
 
     def heartbeat(self, key: str, owner: str) -> bool:
         """Extend the lease on a job this owner holds; returns False if
@@ -386,76 +427,93 @@ class JobStore:
         (returns False) if this owner no longer holds the lease -- a
         hung worker whose job was reclaimed and finished elsewhere must
         not overwrite the fresher outcome."""
-        now = self.clock()
+        with self._transaction() as db:
+            return self._done(db, key, owner, self.clock())
+
+    def _done(self, db, key, owner, now) -> bool:
         sql = (
             "UPDATE jobs SET status='done', error=NULL, lease_owner=NULL,"
             " lease_expires=NULL, updated=? WHERE key=?"
         )
-        with self._transaction() as db:
-            if owner is None:
-                cur = db.execute(sql, (now, key))
-            else:
-                cur = db.execute(
-                    sql + " AND status='leased' AND lease_owner=?",
-                    (now, key, owner),
-                )
-            if cur.rowcount:
-                self._bump("done")
-            elif owner is not None:
-                self._bump("stale_completions")
+        if owner is None:
+            cur = db.execute(sql, (now, key))
+        else:
+            cur = db.execute(
+                sql + " AND status='leased' AND lease_owner=?",
+                (now, key, owner),
+            )
+        if cur.rowcount:
+            self._bump("done")
+        elif owner is not None:
+            self._bump("stale_completions")
         return bool(cur.rowcount)
 
-    def mark_failed(
+    def _failed(self, db, key, owner, error, backoff_s, now) -> str:
+        """Record one failed attempt by lease holder ``owner``; returns
+        the row's new status: ``pending`` (retried after ``backoff_s``),
+        ``quarantined`` (attempts reached ``quarantine_after``) or
+        ``stale`` (``owner`` no longer holds the lease)."""
+        row = db.execute(
+            "SELECT attempts FROM jobs WHERE key=? AND status='leased'"
+            " AND lease_owner=?",
+            (key, owner),
+        ).fetchone()
+        if row is None:
+            self._bump("stale_completions")
+            return "stale"
+        if row[0] >= self.quarantine_after:
+            db.execute(
+                "UPDATE jobs SET status='quarantined', error=?,"
+                " lease_owner=NULL, lease_expires=NULL, updated=?"
+                " WHERE key=?",
+                (error, now, key),
+            )
+            self._bump("quarantined")
+            return "quarantined"
+        db.execute(
+            "UPDATE jobs SET status='pending', error=?,"
+            " lease_owner=NULL, lease_expires=NULL, not_before=?,"
+            " updated=? WHERE key=?",
+            (error, now + max(0.0, backoff_s), now, key),
+        )
+        self._bump("retries")
+        return "pending"
+
+    def finish(
         self,
-        key: str,
-        owner: Optional[str],
-        error: str,
+        claim: Claim,
+        error: Optional[str] = None,
         traceback_text: Optional[str] = None,
         backoff_s: float = 0.0,
-    ) -> str:
-        """Record one failed attempt.
+        keys: Optional[Iterable[str]] = None,
+    ) -> Optional[Claim]:
+        """Record a claim's outcome and lease the claimant's next job,
+        in one transaction: an executed point costs one commit.
 
-        Returns the row's new status: ``pending`` (will be retried after
-        ``backoff_s``) or ``quarantined`` (attempts reached
-        ``quarantine_after``; the traceback artifact is written next to
-        the store under ``quarantine/<key>.txt``).  Stale owners are
-        rejected with status ``stale``.
+        Without ``error`` the outcome is :meth:`mark_done`'s.  With it,
+        the attempt failed: the row returns to ``pending`` with a
+        ``not_before`` deadline ``backoff_s`` away, or is quarantined
+        once its attempts reach ``quarantine_after``, with
+        ``traceback_text`` written next to the store under
+        ``quarantine/<key>.txt``.  Either way an owner that no longer
+        holds the lease changes nothing (counted as a stale
+        completion).  Then :meth:`claim` for ``claim.owner`` over
+        ``keys``; returns that claim, or ``None`` when nothing is
+        claimable.
         """
         now = self.clock()
         with self._transaction() as db:
-            row = db.execute(
-                "SELECT attempts, status, lease_owner FROM jobs WHERE key=?",
-                (key,),
-            ).fetchone()
-            if row is None:
-                return "missing"
-            attempts, status, lease_owner = row
-            if owner is not None and (
-                status != "leased" or lease_owner != owner
-            ):
-                self._bump("stale_completions")
-                return "stale"
-            if attempts >= self.quarantine_after:
-                db.execute(
-                    "UPDATE jobs SET status='quarantined', error=?,"
-                    " lease_owner=NULL, lease_expires=NULL, updated=?"
-                    " WHERE key=?",
-                    (error, now, key),
-                )
-                self._bump("quarantined")
-                new_status = "quarantined"
+            if error is None:
+                status = "done"
+                self._done(db, claim.key, claim.owner, now)
             else:
-                db.execute(
-                    "UPDATE jobs SET status='pending', error=?,"
-                    " lease_owner=NULL, lease_expires=NULL, not_before=?,"
-                    " updated=? WHERE key=?",
-                    (error, now + max(0.0, backoff_s), now, key),
+                status = self._failed(
+                    db, claim.key, claim.owner, error, backoff_s, now
                 )
-                self._bump("retries")
-                new_status = "pending"
-        if new_status == "quarantined" and traceback_text is not None:
-            self._write_quarantine_artifact(key, error, traceback_text)
-        return new_status
+            following = self._claim(db, claim.owner, keys, now)
+        if status == "quarantined" and traceback_text is not None:
+            self._write_quarantine_artifact(claim.key, error, traceback_text)
+        return following
 
     def _write_quarantine_artifact(
         self, key: str, error: str, traceback_text: str

@@ -10,7 +10,8 @@ JobStore`:
 * :class:`WorkerLoop` -- claim / execute / heartbeat / complete for one
   worker, whether that worker is a child process or the engine's own
   process (a one-worker engine run uses the same loop, so every run
-  shares one supervision discipline).  While a point simulates, a
+  shares one supervision discipline).  Completing a point and claiming
+  the next are one store commit.  While a point simulates, a
   daemon thread heartbeats the lease; a worker that is SIGKILLed stops
   heartbeating and its lease expires.
 * :class:`WorkerPool` -- the parent-side supervisor: spawns worker
@@ -153,6 +154,7 @@ class WorkerLoop:
         self.heartbeats = heartbeats
         self.on_complete = on_complete
         self.executed = 0
+        self._next: Optional[Claim] = None
 
     # ------------------------------------------------------------------
     def _spec_for(self, claim: Claim):
@@ -179,11 +181,20 @@ class WorkerLoop:
         return execute_spec(spec, watchdog=watchdog)
 
     def run_one(self) -> Optional[Claim]:
-        """Claim and run one job; returns the claim (query its row for
-        the outcome) or ``None`` if nothing was claimable."""
-        claim = self.store.claim(self.owner, keys=self.keys)
+        """Run one job and record its outcome; returns its claim (query
+        its row for the outcome) or ``None`` if nothing was claimable.
+
+        The commit that records the outcome also claims this loop's
+        next job (:meth:`JobStore.finish`), which the next call runs, so
+        an executed point costs one commit.  A loop that stops while
+        holding such a claim hands it back with :meth:`release`.
+        """
+        claim = self._next
+        self._next = None
         if claim is None:
-            return None
+            claim = self.store.claim(self.owner, keys=self.keys)
+            if claim is None:
+                return None
         stop = threading.Event()
         beater = None
         if self.heartbeats:
@@ -191,34 +202,41 @@ class WorkerLoop:
                 target=self._beat, args=(claim.key, stop), daemon=True
             )
             beater.start()
+        error = traceback_text = None
+        backoff_s = 0.0
         try:
             spec = self._spec_for(claim)
             result = self._execute(spec)
             self.cache.put(claim.key, spec, result)
         except Exception as exc:
-            self.store.mark_failed(
+            error = f"{type(exc).__name__}: {exc}"
+            traceback_text = traceback.format_exc()
+            backoff_s = backoff_delay(
                 claim.key,
-                self.owner,
-                f"{type(exc).__name__}: {exc}",
-                traceback_text=traceback.format_exc(),
-                backoff_s=backoff_delay(
-                    claim.key,
-                    claim.attempt,
-                    base=self.backoff_base,
-                    cap=self.backoff_cap,
-                    seed=self.seed,
-                ),
+                claim.attempt,
+                base=self.backoff_base,
+                cap=self.backoff_cap,
+                seed=self.seed,
             )
         else:
             self.executed += 1
-            self.store.mark_done(claim.key, self.owner)
         finally:
             stop.set()
             if beater is not None:
                 beater.join(timeout=1.0)
+        self._next = self.store.finish(
+            claim, error, traceback_text, backoff_s, keys=self.keys
+        )
         if self.on_complete is not None:
             self.on_complete(claim.key, self.store.get(claim.key))
         return claim
+
+    def release(self) -> None:
+        """Hand back the job claimed for the next :meth:`run_one`, if
+        any, so it does not wait out its lease."""
+        if self._next is not None:
+            self.store.release(self._next)
+            self._next = None
 
     def _beat(self, key: str, stop: threading.Event) -> None:
         # SQLite connections belong to the thread that opened them, so

@@ -173,6 +173,8 @@ class Server:
         self._started_at: Optional[float] = None
         self._front: Optional[JobStore] = None
         self._front_cache: Optional[ResultCache] = None
+        #: Records of open sweeps by id.  A record is dropped the first
+        #: time its status reads terminal; ``sweeps/<id>.json`` keeps it.
         self._sweeps: Dict[str, Dict] = {}
 
     # ------------------------------------------------------------------
@@ -341,12 +343,16 @@ class Server:
             point_timeout_s=self.point_timeout_s,
             on_complete=self._notify,
         )
-        while not self._stop.is_set():
-            # Clear before claiming: a submission after a failed claim
-            # leaves the event set, so the wait below returns at once.
-            self._wake.clear()
-            if loop.run_one() is None:
-                self._wake.wait(DEFAULT_POLL_S)
+        try:
+            while not self._stop.is_set():
+                # Clear before claiming: a submission after a failed
+                # claim leaves the event set, so the wait below returns
+                # at once.
+                self._wake.clear()
+                if loop.run_one() is None:
+                    self._wake.wait(DEFAULT_POLL_S)
+        finally:
+            loop.release()
 
     def _executor_pooled(self, store: JobStore, cache: ResultCache) -> None:
         """Multiprocess execution: batches of open jobs run through a
@@ -539,7 +545,7 @@ class Server:
                 created_jobs += 1
                 self.counters["jobs_enqueued"] += 1
                 wake = True
-            elif status == "done" and cache.get(key) is None:
+            elif status == "done" and not cache.has(key):
                 # The row claims completion but the cached bytes are
                 # gone (fsck eviction after corruption): resubmission
                 # is an explicit request for the result, so re-run.
@@ -567,13 +573,14 @@ class Server:
         else:
             _atomic_write_json(path, record)
             self.counters["sweeps_submitted"] += 1
-        self._sweeps[sid] = record
         doc = self._sweep_status(record)
         doc["created_jobs"] = created_jobs
         doc["deduped_jobs"] = len(keys) - created_jobs
         return 202, doc
 
     def _load_record(self, sid: str) -> Dict:
+        """A sweep's record: from memory while the sweep is open, else
+        from ``sweeps/<id>.json``."""
         record = self._sweeps.get(sid)
         if record is None:
             try:
@@ -583,10 +590,12 @@ class Server:
                 check_schema(record.get("schema"), SERVE_SCHEMA, "service")
             except (OSError, ValueError):
                 raise _NotFound(f"unknown sweep {sid!r}") from None
-            self._sweeps[sid] = record
         return record
 
     def _sweep_status(self, record: Dict) -> Dict:
+        """A sweep's status document.  Keeps the record in memory while
+        the sweep is open and drops it once every job is terminal; the
+        record on disk stays, and :meth:`_load_record` rereads it."""
         jobs_in = record["jobs"]
         rows = {
             r.key: r
@@ -597,7 +606,7 @@ class Server:
             row = rows.get(entry["key"])
             if row is not None:
                 status, attempts, error = row.status, row.attempts, row.error
-            elif self._front_cache.get(entry["key"]) is not None:
+            elif self._front_cache.has(entry["key"]):
                 # Store rebuilt (corruption) but the result survives.
                 status, attempts, error = "done", 0, None
             else:
@@ -608,6 +617,10 @@ class Server:
             )
         done_ok = counts.get("done", 0)
         terminal = done_ok + counts.get("quarantined", 0)
+        if terminal == len(jobs):
+            self._sweeps.pop(record["id"], None)
+        else:
+            self._sweeps[record["id"]] = record
         return {
             "schema": SERVE_SCHEMA,
             "id": record["id"],

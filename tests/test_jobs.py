@@ -59,6 +59,83 @@ class TestJobSpec:
         assert isinstance(params, MachineParams)
         assert params.stable_hash() != params.with_(seed=99).stable_hash()
 
+    @pytest.mark.parametrize(
+        "point, key",
+        [
+            (
+                spec(),
+                "ef55e1e3bc8d08682fb85bb92a40896f3a76d33eff623be1db1058a536874f1f",
+            ),
+            (
+                spec(config="msa-omu-2", cores=64),
+                "92ab36af6e38eb180a62472fb3b7bceddc1378ce755ea79a913bf6bc296add6d",
+            ),
+            (
+                JobSpec("ideal", "fmm", cores=16, scale=0.1, seed=2015),
+                "8f816ff841842a2a740853e27376ef949c09bd5895482d544b57cfed64bc60df",
+            ),
+            (
+                JobSpec(
+                    "msa-omu-2",
+                    "streamcluster",
+                    cores=16,
+                    scale=0.1,
+                    seed=3000,
+                    params={"msa.entries_per_tile": 4},
+                ),
+                "6b66d2e7cf4834a4abd84be03cf01b35599fc55a27a34854906527bfc61bd32b",
+            ),
+            (
+                spec(checkers=("mutex", "barrier")),
+                "6b7a23d1fab7cb08abac78ef2faa711cf0017f058108a110b6b7036282e8092f",
+            ),
+            (
+                JobSpec(
+                    "ideal",
+                    "swaptions",
+                    cores=64,
+                    scale=0.5,
+                    seed=11,
+                    max_events=None,
+                ),
+                "e91b6629c50d9fd3cb1116bfbb480af4267e45c28d77788f4a4d48adf3d61d3e",
+            ),
+        ],
+        ids=["pthread", "msa-omu-2-64c", "ideal", "dotted", "checkers", "64c"],
+    )
+    def test_key_is_pinned(self, point, key):
+        """Keys are what existing caches are filed under: the same
+        bytes on every call, across releases, until CACHE_VERSION
+        changes."""
+        assert point.key() == key
+        assert point.key() == key
+
+    def test_key_memo_is_keyed_by_value(self):
+        """Changing a spec after a first key() changes its key: the
+        machine memo follows the spec's values, not the spec object."""
+        point = spec(config="msa-omu-2")
+        first = point.key()
+        point.seed = 8
+        reseeded = point.key()
+        assert reseeded != first
+        assert reseeded == spec(config="msa-omu-2", seed=8).key()
+        point.params["msa.entries_per_tile"] = 4
+        tweaked = point.key()
+        assert tweaked not in (first, reseeded)
+        assert tweaked == spec(
+            config="msa-omu-2", seed=8, params={"msa.entries_per_tile": 4}
+        ).key()
+        # 4 and 4.0 resolve to machines that serialise differently.
+        point.params["msa.entries_per_tile"] = 4.0
+        assert point.key() != tweaked
+
+    def test_key_memo_is_bounded(self):
+        from repro.harness import jobs
+
+        for seed in range(jobs.MACHINE_MEMO_SIZE + 5):
+            spec(seed=seed).key()
+        assert 0 < len(jobs._MACHINE_MEMO) <= jobs.MACHINE_MEMO_SIZE
+
     def test_resolve_factory_kernels_and_microbenches(self):
         assert resolve_factory("canneal") is KERNELS["canneal"]
         assert resolve_factory("LockAcquire") is not None
@@ -154,6 +231,34 @@ class TestEngineSerial:
         jobs = engine.run([spec(workload="flaky", factory=flaky)])
         assert jobs[0].ok and jobs[0].attempts == 2
         assert engine.stats.retried == 1 and engine.stats.failed == 0
+
+
+    def test_one_commit_per_executed_point(self, tmp_path, monkeypatch):
+        """A serial run commits once per executed point, plus a fixed
+        few (enqueue, first claim, the claim that finds nothing): the
+        point's outcome and the next claim share one transaction."""
+        commits = []
+        connect = JobStore._connect
+
+        def traced(store):
+            db = connect(store)
+            db.set_trace_callback(
+                lambda sql: commits.append(sql) if sql == "COMMIT" else None
+            )
+            return db
+
+        monkeypatch.setattr(JobStore, "_connect", traced)
+        counts = {}
+        for n in (4, 8):
+            commits.clear()
+            engine = Engine(workers=1, cache_dir=tmp_path / f"n{n}")
+            jobs = engine.run(
+                [spec(scale=0.02, seed=seed) for seed in range(n)]
+            )
+            assert all(j.ok and not j.cached for j in jobs)
+            counts[n] = len(commits)
+        assert counts[8] - counts[4] == 4
+        assert counts[4] <= 4 + 3
 
 
 class TestEngineParallel:

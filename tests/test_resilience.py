@@ -115,18 +115,18 @@ class TestJobStore:
         store, clock = self.make(tmp_path, quarantine_after=2)
         store.enqueue("k1")
         claim = store.claim("w1")
-        status = store.mark_failed(
-            "k1", "w1", "RuntimeError: boom", backoff_s=3.0
-        )
-        assert status == "pending"
-        assert store.claim("w1") is None  # inside the backoff window
+        # Inside the backoff window: not claimable, even in the same
+        # transaction.
+        assert store.finish(claim, "RuntimeError: boom", backoff_s=3.0) is None
+        assert store.get("k1").status == "pending"
+        assert store.claim("w1") is None
         clock.advance(3.5)
         claim = store.claim("w1")
         assert claim.attempt == 2
-        status = store.mark_failed(
-            "k1", "w1", "RuntimeError: boom", traceback_text="Traceback...",
+        store.finish(
+            claim, "RuntimeError: boom", traceback_text="Traceback..."
         )
-        assert status == "quarantined"
+        assert store.get("k1").status == "quarantined"
         artifact = store.quarantine_path("k1")
         assert artifact.is_file()
         assert "RuntimeError: boom" in artifact.read_text()
@@ -135,8 +135,8 @@ class TestJobStore:
     def test_requeue_resets_quarantined(self, tmp_path):
         store, clock = self.make(tmp_path, quarantine_after=1)
         store.enqueue("k1")
-        store.claim("w1")
-        assert store.mark_failed("k1", "w1", "err") == "quarantined"
+        store.finish(store.claim("w1"), "err")
+        assert store.get("k1").status == "quarantined"
         assert store.enqueue("k1", requeue_failed=True) == "pending"
         claim = store.claim("w1")
         assert claim.attempt == 1  # fresh retry budget
@@ -147,14 +147,16 @@ class TestJobStore:
         elsewhere must not overwrite the outcome."""
         store, clock = self.make(tmp_path, lease_s=5.0)
         store.enqueue("k1")
-        store.claim("w-hung")
+        hung = store.claim("w-hung")
         clock.advance(6.0)
         store.claim("w-fresh")
         store.mark_done("k1", "w-fresh")
         assert not store.mark_done("k1", "w-hung")
-        assert store.mark_failed("k1", "w-hung", "late failure") == "stale"
-        assert store.get("k1").status == "done"
-        assert store.counters()["stale_completions"] == 2
+        assert store.finish(hung) is None
+        assert store.finish(hung, "late failure") is None
+        row = store.get("k1")
+        assert (row.status, row.error) == ("done", None)
+        assert store.counters()["stale_completions"] == 3
 
     def test_release_owner_frees_leases_immediately(self, tmp_path):
         store, _ = self.make(tmp_path)
@@ -164,6 +166,63 @@ class TestJobStore:
         store.claim("w1", keys=("k2",))
         assert store.release_owner("w1") == 2
         assert store.claim("w2") is not None  # no lease wait needed
+
+    def test_finish_records_outcome_and_claims_next(self, tmp_path):
+        store, clock = self.make(tmp_path, quarantine_after=2)
+        for key in ("k1", "k2", "k3"):
+            store.enqueue(key)
+        first = store.claim("w1")
+        second = store.finish(first)
+        assert store.get("k1").status == "done"
+        assert (second.key, second.owner, second.attempt) == ("k2", "w1", 1)
+        assert store.get("k2").status == "leased"
+        # A failure backs off, so the next claim skips that point.
+        third = store.finish(second, error="boom", backoff_s=5.0)
+        row = store.get("k2")
+        assert (row.status, row.error) == ("pending", "boom")
+        assert third.key == "k3"
+        # ``keys`` limits what the fused claim may take.
+        assert store.finish(third, keys=["k3"]) is None
+        clock.advance(6.0)
+        retry = store.claim("w1")
+        assert (retry.key, retry.attempt) == ("k2", 2)
+        assert store.finish(retry, "boom again", "Traceback ...") is None
+        assert store.get("k2").status == "quarantined"
+        assert store.quarantine_path("k2").exists()
+        counters = store.counters()
+        assert counters["done"] == 2 and counters["retries"] == 1
+        assert counters["quarantined"] == 1
+        assert counters["leases_granted"] == 4
+
+    def test_release_gives_the_attempt_back(self, tmp_path):
+        store, _ = self.make(tmp_path)
+        store.enqueue("k1")
+        claim = store.claim("w1")
+        assert store.release(claim)
+        row = store.get("k1")
+        assert (row.status, row.attempts, row.lease_owner) == (
+            "pending", 0, None,
+        )
+        assert store.counters()["leases_released"] == 1
+        assert not store.release(claim)  # no longer held
+        assert store.claim("w2").attempt == 1
+
+    def test_keyed_claim_takes_the_earliest_across_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience import store as store_module
+
+        monkeypatch.setattr(store_module, "_KEY_CHUNK", 2)
+        store, _ = self.make(tmp_path)
+        store.enqueue_many([(f"k{i}", "", None) for i in range(7)])
+        wanted = ["k6", "k5", "k3", "k4", "k2"]
+        claimed = []
+        while True:
+            claim = store.claim("w1", keys=wanted)
+            if claim is None:
+                break
+            claimed.append(claim.key)
+        assert claimed == ["k2", "k3", "k4", "k5", "k6"]
 
     def test_corrupt_store_is_rebuilt(self, tmp_path):
         path = tmp_path / "jobs.sqlite3"
@@ -297,6 +356,27 @@ class TestKeyedReads:
                 ) == self._vm_steps(small, lambda: read(small))
             assert large.rows(["k04999"])[0].status == "done"
             assert len(large.open_keys()) == 10
+        finally:
+            small.close()
+            large.close()
+
+    def test_keyed_claims_do_not_scan_the_store(self, tmp_path):
+        """Claiming among 5 keys costs the same in a 10-row store as in
+        a 5,000-row store where every row is claimable: the keys are
+        filtered in SQL, by primary key.  So does the claim that finds
+        nothing left among them."""
+        small = self._store(tmp_path / "small.sqlite3", 10, 10)
+        large = self._store(tmp_path / "large.sqlite3", 5000, 5000)
+        subset = ["k00000", "k00002", "k00004", "k00006", "k00008"]
+        try:
+            for _ in range(len(subset) + 1):
+                assert self._vm_steps(
+                    large, lambda: large.claim("w1", keys=subset)
+                ) == self._vm_steps(
+                    small, lambda: small.claim("w1", keys=subset)
+                )
+            assert [r.status for r in large.rows(subset)] == ["leased"] * 5
+            assert large.open_jobs() == 5000
         finally:
             small.close()
             large.close()

@@ -383,6 +383,64 @@ class TestConcurrentDedup:
             srv.stop()
 
 
+class TestSweepRecords:
+    def test_terminal_sweeps_are_evicted_and_reloaded(self, tmp_path):
+        """Finished sweeps leave the server's memory; their records on
+        disk still answer status requests."""
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            sids = []
+            for seed in range(200, 250):
+                _, doc = _post(
+                    srv.url,
+                    "/v1/sweeps",
+                    dict(POINT, schema=SERVE_SCHEMA, seed=seed),
+                )
+                _, body = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+                assert json.loads(body)["done"]
+                sids.append(doc["id"])
+            assert len(srv._sweeps) == 0
+            _, body = _get(srv.url, f"/v1/sweeps/{sids[0]}")
+            doc = json.loads(body)
+            assert doc["id"] == sids[0]
+            assert doc["done"] and doc["ok"] and doc["total"] == 1
+            assert doc["jobs"][0]["seed"] == 200
+            assert len(srv._sweeps) == 0
+            _, body = _get(srv.url, "/v1/sweeps")
+            assert len(json.loads(body)["sweeps"]) == 50
+            assert len(srv._sweeps) == 0
+        finally:
+            srv.stop()
+
+    def test_byte_flipped_entry_is_requeued(self, tmp_path):
+        """A resubmitted point whose cache entry fails its checksum is
+        missing, not deduped: it runs again and its entry is whole."""
+        from repro.harness.jobs import ResultCache
+
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            body = dict(POINT, schema=SERVE_SCHEMA)
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+            key = doc["jobs"][0]["key"]
+            cache = ResultCache(tmp_path)
+            path = cache.path(key)
+            data = bytearray(path.read_bytes())
+            at = data.index(b'"cycles": ') + len(b'"cycles": ')
+            data[at] = ord("9") if data[at] != ord("9") else ord("8")
+            path.write_bytes(bytes(data))
+            assert not cache.has(key)
+
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            assert (doc["created_jobs"], doc["deduped_jobs"]) == (1, 0)
+            assert srv.counters["jobs_requeued"] == 1
+            _, raw = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+            assert json.loads(raw)["ok"]
+            assert cache.has(key)
+        finally:
+            srv.stop()
+
+
 @pytest.mark.slow
 class TestCrashRecovery:
     def test_sigkill_server_restart_converges(self, tmp_path):
