@@ -156,21 +156,20 @@ def _run_verify(args) -> int:
         cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
         seed=args.seed,
     )
-    if args.trace:
-        machine.tracer.enable("msa", "sched", "sync", "retry", "degrade")
     monitors = tuple(args.monitors) if args.monitors else DEFAULT_MONITORS
-    result = api.run(
-        machine,
-        args.workload or "streamcluster",
-        scale=args.scale,
-        checkers=monitors,
-        raise_violations=False,
+    run_args = (machine, args.workload or "streamcluster")
+    run_kwargs = dict(
+        scale=args.scale, checkers=monitors, raise_violations=False
     )
+    if args.trace:
+        result, obs = api.observe(*run_args, **run_kwargs)
+    else:
+        result = api.run(*run_args, **run_kwargs)
     report = CheckReport.from_dict(result.check_report)
     print(report.describe())
     if args.trace:
-        machine.tracer.to_jsonl(args.trace)
-        print(f"wrote trace to {args.trace}")
+        obs.to_chrome_trace(args.trace)
+        print(f"wrote Chrome trace to {args.trace} (open in Perfetto)")
     return 0 if report.ok else 1
 
 
@@ -710,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace",
         default=None,
-        help="also write the machine trace (JSONL) to this path",
+        help="also write a Chrome trace-event JSON of the run here",
     )
 
     p = sub.add_parser(

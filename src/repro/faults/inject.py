@@ -24,10 +24,10 @@ from repro.faults.plan import FLAKY_ABORT, FLAKY_DROP, KILL, FaultPlan, SliceFau
 class FaultInjector:
     """Evaluates a plan's rules against live machine events."""
 
-    def __init__(self, sim, plan: FaultPlan, machine_seed: int, tracer=None):
+    def __init__(self, sim, plan: FaultPlan, machine_seed: int):
         self.sim = sim
         self.plan = plan
-        self.tracer = tracer
+        self.probe = None
         self.stats = StatSet("faults")
         root = DeterministicRng(machine_seed ^ (plan.seed * 0x9E3779B1), "faults")
         self._msg_rng = root.derive("messages")
@@ -37,10 +37,6 @@ class FaultInjector:
         for name in ("msgs_dropped", "msgs_duplicated", "msgs_delayed",
                      "flaky_drops", "flaky_aborts", "latency_perturbed"):
             self.stats.counter(name)
-
-    def _trace(self, what: str, *detail) -> None:
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record("fault", "inject", what, *detail)
 
     # ------------------------------------------------------------------
     # NoC faults
@@ -60,8 +56,12 @@ class FaultInjector:
         if self._msg_rng.random() >= rule.delay_prob:
             return 0
         self.stats["msgs_delayed"].inc()
-        self._trace("delay", message.kind, f"{message.src}->{message.dst}",
-                    f"+{rule.delay_cycles}")
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit(
+                "fault", tile=message.dst,
+                aux=("delay", {"kind": message.kind, "src": message.src,
+                               "cycles": rule.delay_cycles}),
+            )
         return rule.delay_cycles
 
     def deliver_verdict(self, message: Message) -> Tuple[bool, Optional[int]]:
@@ -71,11 +71,19 @@ class FaultInjector:
             return True, None
         if rule.drop_prob > 0.0 and self._msg_rng.random() < rule.drop_prob:
             self.stats["msgs_dropped"].inc()
-            self._trace("drop", message.kind, f"{message.src}->{message.dst}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "fault", tile=message.dst,
+                    aux=("drop", {"kind": message.kind, "src": message.src}),
+                )
             return False, None
         if rule.dup_prob > 0.0 and self._msg_rng.random() < rule.dup_prob:
             self.stats["msgs_duplicated"].inc()
-            self._trace("dup", message.kind, f"{message.src}->{message.dst}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "fault", tile=message.dst,
+                    aux=("dup", {"kind": message.kind, "src": message.src}),
+                )
             return True, rule.dup_delay
         return True, None
 
@@ -103,11 +111,13 @@ class FaultInjector:
                 continue
             if rule.mode == FLAKY_DROP:
                 self.stats["flaky_drops"].inc()
-                self._trace("flaky_drop", f"tile={tile}")
+                if self.probe is not None and self.probe.trace_active:
+                    self.probe.emit("fault", tile=tile, aux=("flaky_drop", {}))
                 return "drop"
             if rule.mode == FLAKY_ABORT and not entry_hit:
                 self.stats["flaky_aborts"].inc()
-                self._trace("flaky_abort", f"tile={tile}")
+                if self.probe is not None and self.probe.trace_active:
+                    self.probe.emit("fault", tile=tile, aux=("flaky_abort", {}))
                 return "abort"
         return None
 

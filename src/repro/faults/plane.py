@@ -34,9 +34,9 @@ from repro.sim.kernel import Future
 class FaultPlane:
     """Degradation state shared by sync units, slices, and the library."""
 
-    def __init__(self, sim, tracer=None):
+    def __init__(self, sim):
         self.sim = sim
-        self.tracer = tracer
+        self.probe = None
         self.stats = StatSet("fault_plane")
         self.stats.counter("degraded_tiles")
         self.degraded: Set[TileId] = set()
@@ -48,10 +48,6 @@ class FaultPlane:
     def attach(self, units, transport) -> None:
         self._units = tuple(units)
         self._transport = transport
-
-    def _trace(self, what: str, *detail) -> None:
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record("degrade", "plane", what, *detail)
 
     # ------------------------------------------------------------------
     def is_degraded(self, tile: TileId) -> bool:
@@ -65,7 +61,8 @@ class FaultPlane:
             return
         self.degraded.add(tile)
         self.stats["degraded_tiles"].inc()
-        self._trace("declare_dead", f"tile={tile}")
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit("degrade", tile=tile, aux=("declare_dead", {}))
         if self._transport is not None:
             self._transport.abandon_tile(tile)
         # Harvest before failing: a FAILed UNLOCK must find its lock in
@@ -74,7 +71,11 @@ class FaultPlane:
         for unit in self._units:
             for addr in unit.surrender_tile(tile):
                 self._recovery[addr] = unit.core_id
-                self._trace("orphan_lock", f"addr={addr:#x}", f"holder={unit.core_id}")
+                if self.probe is not None and self.probe.trace_active:
+                    self.probe.emit(
+                        "degrade", addr=addr, tile=unit.core_id,
+                        aux=("orphan_lock", {}),
+                    )
         for unit in self._units:
             unit.fail_pending_to(tile)
 
@@ -105,7 +106,11 @@ class FaultPlane:
         if addr not in self._recovery:
             return False
         holder = self._recovery.pop(addr)
-        self._trace("transfer_release", f"addr={addr:#x}", f"holder={holder}")
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit(
+                "degrade", addr=addr, tile=holder,
+                aux=("transfer_release", {}),
+            )
         for fut in self._gates.pop(addr, []):
             fut.complete()
         return True

@@ -73,11 +73,11 @@ class ReliableTransport:
     #: frozenset hit against Message.prefix, no string splitting).
     covered = frozenset(COVERED_PREFIXES)
 
-    def __init__(self, sim, network, params: FaultParams, tracer=None):
+    def __init__(self, sim, network, params: FaultParams):
         self.sim = sim
         self.network = network
         self.params = params
-        self.tracer = tracer
+        self.probe = None
         self.stats = StatSet("transport")
         for name in (
             "sent",
@@ -98,10 +98,6 @@ class ReliableTransport:
     @classmethod
     def covers(cls, kind: str) -> bool:
         return kind.split(".", 1)[0] in cls.covered
-
-    def _trace(self, what: str, *detail) -> None:
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record("fault", "transport", what, *detail)
 
     # ------------------------------------------------------------------
     # Sender side
@@ -150,7 +146,11 @@ class ReliableTransport:
             state.attempts.pop(oldest, None)
             state.sent_at.pop(oldest, None)
             self.stats.counter("abandoned").inc()
-            self._trace("abandon", f"chan={chan}", f"seq={oldest}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "fault", tile=chan[0],
+                    aux=("abandon", {"dst": chan[1], "seq": oldest}),
+                )
         if not state.unacked:
             state.timer_armed = False
             state.rto = self.params.retransmit_timeout
@@ -169,7 +169,11 @@ class ReliableTransport:
         state.attempts[oldest] = state.attempts.get(oldest, 0) + 1
         state.sent_at[oldest] = self.sim.now
         self.stats.counter("retransmits").inc()
-        self._trace("retransmit", f"chan={chan}", f"seq={oldest}")
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit(
+                "fault", tile=chan[0],
+                aux=("retransmit", {"dst": chan[1], "seq": oldest}),
+            )
         self.network.inject(state.unacked[oldest])
         state.rto = min(state.rto * 2, self.params.retransmit_timeout_max)
         self.sim.schedule(state.rto, lambda: self._on_timer(chan))

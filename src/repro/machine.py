@@ -44,13 +44,11 @@ class Machine:
         self.params = params
         self.library_name = library
         self.sim = Simulator()
-        from repro.sim.trace import Tracer
-
-        self.tracer = Tracer(self.sim)
         self.probe = None
-        """Checker event bus (:class:`repro.verify.events.Probe`);
-        ``None`` until :meth:`attach_checkers` wires a suite in, so the
-        un-checked hot path pays one attribute test per call site."""
+        """The event bus (:class:`repro.verify.events.Probe`); ``None``
+        until :meth:`attach_probe` wires one in for a checker suite or
+        a collector, so the unobserved hot path pays one attribute test
+        per call site."""
 
         self.checker_suite = None
         self.collector = None
@@ -73,11 +71,11 @@ class Machine:
                 )
             fault_plan.validate(n_tiles=params.n_cores)
             self.fault_injector = FaultInjector(
-                self.sim, fault_plan, params.seed, self.tracer
+                self.sim, fault_plan, params.seed
             )
-            self.fault_plane = FaultPlane(self.sim, self.tracer)
+            self.fault_plane = FaultPlane(self.sim)
             self.transport = ReliableTransport(
-                self.sim, self.network, params.faults, self.tracer
+                self.sim, self.network, params.faults
             )
             self.network.injector = self.fault_injector
             self.network.transport = self.transport
@@ -107,7 +105,6 @@ class Machine:
                     params.omu,
                     self.memory.amap.home_of,
                     line_shift,
-                    tracer=self.tracer,
                     hw_threads=params.core.hw_threads,
                 )
                 for tile in range(params.n_cores)
@@ -131,10 +128,7 @@ class Machine:
                 sl.arm_faults(self.fault_injector, self.fault_plane, params.faults)
             for unit in self.sync_units:
                 unit.arm_faults(
-                    self.fault_plane,
-                    self.fault_injector,
-                    params.faults,
-                    self.tracer,
+                    self.fault_plane, self.fault_injector, params.faults
                 )
             self.fault_plane.attach(self.sync_units, self.transport)
             for fault in self.fault_injector.kill_schedule():
@@ -163,8 +157,32 @@ class Machine:
         return self.msa_slices[tile]
 
     # ------------------------------------------------------------------
-    # Execution
+    # Observation
     # ------------------------------------------------------------------
+    def attach_probe(self):
+        """Create the machine's :attr:`probe` (or reuse the one already
+        wired) and point every probe-aware component at it: MSA slices,
+        network, sync units and the fault components.  The scheduler
+        and thread contexts read :attr:`probe` directly.  Checker
+        suites and collectors both attach through here, in either
+        order, so they always share one bus.  Call before spawning
+        threads."""
+        if self.probe is None:
+            from repro.verify.events import Probe
+
+            self.probe = Probe(self.sim)
+        for component in (
+            *self.msa_slices,
+            *self.sync_units,
+            self.network,
+            self.fault_injector,
+            self.fault_plane,
+            self.transport,
+        ):
+            if component is not None:
+                component.probe = self.probe
+        return self.probe
+
     def attach_checkers(self, monitors=True, fail_fast: bool = False):
         """Attach a :class:`repro.verify.CheckerSuite` (all monitors by
         default) to this machine; see :func:`repro.verify.attach_checkers`."""
@@ -172,6 +190,9 @@ class Machine:
 
         return attach_checkers(self, monitors, fail_fast=fail_fast)
 
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the simulation; raises DeadlockError if threads hang."""
         cycles = self.sim.run(max_events=max_events)

@@ -75,6 +75,9 @@ class SyncUnit:
         self.mode = mode
         self.ideal_oracle = ideal_oracle
         self.stats = StatSet(f"sync_unit.{core_id}")
+        self.probe = None
+        """The machine's event bus; only fault recovery emits on it."""
+
         self._issued_counts: Dict[SyncOp, object] = {}
         """Per-op ``issued.*`` counter handles, registered on first
         issue so the counter set matches the pre-binding unit."""
@@ -119,7 +122,6 @@ class SyncUnit:
         self._plane = None
         self._injector = None
         self._fault_params = None
-        self._tracer = None
         self._hw_owned: Dict[Address, int] = {}
         """addr -> slot for every lock this core holds through a
         hardware grant, tracked independently of ``_held`` (which only
@@ -148,20 +150,15 @@ class SyncUnit:
         if mode == MODE_HW:
             network.register(core_id, "msa_cpu", self._on_message)
 
-    def arm_faults(self, plane, injector, fault_params, tracer=None) -> None:
+    def arm_faults(self, plane, injector, fault_params) -> None:
         """Enable the timeout/retry/ping recovery machinery (machines
         built with a fault plan only)."""
         self._plane = plane
         self._injector = injector
         self._fault_params = fault_params
-        self._tracer = tracer
         for name in ("retries", "pings", "timeouts", "stale_responses",
                      "degraded_local", "degraded_fails"):
             self.stats.counter(name)
-
-    def _trace_fault(self, category: str, what: str, *detail) -> None:
-        if self._tracer is not None and self._tracer.active:
-            self._tracer.record(category, f"unit{self.core_id}", what, *detail)
 
     def _requester(self, slot: int) -> int:
         """The HWQueue bit index for this core's hardware thread
@@ -208,7 +205,11 @@ class SyncUnit:
             # the software library.  FINISH succeeds trivially -- the
             # dead slice's OMU no longer matters.
             self.stats.counter("degraded_local").inc()
-            self._trace_fault("degrade", "local_fail", op.value, f"addr={addr:#x}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "degrade", addr=addr, tile=self.core_id,
+                    aux=("local_fail", {"op": op.value}),
+                )
             self._hwsync.pop(addr, None)
             if self._held.get(addr) == slot:
                 del self._held[addr]
@@ -597,16 +598,20 @@ class SyncUnit:
             # A home that swallowed every resend of a release is as dead
             # as one that stopped answering LOCKs: escalate.
             self.stats.counter("timeouts").inc()
-            self._trace_fault(
-                "retry", "detached_give_up", f"req={req_id}", f"addr={addr:#x}"
-            )
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "retry", addr=addr, tile=self.core_id,
+                    aux=("detached_give_up", {"req": req_id}),
+                )
             self._plane.declare_dead(self.home_of(addr))
             return
         self._detached_attempt[req_id] = attempt + 1
         self.stats.counter("retries").inc()
-        self._trace_fault(
-            "retry", "detached_resend", f"req={req_id}", f"addr={addr:#x}"
-        )
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit(
+                "retry", addr=addr, tile=self.core_id,
+                aux=("detached_resend", {"req": req_id}),
+            )
         # Idempotent: the slice dedups by req_id and replays the cached
         # response if the original was actually processed.
         self._send_request((SyncOp.UNLOCK, addr, aux, req_id, requester))
@@ -642,7 +647,11 @@ class SyncUnit:
             # Retries are idempotent -- the slice deduplicates by req_id
             # and replays cached responses.
             self.stats.counter("retries").inc()
-            self._trace_fault("retry", "resend", f"req={req_id}", f"addr={addr:#x}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "retry", addr=addr, tile=self.core_id,
+                    aux=("resend", {"req": req_id}),
+                )
             op = self._pending_op[req_id]
             aux = self._pending_aux.get(req_id, 0)
             slot = self._pending_slot.get(req_id, 0)
@@ -652,7 +661,11 @@ class SyncUnit:
             # pongs (even while we sit in its HWQueue); only true
             # silence escalates toward degradation.
             self.stats.counter("pings").inc()
-            self._trace_fault("retry", "ping", f"req={req_id}", f"addr={addr:#x}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "retry", addr=addr, tile=self.core_id,
+                    aux=("ping", {"req": req_id}),
+                )
             self.network.send(
                 Message(
                     src=self.core_id,
@@ -666,7 +679,11 @@ class SyncUnit:
     def _resolve_timeout(self, req_id: int, addr: Address) -> None:
         tile = self.home_of(addr)
         self.stats.counter("timeouts").inc()
-        self._trace_fault("retry", "timeout", f"req={req_id}", f"tile={tile}")
+        if self.probe is not None and self.probe.trace_active:
+            self.probe.emit(
+                "retry", addr=addr, tile=self.core_id,
+                aux=("timeout", {"req": req_id, "home": tile}),
+            )
         # declare_dead sweeps fail_pending_to() over every unit, which
         # resolves this request (and all others homed at the tile).
         self._plane.declare_dead(tile)
@@ -716,7 +733,10 @@ class SyncUnit:
             victims.append(future)
         if victims:
             self.stats.counter("degraded_fails").inc(len(victims))
-            self._trace_fault("degrade", "fail_pending", f"tile={tile}",
-                              f"count={len(victims)}")
+            if self.probe is not None and self.probe.trace_active:
+                self.probe.emit(
+                    "degrade", tile=self.core_id,
+                    aux=("fail_pending", {"home": tile, "count": len(victims)}),
+                )
         for future in victims:
             future.complete(SyncResult.FAIL)

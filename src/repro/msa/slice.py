@@ -52,7 +52,6 @@ class MSASlice:
         omu_params: OMUParams,
         home_of: callable,
         line_shift: int = 6,
-        tracer=None,
         hw_threads: int = 1,
     ):
         self.sim = sim
@@ -61,7 +60,6 @@ class MSASlice:
         self.params = params
         self.omu_params = omu_params
         self.home_of = home_of
-        self.tracer = tracer
         self.hw_threads = hw_threads
         """Hardware thread contexts per core; HWQueue entries are
         requester ids (core * hw_threads + slot, paper section 3)."""
@@ -77,8 +75,8 @@ class MSASlice:
         """Fail-stop flag: a killed slice ignores every message."""
 
         self.probe = None
-        """Checker event bus (:mod:`repro.verify`); ``None`` keeps the
-        hot path to a single attribute test, like ``tracer``."""
+        """The machine's event bus (:mod:`repro.verify.events`); ``None``
+        keeps the hot path to a single attribute test."""
 
         # Fault machinery; inert until arm_faults() (fault-plan builds).
         self._injector = None
@@ -120,10 +118,6 @@ class MSASlice:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _trace(self, what: str, *detail) -> None:
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record("msa", f"slice{self.tile}", what, *detail)
-
     def _core_of(self, requester: CoreId) -> CoreId:
         """Physical core (tile) hosting a requester (HWQueue bit)."""
         return requester // self.hw_threads
@@ -137,7 +131,12 @@ class MSASlice:
         grant_hwsync: bool = False,
         rearm: bool = False,
     ) -> None:
-        self._trace("respond", result.value, f"core={core}", f"addr={addr:#x}")
+        probe = self.probe
+        if probe is not None and probe.trace_active:
+            probe.emit(
+                "msa_respond", addr=addr, aux=(result.value, {"core": core}),
+                tile=self.tile,
+            )
         if result is SyncResult.SUCCESS:
             ops = self._ops_hw
             if ops is None:
@@ -195,7 +194,12 @@ class MSASlice:
             # Retry of an already-answered request: replay the cached
             # response verbatim instead of re-executing the operation.
             self.stats["resp_replayed"].inc()
-            self._trace("resp_replayed", f"req={req_id}")
+            probe = self.probe
+            if probe is not None and probe.trace_active:
+                probe.emit(
+                    "msa_respond", aux=("replay", {"req": req_id}),
+                    tile=self.tile,
+                )
             self.sim.schedule(
                 self.params.msa_access_latency,
                 lambda: self._send_response(self._expand_cached(req_id)),
@@ -258,7 +262,6 @@ class MSASlice:
             return
         self.dead = True
         self.stats.counter("killed").inc()
-        self._trace("killed")
         if self.probe is not None:
             self.probe.emit("msa_kill", tile=self.tile)
         for entry in list(self.entries.values()):
@@ -351,7 +354,6 @@ class MSASlice:
         entry = MSAEntry(addr=addr, sync_type=sync_type)
         self.entries[addr] = entry
         self.stats.counter("entries_allocated").inc()
-        self._trace("allocate", sync_type.value, f"addr={addr:#x}")
         if self.probe is not None:
             self.probe.emit(
                 "msa_alloc",

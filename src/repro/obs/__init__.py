@@ -2,9 +2,11 @@
 
 The simulator already *produces* everything an investigation needs --
 ``Stats`` counters and histograms in every subsystem, the
-:class:`~repro.verify.events.Probe` event bus, the
-:class:`~repro.sim.trace.Tracer`, fault counters, checker verdicts --
-but each spoke its own dialect.  This package is the hub:
+:class:`~repro.verify.events.Probe` event bus (synchronization
+episodes, MSA responses, scheduler moves, fault/retry/degrade
+decisions), fault counters, checker verdicts -- but each spoke its own
+dialect.  This package is the hub, and the probe → collector →
+exporter path below is the one way events leave a run:
 
 * :class:`~repro.obs.collect.Collector` -- attaches to a
   :class:`~repro.machine.Machine` *before threads spawn*, subscribes to

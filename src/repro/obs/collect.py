@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.stats import Histogram
 from repro.obs.registry import MetricsRegistry, summarize_histogram
 from repro.obs.spans import Span
+from repro.verify.events import TRACE_KINDS
 
 #: Per-name cap on *retained* spans (aggregation stays exact beyond it).
 DEFAULT_SPAN_LIMIT = 20_000
@@ -161,18 +162,10 @@ class Collector:
         later) attached :class:`repro.verify.CheckerSuite`; only one
         collector per machine.
         """
-        from repro.verify.events import Probe
-
-        if getattr(machine, "collector", None) is not None:
+        if machine.collector is not None:
             raise ValueError("a collector is already attached to this machine")
-        if machine.probe is None:
-            probe = Probe(machine.sim)
-            machine.probe = probe
-            for sl in machine.msa_slices:
-                sl.probe = probe
-            machine.network.probe = probe
         collector = cls(machine, span_limit=span_limit)
-        collector._subscribe(machine.probe)
+        collector._subscribe(machine.attach_probe())
         machine.collector = collector
         collector.root = collector._span("run", "run", machine.sim.now)
         return collector
@@ -194,6 +187,8 @@ class Collector:
         sub("noc_deliver", self._on_noc_deliver)
         sub("req_done", self._on_req_done)
         sub("req_shed", self._on_req_shed)
+        for kind in TRACE_KINDS:
+            sub(kind, self._on_trace)
 
     # ------------------------------------------------------------------
     # Span bookkeeping
@@ -378,6 +373,24 @@ class Collector:
 
     def _on_req_shed(self, e) -> None:
         self._request_span(e, shape=e.aux[1], outcome="shed")
+
+    def _on_trace(self, e) -> None:
+        """A protocol decision (``aux = (what, detail)``) becomes a
+        zero-length span named ``<kind>.<what>``, born closed."""
+        what, detail = e.aux
+        attrs = dict(detail)
+        if e.addr is not None:
+            attrs["addr"] = e.addr
+        span = self._span(
+            f"{e.kind}.{what}",
+            e.kind,
+            e.t,
+            tid=e.tid,
+            tile=e.tile,
+            parent=self.root.sid if self.root is not None else None,
+            attrs=attrs,
+        )
+        self._close(span, e.t)
 
     # ------------------------------------------------------------------
     # Finalize

@@ -13,8 +13,9 @@ Three interchange formats leave the observability layer:
 * **Prometheus / metrics JSONL** -- see
   :class:`repro.obs.registry.MetricsRegistry`.
 
-Raw (unpaired) tracer events keep their own exporter on
-:class:`repro.sim.trace.Tracer`; this module is for the span forest.
+Unpaired probe events (MSA responses, scheduler moves, fault, retry
+and degrade decisions) arrive here as zero-length spans named
+``<kind>.<what>``; there is no second exporter for raw events.
 
 >>> from repro.obs.spans import Span
 >>> spans = [Span(1, "run", "run", 0, 90), Span(2, "lock.acquire",

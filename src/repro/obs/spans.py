@@ -26,6 +26,11 @@ traffic      request.ok         scheduled arrival .. ``req_done``
                                 (sojourn: queueing + service)
 traffic      request.timeout    scheduled arrival .. deadline drop
 traffic      request.shed       scheduled arrival .. ``req_shed``
+<kind>       <kind>.<what>      zero length, at one ``msa_respond``,
+                                ``sched``, ``fault``, ``retry`` or
+                                ``degrade`` probe event (e.g.
+                                ``msa_respond.success``,
+                                ``sched.migrate``, ``fault.drop``)
 ===========  =================  =======================================
 
 Spans serialize to plain dicts (:meth:`Span.to_dict` /

@@ -353,16 +353,27 @@ class WorkerPool:
         self.kills = 0
         self.corruptions = 0
         self._spawned = 0
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork
-            self._ctx = multiprocessing.get_context()
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _context():
+        """``fork`` while this process runs one thread, ``spawn``
+        otherwise.  The ``repro serve`` executor forks beside its event
+        loop thread, which may be inside a job-store query just then: the
+        child inherits SQLite's mutex held and hangs opening its own
+        store (or inherits stale lock state and finds the store read
+        only).  A spawned child starts clean."""
+        if threading.active_count() == 1:
+            try:
+                return multiprocessing.get_context("fork")
+            except ValueError:  # platforms without fork
+                pass
+        return multiprocessing.get_context("spawn")
+
     def _spawn(self, keys: List[str]):
         self._spawned += 1
         owner = f"pool-{os.getpid()}-w{self._spawned}"
-        proc = self._ctx.Process(
+        proc = self._context().Process(
             target=worker_main,
             args=(
                 str(self.store.path),

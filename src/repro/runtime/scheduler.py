@@ -92,9 +92,10 @@ class Scheduler:
         thread.suspended = True
         thread._resume_future = self.sim.future()
         self._core_owner.pop((thread.core, thread.slot), None)
-        if self.machine.tracer.active:
-            self.machine.tracer.record(
-                "sched", thread.name, "suspend", f"core={thread.core}"
+        probe = self.machine.probe
+        if probe is not None and probe.trace_active:
+            probe.emit(
+                "sched", tid=thread.tid, aux=("suspend", {"core": thread.core})
             )
         self.machine.sync_unit(thread.core).suspend_current(thread.slot)
 
@@ -118,12 +119,12 @@ class Scheduler:
         migrated = target != thread.core
         thread.core = target
         thread.slot = target_slot
-        if self.machine.tracer.active:
-            self.machine.tracer.record(
+        probe = self.machine.probe
+        if probe is not None and probe.trace_active:
+            probe.emit(
                 "sched",
-                thread.name,
-                "migrate" if migrated else "resume",
-                f"core={target}",
+                tid=thread.tid,
+                aux=("migrate" if migrated else "resume", {"core": target}),
             )
         latency = self.machine.params.core.context_switch_latency
         resume_future = thread._resume_future

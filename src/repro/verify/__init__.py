@@ -188,13 +188,12 @@ def attach_checkers(
 ) -> CheckerSuite:
     """Wire a checker suite into ``machine``.
 
-    Creates the probe (or reuses the one an observability
-    :class:`repro.obs.Collector` already wired in -- both listen on the
-    same bus), points every probe-aware component at it (thread
-    contexts pick it up from ``machine.probe`` when spawned), and
-    subscribes the requested monitors.  Attach *before* spawning
-    threads; one suite per machine."""
-    if getattr(machine, "checker_suite", None) is not None:
+    Wires the machine's probe through :meth:`Machine.attach_probe`
+    (reusing the one an observability :class:`repro.obs.Collector`
+    already wired in -- both listen on the same bus) and subscribes
+    the requested monitors.  Attach *before* spawning threads; one
+    suite per machine."""
+    if machine.checker_suite is not None:
         raise InvariantViolation(
             "a checker suite is already attached to this machine"
         )
@@ -202,13 +201,9 @@ def attach_checkers(
         machine,
         resolve_monitors(monitors),
         fail_fast,
-        probe=getattr(machine, "probe", None),
+        probe=machine.attach_probe(),
     )
-    machine.probe = suite.probe
     machine.checker_suite = suite
-    for sl in machine.msa_slices:
-        sl.probe = suite.probe
-    machine.network.probe = suite.probe
     return suite
 
 

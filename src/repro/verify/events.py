@@ -1,13 +1,17 @@
-"""The checker event bus: a :class:`Probe` that components publish
-synchronization-relevant events to, and monitors subscribe to.
+"""The machine's event bus: a :class:`Probe` that components publish
+synchronization-relevant events to, and monitors and the
+observability collector subscribe to.
 
-The probe follows the :class:`repro.sim.trace.Tracer` discipline: a
-machine without checkers attached has ``machine.probe is None`` and
-every call site pays exactly one attribute test (``if probe is not
-None``), so the hot path is untouched when checking is disabled.  When
-:func:`repro.verify.attach_checkers` wires a probe in, events flow
-synchronously (no simulator events are scheduled), so enabling checkers
-never changes cycle counts -- only wall-clock time.
+This is the machine's one event channel.  A machine without checkers
+or a collector attached has ``machine.probe is None`` and every call
+site pays exactly one attribute test (``if probe is not None``), so the
+hot path is untouched when nothing listens.
+:meth:`repro.machine.Machine.attach_probe` wires a probe into every
+component; events flow synchronously (no simulator events are
+scheduled), so listening never changes cycle counts -- only wall-clock
+time.  Checkers (:mod:`repro.verify`) and the observability collector
+(:mod:`repro.obs`) subscribe to it; the collector turns its events
+into spans that leave through :mod:`repro.obs.export`.
 
 Event vocabulary (``SyncEvent.kind``):
 
@@ -39,12 +43,34 @@ req_done           Traffic worker finished a request (addr = request
                    outcome is ``ok``/``timeout``)
 req_shed           Traffic dispatcher shed a request at admission
                    (addr = request id, aux = (arrival cycle, shape))
+msa_respond        MSA slice answered a request (aux = (result,
+                   {core}), addr, tile) or replayed a cached answer to
+                   a retry (aux = ("replay", {req}))
+sched              Scheduler moved a thread (tid; aux = (``suspend`` /
+                   ``resume`` / ``migrate``, {core}))
+fault              Fault injector verdict (``delay``/``drop``/``dup``/
+                   ``flaky_drop``/``flaky_abort``) or transport action
+                   (``retransmit``/``abandon``); aux = (what, detail)
+retry              Sync-unit recovery step (``resend``/``ping``/
+                   ``timeout``/``detached_resend``/``detached_give_up``;
+                   tile = core, aux = (what, {req}))
+degrade            Home tile declared dead, orphaned lock parked or
+                   released, requests failed into software
+                   (``declare_dead``/``orphan_lock``/
+                   ``transfer_release``/``local_fail``/``fail_pending``;
+                   aux = (what, detail))
 =================  ====================================================
 
+The last five (:data:`TRACE_KINDS`) record protocol decisions rather
+than synchronization state: they are emitted only once something
+subscribed to one of them (``trace_active``), so a run observed by
+checkers alone never sees them and its ``events_observed`` and
+context window do not depend on them.
+
 High-rate kinds (``mem_*``, ``noc_send``, ``noc_deliver``, ``req_*``)
-are dispatched to subscribers but excluded from the sliding context
-window that violation reports quote, so the window stays a readable
-synchronization history.
+and the trace kinds are dispatched to subscribers but excluded from the
+sliding context window that violation reports quote, so the window
+stays a readable synchronization history.
 """
 
 from __future__ import annotations
@@ -52,18 +78,19 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+#: Protocol-decision kinds, emitted only while ``Probe.trace_active``.
+TRACE_KINDS = frozenset({"msa_respond", "sched", "fault", "retry", "degrade"})
+
 #: Kinds kept out of the violation-context window (too chatty).
-HIGH_RATE_KINDS = frozenset(
-    {
-        "mem_read",
-        "mem_write",
-        "mem_atomic",
-        "noc_send",
-        "noc_deliver",
-        "req_done",
-        "req_shed",
-    }
-)
+UNWINDOWED_KINDS = TRACE_KINDS | {
+    "mem_read",
+    "mem_write",
+    "mem_atomic",
+    "noc_send",
+    "noc_deliver",
+    "req_done",
+    "req_shed",
+}
 
 #: Kinds whose subscription turns on memory-access probing in ThreadCtx.
 MEM_KINDS = frozenset({"mem_read", "mem_write", "mem_atomic"})
@@ -115,6 +142,11 @@ class Probe:
         inject path checks this so send-side emission costs nothing
         unless the observability layer opted in."""
 
+        self.trace_active = False
+        """True once anything subscribed to a :data:`TRACE_KINDS` kind;
+        their emit sites check this, so checker-only runs never see
+        them."""
+
         self._subs: Dict[str, List[Callable[[SyncEvent], None]]] = {}
         self._window: deque = deque(maxlen=window)
 
@@ -124,11 +156,13 @@ class Probe:
             self.mem_active = True
         if kind == "noc_send":
             self.noc_active = True
+        if kind in TRACE_KINDS:
+            self.trace_active = True
 
     def emit(self, kind, tid=None, addr=None, aux=None, tile=None) -> None:
         event = SyncEvent(self.sim.now, kind, tid, addr, aux, tile)
         self.events_observed += 1
-        if kind not in HIGH_RATE_KINDS:
+        if kind not in UNWINDOWED_KINDS:
             self._window.append(event)
         handlers = self._subs.get(kind)
         if handlers:

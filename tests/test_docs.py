@@ -70,7 +70,7 @@ class TestCheckerCatchesProblems:
 
     def test_repro_shorthand_resolves_under_src(self, tmp_path):
         doc = tmp_path / "ok.md"
-        doc.write_text("events live in `repro/sim/trace.py`")
+        doc.write_text("events live in `repro/verify/events.py`")
         assert check_docs.check_path_refs([doc]) == []
 
     def test_pytest_node_ids_allowed(self, tmp_path):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultPlan, MessageFault, SliceFault
 from repro.harness.configs import build_machine
 from repro.harness.runner import run_workload
 from repro.obs import (
@@ -19,6 +20,26 @@ from repro.obs import (
     spans_to_jsonl,
 )
 from repro.workloads.kernels import KERNELS
+
+
+#: Drops on MSA traffic plus a slice kill: a 4-core streamcluster run
+#: under it takes every kind of fault, retry and degrade decision.
+FAULTY = FaultPlan(
+    messages=(MessageFault(kind_prefix="msa", drop_prob=0.2),),
+    slices=(SliceFault(tile=1, at=2_000),),
+)
+
+
+def probe_holders(machine):
+    """Every component :meth:`Machine.attach_probe` wires."""
+    return [
+        *machine.msa_slices,
+        *machine.sync_units,
+        machine.network,
+        machine.fault_injector,
+        machine.fault_plane,
+        machine.transport,
+    ]
 
 
 def observed_run(config="msa-omu-2", kernel="streamcluster", cores=4,
@@ -231,12 +252,71 @@ class TestCollector:
             collector.finalize()
 
 
+class TestDecisionSpans:
+    """Protocol decisions arrive as zero-length ``<kind>.<what>`` spans."""
+
+    def test_msa_responses_and_migration(self):
+        machine = build_machine("msa-omu-2", n_cores=16, seed=2015)
+        collector = Collector.attach(machine)
+        addr = machine.allocator.sync_var()
+
+        def locker(th):
+            yield from th.lock(addr)
+            yield from th.unlock(addr)
+
+        def worker(th):
+            yield from th.compute(5000)
+
+        machine.scheduler.spawn(locker, core=0)
+        thread = machine.scheduler.spawn(worker, core=1)
+        scheduler = machine.scheduler
+        machine.sim.schedule(100, lambda: scheduler.suspend(thread))
+        machine.sim.schedule(900, lambda: scheduler.resume(thread, core=5))
+        machine.run()
+        obs = collector.finalize()
+        responds = [s for s in obs.spans if s.cat == "msa_respond"]
+        assert "msa_respond.success" in {s.name for s in responds}
+        assert all(s.duration == 0 for s in responds)
+        assert {s.attrs["addr"] for s in responds} == {addr}
+        sched = [
+            (s.name, s.tid, s.attrs["core"])
+            for s in obs.spans if s.cat == "sched"
+        ]
+        assert sched == [
+            ("sched.suspend", thread.tid, 1),
+            ("sched.migrate", thread.tid, 5),
+        ]
+
+    def test_fault_plan_decisions_match_counters(self):
+        machine = build_machine(
+            "msa-omu-2", n_cores=4, seed=2015, fault_plan=FAULTY
+        )
+        collector = Collector.attach(machine)
+        run_workload(
+            machine, KERNELS["streamcluster"](4, 0.05), config="msa-omu-2"
+        )
+        obs = collector.finalize()
+        names = [s.name for s in obs.spans]
+        for kind in ("fault", "retry", "degrade"):
+            assert any(n.startswith(kind + ".") for n in names), kind
+        counters = machine.fault_counters()
+        assert names.count("fault.drop") == counters["msgs_dropped"] > 0
+        assert names.count("fault.retransmit") == counters["retransmits"]
+        assert names.count("retry.ping") == counters["pings"]
+        assert names.count("retry.timeout") == counters["timeouts"]
+        assert names.count("degrade.declare_dead") == 1
+        assert machine.degraded_tiles() == {1}
+
+
 # ---------------------------------------------------------------------------
 # Determinism: observation is passive
 # ---------------------------------------------------------------------------
 class TestPassiveObservation:
-    def run_point(self, observe, checkers=(), checkers_first=False):
-        machine = build_machine("msa-omu-2", n_cores=4, seed=2015)
+    def run_point(self, observe, checkers=(), checkers_first=False,
+                  fault_plan=None):
+        machine = build_machine(
+            "msa-omu-2", n_cores=4, seed=2015, fault_plan=fault_plan
+        )
         collector = None
         if checkers and checkers_first:
             machine.attach_checkers()
@@ -253,26 +333,31 @@ class TestPassiveObservation:
         return machine, result
 
     def test_collector_does_not_perturb_run(self):
-        m0, r0 = self.run_point(observe=False)
-        m1, r1 = self.run_point(observe=True)
-        assert r0.to_json() == r1.to_json()
-        assert m0.sim.events_processed == m1.sim.events_processed
+        for plan in (None, FAULTY):
+            m0, r0 = self.run_point(observe=False, fault_plan=plan)
+            m1, r1 = self.run_point(observe=True, fault_plan=plan)
+            assert r0.to_json() == r1.to_json()
+            assert m0.sim.events_processed == m1.sim.events_processed
 
     def test_collector_and_checkers_share_probe_both_orders(self):
-        m0, r0 = self.run_point(observe=False)
-        m1, r1 = self.run_point(observe=True, checkers=True)
+        m0, r0 = self.run_point(observe=False, fault_plan=FAULTY)
+        m1, r1 = self.run_point(observe=True, checkers=True,
+                                fault_plan=FAULTY)
         m2, r2 = self.run_point(observe=True, checkers=True,
-                                checkers_first=True)
+                                checkers_first=True, fault_plan=FAULTY)
         assert r0.cycles == r1.cycles == r2.cycles
         assert r1.check_report["ok"] and r2.check_report["ok"]
-        assert m1.probe is m1.collector.machine.probe
-        assert m2.checker_suite.probe is m2.probe
+        for m in (m1, m2):
+            assert m.checker_suite.probe is m.probe
+            assert all(c.probe is m.probe for c in probe_holders(m))
 
     def test_unobserved_machine_has_no_probe(self):
-        machine = build_machine("msa-omu-2", n_cores=4, seed=2015)
+        machine = build_machine(
+            "msa-omu-2", n_cores=4, seed=2015, fault_plan=FAULTY
+        )
         assert machine.probe is None
         assert machine.collector is None
-        assert machine.network.probe is None
+        assert all(c.probe is None for c in probe_holders(machine))
 
 
 # ---------------------------------------------------------------------------

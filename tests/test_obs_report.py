@@ -141,3 +141,22 @@ class TestRunReport:
         events = json.loads(trace.read_text())["traceEvents"]
         assert all("pid" in e and "tid" in e for e in events)
         assert "spans retained" in capsys.readouterr().out
+
+    def test_cli_verify_trace_writes_chrome_trace(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        trace = tmp_path / "trace.json"
+        rc = main([
+            "verify", "--config", "msa-omu-2", "--workload", "streamcluster",
+            "--cores", "4", "--scale", "0.05", "--trace", str(trace),
+        ])
+        assert rc == 0
+        import json
+
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert all(
+            isinstance(e["pid"], int) and isinstance(e["tid"], int)
+            for e in events
+        )
+        assert any(e["name"].startswith("msa_respond.") for e in events)
+        assert "wrote Chrome trace" in capsys.readouterr().out

@@ -1,68 +1,26 @@
-"""Tests for the structured tracing subsystem."""
-
-import pytest
+"""Tests for protocol-decision tracing on the machine's probe bus."""
 
 from repro.harness.configs import build_machine
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceEvent, Tracer
+from repro.harness.runner import run_workload
+from repro.verify.events import TRACE_KINDS
+from repro.workloads.kernels import KERNELS
 from tests.conftest import run_threads
 
 
-class TestTracerUnit:
-    def test_disabled_by_default(self):
-        tracer = Tracer(Simulator())
-        tracer.record("msa", "x", "y")
-        assert tracer.events == []
-        assert not tracer.active
-
-    def test_enable_records_only_that_category(self):
-        tracer = Tracer(Simulator())
-        tracer.enable("msa")
-        tracer.record("msa", "slice0", "allocate", "lock")
-        tracer.record("sched", "thread0", "suspend")
-        assert len(tracer.events) == 1
-        assert tracer.events[0].what == "allocate"
-
-    def test_disable_specific_and_all(self):
-        tracer = Tracer(Simulator())
-        tracer.enable("a", "b")
-        tracer.disable("a")
-        tracer.record("a", "x", "y")
-        tracer.record("b", "x", "y")
-        assert len(tracer.events) == 1
-        tracer.disable()
-        tracer.record("b", "x", "y")
-        assert len(tracer.events) == 1
-
-    def test_capacity_drops_counted(self):
-        tracer = Tracer(Simulator(), max_events=3)
-        tracer.enable("t")
-        for _ in range(5):
-            tracer.record("t", "x", "y")
-        assert len(tracer.events) == 3
-        assert tracer.dropped == 2
-        assert "dropped" in tracer.format()
-
-    def test_filter_and_counts(self):
-        tracer = Tracer(Simulator())
-        tracer.enable("t")
-        tracer.record("t", "a", "open")
-        tracer.record("t", "a", "close")
-        tracer.record("t", "b", "open")
-        assert len(tracer.filter(where="a")) == 2
-        assert len(tracer.filter(what="open")) == 2
-        assert tracer.counts()[("t", "open")] == 2
-
-    def test_event_str_contains_fields(self):
-        event = TraceEvent(42, "msa", "slice3", "respond", ("success",))
-        text = str(event)
-        assert "42" in text and "msa" in text and "respond" in text
+def record(machine, *kinds):
+    """Subscribe to ``kinds`` on the machine's probe; returns the list
+    the events land in."""
+    probe = machine.attach_probe()
+    events = []
+    for kind in kinds:
+        probe.subscribe(kind, events.append)
+    return events
 
 
 class TestMachineTracing:
     def test_msa_events_traced(self, machine16):
         m = machine16
-        m.tracer.enable("msa")
+        events = record(m, "msa_alloc", "msa_respond")
         addr = m.allocator.sync_var()
 
         def body(th):
@@ -70,13 +28,15 @@ class TestMachineTracing:
             yield from th.unlock(addr)
 
         run_threads(m, [body])
-        whats = {e.what for e in m.tracer.events}
-        assert "allocate" in whats
-        assert "respond" in whats
+        kinds = {e.kind for e in events}
+        assert kinds == {"msa_alloc", "msa_respond"}
+        responds = [e for e in events if e.kind == "msa_respond"]
+        assert "success" in {e.aux[0] for e in responds}
+        assert {e.addr for e in events} == {addr}
 
     def test_scheduler_events_traced(self):
         m = build_machine("msa-omu-2", n_cores=16)
-        m.tracer.enable("sched")
+        events = record(m, "sched")
 
         def body(th):
             yield from th.compute(5000)
@@ -85,120 +45,20 @@ class TestMachineTracing:
         m.sim.schedule(100, lambda: m.scheduler.suspend(t))
         m.sim.schedule(900, lambda: m.scheduler.resume(t, core=5))
         m.run()
-        whats = [e.what for e in m.tracer.events]
-        assert whats == ["suspend", "migrate"]
+        assert [e.aux[0] for e in events] == ["suspend", "migrate"]
+        assert [e.tid for e in events] == [t.tid, t.tid]
 
     def test_tracing_off_costs_nothing_visible(self):
-        """Runs with tracing disabled produce identical cycle counts to
-        a machine that never had a tracer touched."""
-        from repro.harness.runner import run_workload
-        from repro.workloads.kernels import KERNELS
+        """A run with every trace kind subscribed produces the same
+        cycle and event counts as a machine that never had a probe."""
 
         def run(enable):
             m = build_machine("msa-omu-2", n_cores=16, seed=3)
-            if enable:
-                m.tracer.enable("msa")
-            return run_workload(m, KERNELS["streamcluster"](16, 0.25)).cycles
+            events = record(m, *sorted(TRACE_KINDS)) if enable else []
+            result = run_workload(m, KERNELS["streamcluster"](16, 0.25))
+            return result.cycles, m.sim.events_processed, len(events)
 
-        assert run(False) == run(True)
-
-
-class TestExport:
-    def _tracer(self):
-        import json  # noqa: F401  (exercised below)
-
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.enable("msa", "sync")
-        sim.now = 10
-        tracer.record("msa", "slice0", "allocate", 0x4000, "lock")
-        sim.now = 25
-        tracer.record("sync", "core1", "lock_acq", 0x4000)
-        sim.now = 40
-        tracer.record("msa", "slice0", "respond", "success")
-        return tracer
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        import json
-
-        tracer = self._tracer()
-        path = tmp_path / "trace.jsonl"
-        text = tracer.to_jsonl(str(path))
-        assert path.read_text() == text
-        records = [json.loads(line) for line in text.splitlines()]
-        assert [r["time"] for r in records] == [10, 25, 40]
-        assert records[0]["category"] == "msa"
-        assert records[0]["where"] == "slice0"
-        assert records[0]["what"] == "allocate"
-        assert records[0]["detail"] == [0x4000, "lock"]
-
-    def test_jsonl_respects_filters(self):
-        import json
-
-        tracer = self._tracer()
-        records = [
-            json.loads(line)
-            for line in tracer.to_jsonl(category="sync").splitlines()
-        ]
-        assert [r["what"] for r in records] == ["lock_acq"]
-
-    def test_jsonl_reports_drops(self):
-        import json
-
-        sim = Simulator()
-        tracer = Tracer(sim, max_events=2)
-        tracer.enable("t")
-        for _ in range(5):
-            tracer.record("t", "x", "tick")
-        lines = tracer.to_jsonl().splitlines()
-        meta = json.loads(lines[-1])
-        assert meta == {"meta": "tracer", "dropped": 3}
-        assert tracer.counts()[("tracer", "dropped")] == 3
-
-    def test_empty_tracer_exports_empty(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        assert tracer.to_jsonl() == ""
-
-    def test_chrome_trace_structure(self, tmp_path):
-        import json
-
-        tracer = self._tracer()
-        path = tmp_path / "trace.json"
-        text = tracer.to_chrome_trace(str(path))
-        assert path.read_text() == text
-        data = json.loads(text)
-        events = data["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
-        instants = [e for e in events if e["ph"] == "i"]
-        # One thread-name record per distinct `where`, plus the process
-        # name, shared pid.
-        assert {m["args"]["name"] for m in meta} == {
-            "repro.tracer", "slice0", "core1",
-        }
-        assert len(instants) == 3
-        by_name = {e["name"]: e for e in instants}
-        assert by_name["allocate"]["ts"] == 10
-        assert by_name["allocate"]["cat"] == "msa"
-        assert by_name["lock_acq"]["tid"] != by_name["allocate"]["tid"]
-        assert by_name["respond"]["args"]["detail"] == ["success"]
-
-    def test_chrome_trace_schema_valid_with_drops(self):
-        """Every record -- including the capacity-drop marker -- must
-        carry integer pid/tid (viewers silently discard records without
-        them), and drops must be visible in the export."""
-        import json
-
-        sim = Simulator()
-        tracer = Tracer(sim, max_events=2)
-        tracer.enable("t")
-        for _ in range(5):
-            tracer.record("t", "x", "tick")
-        events = json.loads(tracer.to_chrome_trace())["traceEvents"]
-        for e in events:
-            assert isinstance(e["pid"], int), e
-            assert isinstance(e["tid"], int), e
-        markers = [e for e in events if e.get("cat") == "tracer"]
-        assert len(markers) == 1
-        assert markers[0]["args"]["dropped"] == 3
-        assert markers[0]["ph"] == "i"
+        cycles0, processed0, seen0 = run(False)
+        cycles1, processed1, seen1 = run(True)
+        assert (cycles0, processed0) == (cycles1, processed1)
+        assert seen0 == 0 and seen1 > 0

@@ -10,6 +10,7 @@ import pytest
 
 from repro import api
 from repro.common.errors import InvariantViolation
+from repro.faults import FaultPlan, SliceFault
 from repro.harness.configs import build_machine
 from repro.harness.jobs import JobSpec
 from repro.harness.runner import RunResult, run_workload
@@ -23,6 +24,7 @@ from repro.verify import (
     resolve_monitors,
     run_selftest,
 )
+from repro.verify.events import TRACE_KINDS
 from repro.verify.oracle import SequentialReplayer
 from repro.verify.report import Violation
 
@@ -550,13 +552,42 @@ def test_chaos_with_checkers_zero_violations():
         assert point["violations"] == 0
 
 
+@pytest.mark.parametrize(
+    "fault_plan",
+    [None, FaultPlan(slices=(SliceFault(tile=1, at=2_000),))],
+    ids=["clean", "tile-kill"],
+)
+def test_checker_report_blind_to_decision_kinds(fault_plan, monkeypatch):
+    """A checker-only run never emits the collector's decision kinds:
+    its report, ``events_observed`` included, is the same when the
+    probe drops those kinds outright."""
+
+    def report():
+        return api.run(
+            "msa-omu-2",
+            "streamcluster",
+            cores=16,
+            scale=0.25,
+            fault_plan=fault_plan,
+            checkers=True,
+        ).check_report
+
+    baseline = report()
+    emit = Probe.emit
+
+    def emit_without_decisions(self, kind, *args, **kwargs):
+        if kind not in TRACE_KINDS:
+            emit(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Probe, "emit", emit_without_decisions)
+    assert report() == baseline
+
+
 @pytest.mark.chaos
 def test_tile_kill_with_checkers_clean():
     """Fail-stopped tiles degrade to software; the checker suite must
     track the kill (OMU refs dropped, conservation scoped to live
     slices) without false positives."""
-    from repro.faults import FaultPlan, SliceFault
-
     result = api.run(
         "msa-omu-2",
         "streamcluster",
