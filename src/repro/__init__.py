@@ -42,7 +42,6 @@ __all__ = [
     "build",
     "run",
     "sweep",
-    "bench",
     "observe",
     "report",
     "fsck",
@@ -63,7 +62,7 @@ __version__ = "1.3.0"
 # ``repro.traffic`` are subpackages; the corresponding verbs live at
 # ``repro.api.serve`` / ``repro.api.traffic``.)
 _API_NAMES = (
-    "build", "run", "sweep", "bench", "observe", "report",
+    "build", "run", "sweep", "observe", "report",
     "fsck", "chaos_harness", "submit", "status", "wait",
     "fetch", "RunResult", "Engine", "JobSpec",
 )

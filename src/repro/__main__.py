@@ -55,7 +55,7 @@ from repro.harness import experiments
 FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9")
 COMMANDS = ("table1",) + FIGURES + (
     "headline", "chaos", "run", "verify", "sweep", "traffic", "dse",
-    "describe", "perf", "obs", "report", "fsck", "chaos-harness", "serve",
+    "describe", "obs", "report", "fsck", "chaos-harness", "serve",
     "submit", "status", "fetch", "all",
 )
 
@@ -173,45 +173,6 @@ def _run_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _run_perf(args) -> int:
-    from repro.perf import (
-        SUITES,
-        BenchPoint,
-        compare,
-        load_doc,
-        render_table,
-        run_suite,
-        write_doc,
-    )
-
-    if args.points:
-        try:
-            points = [BenchPoint.parse(spec) for spec in args.points]
-        except ValueError as exc:
-            print(f"python -m repro perf: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        points = SUITES[args.suite]
-    doc = run_suite(
-        points,
-        repeat=args.repeat,
-        seed=args.seed,
-        label=args.label,
-        profile=args.profile or 0,
-        progress=args.progress,
-    )
-    baseline = load_doc(args.compare) if args.compare else None
-    print(render_table(doc, baseline))
-    if args.out:
-        write_doc(doc, args.out)
-        print(f"wrote {args.out}")
-    if baseline is not None:
-        result = compare(doc, baseline, threshold=args.threshold)
-        print(result.describe())
-        return 0 if result.ok else 1
-    return 0
-
-
 def _run_obs(args) -> int:
     from repro import api
     from repro.obs import render_run_report
@@ -252,17 +213,8 @@ def _run_obs(args) -> int:
 def _run_report(args) -> int:
     from repro.obs import report_from_cache
 
-    bench_doc = None
-    if args.bench:
-        from repro.perf import load_doc
-
-        bench_doc = load_doc(args.bench)
     out = report_from_cache(
-        args.cache_dir,
-        args.out,
-        baseline=args.baseline,
-        title=args.title,
-        bench_doc=bench_doc,
+        args.cache_dir, args.out, baseline=args.baseline, title=args.title
     )
     print(f"wrote {out}")
     return 0
@@ -713,54 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "perf",
-        help="microbenchmark the simulator itself (events/sec, RSS, "
-        "regression gate); see docs/PERF.md",
-    )
-    p.add_argument(
-        "--suite",
-        choices=("smoke", "headline"),
-        default="smoke",
-        help="benchmark point set (default: smoke)",
-    )
-    p.add_argument(
-        "--points",
-        nargs="+",
-        default=None,
-        metavar="CFG:WL[:CORES[:SCALE]]",
-        help="explicit points instead of a named suite",
-    )
-    p.add_argument("--repeat", type=int, default=3, help="repeats per point")
-    p.add_argument("--seed", type=int, default=2015)
-    p.add_argument("--label", default="", help="free-form label stored in the JSON")
-    p.add_argument("--out", default=None, help="write BENCH_*.json here")
-    p.add_argument(
-        "--compare",
-        default=None,
-        metavar="OLD.json",
-        help="gate against this baseline document (non-zero exit on "
-        "regression or determinism break)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="allowed events/sec regression fraction (default 0.15)",
-    )
-    p.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=25,
-        default=None,
-        metavar="N",
-        help="also cProfile each point and print the top N functions",
-    )
-    p.add_argument(
-        "--progress", action="store_true", help="per-point progress lines"
-    )
-
-    p = sub.add_parser(
         "obs",
         help="run one observed point: spans, Chrome trace, Prometheus "
         "metrics, HTML run report; see docs/OBSERVABILITY.md",
@@ -809,12 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="config name to compute speedups against (e.g. pthread)",
     )
     p.add_argument("--title", default=None, help="report title")
-    p.add_argument(
-        "--bench",
-        default=None,
-        metavar="BENCH.json",
-        help="also include a repro.perf benchmark document section",
-    )
 
     p = sub.add_parser(
         "fsck",
@@ -1149,8 +1047,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_traffic(args)
     if args.command == "describe":
         return _run_describe(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "obs":
         return _run_obs(args)
     if args.command == "report":

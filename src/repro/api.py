@@ -46,7 +46,6 @@ __all__ = [
     "run",
     "sweep",
     "traffic",
-    "bench",
     "dse",
     "observe",
     "report",
@@ -195,48 +194,6 @@ def traffic(
     if return_stats:
         return points, engine.stats
     return points
-
-
-def bench(
-    suite: str = "smoke",
-    points: Optional[Sequence] = None,
-    repeat: int = 3,
-    seed: int = DEFAULT_SEED,
-    label: str = "",
-    out: Optional[str] = None,
-    compare_to: Optional[str] = None,
-    threshold: float = 0.15,
-) -> Dict:
-    """Microbenchmark the simulator (see :mod:`repro.perf`).
-
-    Measures events/sec, wall time, and peak RSS for every point of the
-    named ``suite`` (or an explicit list of
-    :class:`~repro.perf.BenchPoint`/spec strings) and returns the
-    benchmark document.  ``out`` also writes it as JSON; ``compare_to``
-    gates against a baseline document and raises ``RuntimeError`` on a
-    regression beyond ``threshold`` or any determinism break.
-    """
-    from repro import perf
-
-    if points is not None:
-        resolved = [
-            p if isinstance(p, perf.BenchPoint) else perf.BenchPoint.parse(p)
-            for p in points
-        ]
-    else:
-        resolved = list(perf.SUITES[suite])
-    doc = perf.run_suite(resolved, repeat=repeat, seed=seed, label=label)
-    if out:
-        perf.write_doc(doc, out)
-    if compare_to:
-        result = perf.compare(
-            doc, perf.load_doc(compare_to), threshold=threshold
-        )
-        if not result.ok:
-            raise RuntimeError(
-                "benchmark regression gate failed:\n" + result.describe()
-            )
-    return doc
 
 
 def observe(

@@ -13,8 +13,8 @@ schedules simulator events, so cycle counts, event counts, and every
 counter are bit-for-bit identical to an unobserved run (the same
 contract :mod:`repro.verify` honours; ``tests/test_obs.py`` pins it).
 A machine with no collector (and no checkers) has ``machine.probe is
-None`` and pays exactly one attribute test per call site -- the PR 4
-perf gate is measured in that state.
+None`` and pays exactly one attribute test per call site -- the
+end-to-end benchmark's untraced runs measure it in that state.
 
 Usage::
 

@@ -616,7 +616,6 @@ def render_sweep_report(
     points,
     baseline: Optional[str] = None,
     title: str = "repro sweep report",
-    bench_doc: Optional[Dict] = None,
     resilience: Optional[Dict[str, int]] = None,
     dse_results: Optional[Sequence] = None,
 ) -> str:
@@ -625,12 +624,11 @@ def render_sweep_report(
 
     With ``baseline`` (a config name present in the points), each cell
     also shows the speedup over the same (workload, cores) baseline
-    run.  ``bench_doc`` optionally appends a simulator-performance
-    section from a ``repro.perf`` benchmark document; ``resilience``
-    (the job store's lifetime counters -- leases, retries, quarantines)
-    appends the harness-resilience section; ``dse_results`` (loaded
-    :class:`repro.dse.DseResult` documents) appends one design-space
-    section each -- Pareto scatter, speedup heatmap, and the front.
+    run.  ``resilience`` (the job store's lifetime counters -- leases,
+    retries, quarantines) appends the harness-resilience section;
+    ``dse_results`` (loaded :class:`repro.dse.DseResult` documents)
+    appends one design-space section each -- Pareto scatter, speedup
+    heatmap, and the front.
     """
     points = list(points)
     configs = sorted({p.config for p in points})
@@ -768,24 +766,6 @@ def render_sweep_report(
             "next to this cache: lease grants/expiries track worker "
             "supervision, retries/quarantines track failing points "
             "(see docs/HARNESS.md).</p>"
-        )
-
-    if bench_doc is not None:
-        body.append("<h2>Simulator performance (repro.perf)</h2>")
-        rows = [
-            [
-                p["key"],
-                f"{p['events']:,}",
-                f"{p['wall_s']:.3f}s",
-                f"{p['events_per_sec']:,.0f}",
-            ]
-            for p in bench_doc.get("points", ())
-        ]
-        body.append(_table(("point", "events", "wall", "events/sec"), rows))
-        body.append(
-            f"<p class='note'>calibration "
-            f"{bench_doc.get('calibration_kops', 0):,.0f} kops/s on "
-            f"{_esc(bench_doc.get('platform', '?'))}</p>"
         )
 
     return _page(title, body)

@@ -1,10 +1,9 @@
 """The unified metric schema: one registry for every number a run emits.
 
-Before this module, a run's numbers lived in four disconnected shapes:
+Before this module, a run's numbers lived in three disconnected shapes:
 ``StatSet`` counters/histograms on each component, fault counters merged
-by the machine, checker verdicts inside a ``CheckReport`` dict, and
-``repro.perf`` benchmark documents.  :class:`MetricsRegistry` unifies
-them behind one record type:
+by the machine, and checker verdicts inside a ``CheckReport`` dict.
+:class:`MetricsRegistry` unifies them behind one record type:
 
 * **name** -- dotted metric name (``msa.entries_allocated``,
   ``noc.latency``, ``verify.violations``);
@@ -18,10 +17,8 @@ them behind one record type:
 Ingest from any source -- a live :class:`~repro.machine.Machine`
 (:meth:`MetricsRegistry.from_machine`), a cached
 :class:`~repro.harness.runner.RunResult`
-(:meth:`MetricsRegistry.from_run_result`), a ``repro.perf`` benchmark
-document (:meth:`MetricsRegistry.ingest_bench_doc`) -- then export as
-JSONL (:meth:`to_jsonl`) or Prometheus text format
-(:meth:`to_prometheus`).  The JSONL form round-trips losslessly:
+(:meth:`MetricsRegistry.from_run_result`) -- then export as JSONL
+(:meth:`to_jsonl`) or Prometheus text format (:meth:`to_prometheus`).  The JSONL form round-trips losslessly:
 
 >>> reg = MetricsRegistry()
 >>> reg.counter("msa.ops_hw", 42, config="msa-omu-2", tile="3")
@@ -226,22 +223,6 @@ class MetricsRegistry:
                 **labels,
             )
         return reg
-
-    def ingest_bench_doc(self, doc: Dict, **labels) -> None:
-        """Ingest a ``repro.perf`` benchmark document (schema
-        ``repro.perf/1``): per-point events/sec, wall time, and the
-        determinism fingerprint as gauges."""
-        for point in doc.get("points", ()):
-            point_labels = dict(labels)
-            point_labels.update(
-                config=point["config"],
-                workload=point["workload"],
-                cores=str(point["cores"]),
-            )
-            self.gauge("bench.events_per_sec", point["events_per_sec"], **point_labels)
-            self.gauge("bench.wall_s", point["wall_s"], **point_labels)
-            self.gauge("bench.cycles", point["cycles"], **point_labels)
-            self.gauge("bench.events", point["events"], **point_labels)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in (counters sum, gauges overwrite,

@@ -90,7 +90,6 @@ def report_from_cache(
     out,
     baseline: Optional[str] = None,
     title: Optional[str] = None,
-    bench_doc: Optional[dict] = None,
 ) -> Path:
     """Render the cross-sweep HTML report for a result cache.
 
@@ -119,7 +118,6 @@ def report_from_cache(
         points,
         baseline=baseline,
         title=title or f"repro sweep report ({len(points)} cached points)",
-        bench_doc=bench_doc,
         resilience=load_store_counters(cache_dir),
         dse_results=load_dse_documents(cache_dir),
     )

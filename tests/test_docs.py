@@ -128,7 +128,6 @@ class TestPublicApiDocstrings:
     @pytest.mark.parametrize("obj_path", [
         "repro.api",
         "repro.obs",
-        "repro.perf",
     ])
     def test_module_docstrings_exist(self, obj_path):
         import importlib

@@ -3,7 +3,8 @@
 Unlike :mod:`tests.test_regression` (which guards *relative* invariants
 so legitimate timing-model changes survive), this suite pins the exact
 final cycle count, event count, and every NoC/MSA/sync-unit counter for
-each of five representative configurations on two small workloads.
+each of five representative configurations on two small workloads,
+plus the ``(cycles, events)`` fingerprint of six larger points.
 
 Its purpose is to make hot-path optimization safe: any change to the
 event kernel, NoC, message, or stats layers that perturbs simulated
@@ -305,6 +306,37 @@ GOLDEN = {
         },
     },
 }
+
+
+#: Determinism fingerprints -- (simulated cycles, events processed) --
+#: of larger points, keyed by (config, workload, cores, scale).  They
+#: are the rows of the frozen ``benchmarks/BENCH_BASELINE.json`` and
+#: ``benchmarks/BENCH_PR4.json`` that run in under a second each, so
+#: those documents keep describing this simulator.
+FINGERPRINTS = {
+    ("msa-omu-2", "streamcluster", 16, 1.0): (36854, 6186),
+    ("pthread", "streamcluster", 16, 1.0): (108919, 24471),
+    ("msa-omu-2", "fluidanimate", 16, 1.0): (63585, 100368),
+    ("msa-omu-2", "streamcluster", 64, 8.0): (324415, 276026),
+    ("msa-omu-2", "canneal", 64, 2.0): (132114, 204497),
+    ("ideal", "streamcluster", 64, 8.0): (300690, 48314),
+}
+
+
+@pytest.mark.parametrize(
+    "point",
+    sorted(FINGERPRINTS),
+    ids=lambda p: f"{p[0]}-{p[1]}-c{p[2]}-s{p[3]:g}",
+)
+def test_fingerprint_is_live(point):
+    config, workload, cores, scale = point
+    machine = build_machine(config, n_cores=cores, seed=2015)
+    result = run_workload(machine, KERNELS[workload](cores, scale))
+    got = (result.cycles, machine.sim.events_processed)
+    assert got == FINGERPRINTS[point], (
+        f"{config}/{workload}/c{cores}/s{scale:g}: (cycles, events) "
+        f"{got} != pinned {FINGERPRINTS[point]}"
+    )
 
 
 @pytest.mark.parametrize("mode", MODES)
