@@ -531,25 +531,25 @@ def _run_serve(args) -> int:
 def _run_submit(args) -> int:
     from repro.client import Client
 
-    client = Client(args.server)
-    sid = client.submit(
-        configs=args.configs,
-        workloads=args.workloads,
-        cores=args.cores,
-        scale=args.scale,
-        seed=args.seed,
-        check=not args.no_check,
-    )
-    sub = client.submissions[sid]
-    print(sid)
-    print(
-        f"submitted to {client.base}: {sub['created_jobs']} new, "
-        f"{sub['deduped_jobs']} already known",
-        file=sys.stderr,
-    )
-    if args.wait:
-        client.wait(sid)
-        print(f"sweep {sid} done", file=sys.stderr)
+    with Client(args.server) as client:
+        sid = client.submit(
+            configs=args.configs,
+            workloads=args.workloads,
+            cores=args.cores,
+            scale=args.scale,
+            seed=args.seed,
+            check=not args.no_check,
+        )
+        sub = client.submissions[sid]
+        print(sid)
+        print(
+            f"submitted to {client.base}: {sub['created_jobs']} new, "
+            f"{sub['deduped_jobs']} already known",
+            file=sys.stderr,
+        )
+        if args.wait:
+            client.wait(sid)
+            print(f"sweep {sid} done", file=sys.stderr)
     return 0
 
 
@@ -558,7 +558,8 @@ def _run_status(args) -> int:
 
     from repro.client import Client
 
-    doc = Client(args.server).status(args.sweep_id)
+    with Client(args.server) as client:
+        doc = client.status(args.sweep_id)
     print(_json.dumps(doc, indent=2, sort_keys=True))
     return 0 if doc["ok"] or not doc["done"] else 1
 
@@ -567,10 +568,10 @@ def _run_fetch(args) -> int:
     from repro.client import Client
     from repro.harness.sweep import add_speedups, to_csv
 
-    client = Client(args.server)
-    if args.wait:
-        client.wait(args.sweep_id)
-    points = client.fetch(args.sweep_id)
+    with Client(args.server) as client:
+        if args.wait:
+            client.wait(args.sweep_id)
+        points = client.fetch(args.sweep_id)
     if args.baseline:
         add_speedups(points, baseline_config=args.baseline)
     text = to_csv(points, path=args.csv)

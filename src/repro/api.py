@@ -355,14 +355,15 @@ def submit(
     Same grid keywords as :func:`sweep`."""
     from repro.client import Client
 
-    return Client(server).submit(
-        configs=configs,
-        workloads=workloads,
-        cores=cores,
-        scale=scale,
-        seed=seed,
-        **kwargs,
-    )
+    with Client(server) as client:
+        return client.submit(
+            configs=configs,
+            workloads=workloads,
+            cores=cores,
+            scale=scale,
+            seed=seed,
+            **kwargs,
+        )
 
 
 def status(sweep_id: str, server: Optional[str] = None) -> Dict:
@@ -370,7 +371,8 @@ def status(sweep_id: str, server: Optional[str] = None) -> Dict:
     ``done``/``ok`` rollups) from the service."""
     from repro.client import Client
 
-    return Client(server).status(sweep_id)
+    with Client(server) as client:
+        return client.status(sweep_id)
 
 
 def wait(
@@ -383,7 +385,8 @@ def wait(
     :class:`~repro.common.errors.ServiceError` on failures/timeout."""
     from repro.client import Client
 
-    return Client(server).wait(sweep_id, timeout_s=timeout_s)
+    with Client(server) as client:
+        return client.wait(sweep_id, timeout_s=timeout_s)
 
 
 def fetch(sweep_id: str, server: Optional[str] = None) -> List[SweepPoint]:
@@ -391,7 +394,8 @@ def fetch(sweep_id: str, server: Optional[str] = None) -> List[SweepPoint]:
     to running the same grid locally."""
     from repro.client import Client
 
-    return Client(server).fetch(sweep_id)
+    with Client(server) as client:
+        return client.fetch(sweep_id)
 
 
 def _sweep_remote(server, configs, workloads, cores, scale, seed, checkers,
@@ -411,18 +415,18 @@ def _sweep_remote(server, configs, workloads, cores, scale, seed, checkers,
             "explicit workload factories do not cross the wire; pass "
             "registry workload names when sweeping through a server"
         )
-    client = Client(server)
-    sid = client.submit(
-        configs=configs,
-        workloads=workloads,
-        cores=cores,
-        scale=scale,
-        seed=seed,
-        params=params,
-        checkers=tuple(checkers),
-    )
-    client.wait(sid)
-    points = client.fetch(sid)
+    with Client(server) as client:
+        sid = client.submit(
+            configs=configs,
+            workloads=workloads,
+            cores=cores,
+            scale=scale,
+            seed=seed,
+            params=params,
+            checkers=tuple(checkers),
+        )
+        client.wait(sid)
+        points = client.fetch(sid)
     if return_stats:
         created = client.submissions[sid]["created_jobs"]
         stats = EngineStats(

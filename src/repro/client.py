@@ -1,7 +1,7 @@
 """Python client for the ``repro serve`` experiment service.
 
-A thin stdlib-only (``urllib``) wrapper over the versioned HTTP API of
-:mod:`repro.serve`, mirroring the :mod:`repro.api` verbs::
+A thin stdlib-only (``http.client``) wrapper over the versioned HTTP
+API of :mod:`repro.serve`, mirroring the :mod:`repro.api` verbs::
 
     from repro.client import Client
 
@@ -10,6 +10,14 @@ A thin stdlib-only (``urllib``) wrapper over the versioned HTTP API of
                    workloads=["canneal"], cores=[16], scale=0.25)
     c.wait(sid)                               # long-polls until done
     points = c.fetch(sid)                     # List[SweepPoint]
+
+Each thread talks to the server over one kept-alive connection, opened
+directly (environment proxies are not consulted) and reopened once if
+the server has closed it in between.  The client sends only the
+requests the answer needs: it remembers the last status document it
+received on each thread, so :meth:`Client.wait` on a sweep whose
+submission already read done sends nothing, and :meth:`Client.fetch`
+reads the job list from that document and requests only the results.
 
 Results are reconstructed with :meth:`RunResult.from_dict` from the
 server's cached bytes, so a fetched point serializes byte-identically
@@ -20,11 +28,12 @@ uses this client transparently.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from urllib.parse import urlsplit
 
 from repro.common import config as repro_config
 from repro.common.errors import ConfigError, ServiceError
@@ -44,7 +53,9 @@ class Client:
     ``server`` falls back to the ``REPRO_SERVER`` environment knob
     (see :mod:`repro.common.config`); a missing endpoint is a
     :class:`ConfigError` at construction, not a connection error
-    later."""
+    later.  A client may be shared by threads: each thread gets its own
+    connection.  :meth:`close` (or a ``with`` block) closes the calling
+    thread's connection."""
 
     def __init__(self, server: Optional[str] = None, timeout_s: float = DEFAULT_TIMEOUT_S):
         server = repro_config.server(server)
@@ -56,14 +67,75 @@ class Client:
         self.base = str(server).rstrip("/")
         if not self.base.startswith(("http://", "https://")):
             self.base = "http://" + self.base
+        split = urlsplit(self.base)
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if split.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._prefix = split.path
         self.timeout_s = timeout_s
         #: Per-sweep submission accounting from the last ``submit``
         #: of each id: ``{sid: (created_jobs, deduped_jobs)}``.
         self.submissions: Dict[str, Dict[str, int]] = {}
+        #: Per thread: ``conn`` (the kept-alive connection) and
+        #: ``last`` (the last status document received).
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request
+        opens a new one)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+            self._local.conn = None
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *_) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
+    def _exchange(
+        self, path: str, body: Optional[bytes], timeout_s: Optional[float]
+    ) -> Tuple[int, bytes]:
+        """One request and its response over this thread's connection.
+        A reused connection the server has since closed is retried once
+        on a fresh one: every request is safe to repeat (a submission is
+        content-addressed and dedups)."""
+        timeout = timeout_s if timeout_s is not None else self.timeout_s
+        headers = {"Content-Type": "application/json"} if body else {}
+        for retry in (False, True):
+            conn = getattr(self._local, "conn", None)
+            if conn is None:
+                conn = self._connection_class(self._netloc, timeout=timeout)
+                self._local.conn = conn
+            reused = conn.sock is not None
+            conn.timeout = timeout
+            if reused:
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request(
+                    "POST" if body is not None else "GET",
+                    self._prefix + path,
+                    body=body,
+                    headers=headers,
+                )
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and not retry and isinstance(exc, ConnectionError):
+                    continue
+                raise ServiceError(f"cannot reach {self.base}: {exc}") from None
+            except BaseException:
+                conn.close()  # an interrupted exchange leaves it unusable
+                raise
+
     def _request(
         self,
         path: str,
@@ -73,42 +145,32 @@ class Client:
         data = None
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode()
-        req = urllib.request.Request(
-            self.base + path,
-            data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(
-                req, timeout=timeout_s if timeout_s is not None else self.timeout_s
-            ) as resp:
-                return json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
+        status, payload = self._exchange(path, data, timeout_s)
+        if status >= 400:
             try:
-                message = json.loads(exc.read().decode()).get("error", "")
+                message = json.loads(payload.decode()).get("error", "")
             except Exception:
                 message = ""
             raise ServiceError(
-                f"{path}: HTTP {exc.code}"
-                + (f": {message}" if message else "")
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.base}: {exc.reason}"
-            ) from None
+                f"{path}: HTTP {status}" + (f": {message}" if message else "")
+            )
+        return json.loads(payload.decode())
 
     def _request_text(self, path: str) -> str:
-        try:
-            with urllib.request.urlopen(
-                self.base + path, timeout=self.timeout_s
-            ) as resp:
-                return resp.read().decode()
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(f"{path}: HTTP {exc.code}") from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.base}: {exc.reason}"
-            ) from None
+        status, payload = self._exchange(path, None, None)
+        if status >= 400:
+            raise ServiceError(f"{path}: HTTP {status}")
+        return payload.decode()
+
+    def _remember(self, doc: Dict) -> Dict:
+        self._local.last = doc
+        return doc
+
+    def _known(self, sweep_id: str) -> Optional[Dict]:
+        """The last status document this thread received, if it is
+        ``sweep_id``'s."""
+        doc = getattr(self._local, "last", None)
+        return doc if doc is not None and doc["id"] == sweep_id else None
 
     # ------------------------------------------------------------------
     # Verbs (mirror repro.api.sweep's keywords)
@@ -147,56 +209,65 @@ class Client:
         doc = self._request("/v1/sweeps", body=body)
         sid = doc["id"]
         self.submissions[sid] = {
-            "created_jobs": doc.get("created_jobs", 0),
-            "deduped_jobs": doc.get("deduped_jobs", 0),
+            "created_jobs": doc.pop("created_jobs", 0),
+            "deduped_jobs": doc.pop("deduped_jobs", 0),
         }
+        self._remember(doc)
         return sid
 
     def status(self, sweep_id: str) -> Dict:
         """The sweep's status document: per-job status rows, status
         counts, and the ``done``/``ok`` rollups."""
-        return self._request(f"/v1/sweeps/{sweep_id}")
+        return self._remember(self._request(f"/v1/sweeps/{sweep_id}"))
 
     def wait(self, sweep_id: str, timeout_s: Optional[float] = None) -> Dict:
         """Long-poll until every job is terminal; returns the final
         status document.  Raises :class:`ServiceError` on timeout or if
         any job was quarantined (its per-job ``error`` strings are in
-        the message)."""
+        the message).  Sends nothing when the last status document
+        received for ``sweep_id`` (e.g. the submit response) already
+        reads done."""
+        doc = self._known(sweep_id)
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
-        while True:
+        while doc is None or not doc["done"]:
             chunk = WAIT_CHUNK_S
             if deadline is not None:
                 chunk = min(chunk, max(deadline - time.monotonic(), 0.0))
-            doc = self._request(
-                f"/v1/sweeps/{sweep_id}?wait={chunk:g}",
-                timeout_s=self.timeout_s + chunk,
+            doc = self._remember(
+                self._request(
+                    f"/v1/sweeps/{sweep_id}?wait={chunk:g}",
+                    timeout_s=self.timeout_s + chunk,
+                )
             )
-            if doc["done"]:
-                if not doc["ok"]:
-                    bad = [
-                        f"{j['config']}/{j['workload']}: {j['error']}"
-                        for j in doc["jobs"]
-                        if j["status"] == "quarantined"
-                    ]
-                    raise ServiceError(
-                        f"sweep {sweep_id} finished with failures: "
-                        + "; ".join(bad)
-                    )
-                return doc
-            if deadline is not None and time.monotonic() >= deadline:
+            if not doc["done"] and deadline is not None and (
+                time.monotonic() >= deadline
+            ):
                 raise ServiceError(
                     f"sweep {sweep_id} not done within {timeout_s:g}s "
                     f"(counts: {doc['counts']})"
                 )
+        if not doc["ok"]:
+            bad = [
+                f"{j['config']}/{j['workload']}: {j['error']}"
+                for j in doc["jobs"]
+                if j["status"] == "quarantined"
+            ]
+            raise ServiceError(
+                f"sweep {sweep_id} finished with failures: " + "; ".join(bad)
+            )
+        return doc
 
     def fetch(self, sweep_id: str) -> List[SweepPoint]:
         """Fetch a finished sweep's results as
         :class:`~repro.harness.sweep.SweepPoint` rows, in submission
         order -- the same order and bytes a local ``api.sweep`` of the
-        same grid produces."""
-        doc = self.status(sweep_id)
+        same grid produces.  The job list comes from the last status
+        document received for ``sweep_id`` when there is one (a sweep's
+        jobs never change: its id hashes their keys); each result is
+        one ``/v1/jobs/{key}`` request."""
+        doc = self._known(sweep_id) or self.status(sweep_id)
         points = []
         for job in doc["jobs"]:
             jd = self.fetch_job(job["key"])

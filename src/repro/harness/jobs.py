@@ -677,6 +677,7 @@ class Engine:
         + cache.  Crash-safe at every step: a worker dying mid-point
         just stops heartbeating and the point is reclaimed; a torn cache
         entry re-runs in the parent."""
+        from repro.resilience.store import TERMINAL
         from repro.resilience.supervise import WorkerLoop, WorkerPool
 
         specs_by_key = {key: specs[idx[0]] for key, idx in pending.items()}
@@ -699,9 +700,9 @@ class Engine:
                 for index in pending[key]:
                     reporter.update(specs[index].describe(), failed=failed)
 
-        def on_terminal(key, row):
-            if row is not None and row.terminal and key not in reported:
-                report(key, failed=row.status != "done")
+        def on_terminal(key, status):
+            if status in TERMINAL and key not in reported:
+                report(key, failed=status != "done")
 
         def in_process_loop(loop_keys):
             return WorkerLoop(

@@ -486,7 +486,7 @@ class JobStore:
         traceback_text: Optional[str] = None,
         backoff_s: float = 0.0,
         keys: Optional[Iterable[str]] = None,
-    ) -> Optional[Claim]:
+    ) -> Tuple[str, Optional[Claim]]:
         """Record a claim's outcome and lease the claimant's next job,
         in one transaction: an executed point costs one commit.
 
@@ -498,14 +498,15 @@ class JobStore:
         ``quarantine/<key>.txt``.  Either way an owner that no longer
         holds the lease changes nothing (counted as a stale
         completion).  Then :meth:`claim` for ``claim.owner`` over
-        ``keys``; returns that claim, or ``None`` when nothing is
-        claimable.
+        ``keys``.  Returns the row's new status (``done``, ``pending``,
+        ``quarantined``, or ``stale`` for a lost lease) and that claim,
+        or ``None`` when nothing is claimable.
         """
         now = self.clock()
         with self._transaction() as db:
             if error is None:
-                status = "done"
-                self._done(db, claim.key, claim.owner, now)
+                done = self._done(db, claim.key, claim.owner, now)
+                status = "done" if done else "stale"
             else:
                 status = self._failed(
                     db, claim.key, claim.owner, error, backoff_s, now
@@ -513,7 +514,7 @@ class JobStore:
             following = self._claim(db, claim.owner, keys, now)
         if status == "quarantined" and traceback_text is not None:
             self._write_quarantine_artifact(claim.key, error, traceback_text)
-        return following
+        return status, following
 
     def _write_quarantine_artifact(
         self, key: str, error: str, traceback_text: str

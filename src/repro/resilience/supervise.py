@@ -11,9 +11,10 @@ JobStore`:
   worker, whether that worker is a child process or the engine's own
   process (a one-worker engine run uses the same loop, so every run
   shares one supervision discipline).  Completing a point and claiming
-  the next are one store commit.  While a point simulates, a
-  daemon thread heartbeats the lease; a worker that is SIGKILLed stops
-  heartbeating and its lease expires.
+  the next are one store commit.  While a point simulates, the loop's
+  one daemon heartbeat thread renews its lease every third of the
+  lease; a worker that is SIGKILLed stops heartbeating and its lease
+  expires.
 * :class:`WorkerPool` -- the parent-side supervisor: spawns worker
   processes, watches for deaths (releasing the dead worker's leases
   immediately instead of waiting out the lease), restarts workers
@@ -126,6 +127,8 @@ class WorkerLoop:
     loop, which also runs unpicklable-factory specs); without it, specs
     are unpickled from the claim's stored blob.  ``point_timeout_s`` arms a
     :class:`~repro.resilience.watchdog.Watchdog` per point.
+    ``on_complete(key, status)`` fires after each point with the row's
+    new status (see :meth:`JobStore.finish`).
     """
 
     def __init__(
@@ -155,6 +158,13 @@ class WorkerLoop:
         self.on_complete = on_complete
         self.executed = 0
         self._next: Optional[Claim] = None
+        #: The point whose lease the heartbeat thread renews (``None``
+        #: between points); ``_beat_gen`` counts changes of it.
+        self._beat_key: Optional[str] = None
+        self._beat_gen = 0
+        self._beat_closed = False
+        self._beat_cond = threading.Condition()
+        self._beater: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     def _spec_for(self, claim: Claim):
@@ -195,13 +205,8 @@ class WorkerLoop:
             claim = self.store.claim(self.owner, keys=self.keys)
             if claim is None:
                 return None
-        stop = threading.Event()
-        beater = None
         if self.heartbeats:
-            beater = threading.Thread(
-                target=self._beat, args=(claim.key, stop), daemon=True
-            )
-            beater.start()
+            self._beat(claim.key)
         error = traceback_text = None
         backoff_s = 0.0
         try:
@@ -221,40 +226,77 @@ class WorkerLoop:
         else:
             self.executed += 1
         finally:
-            stop.set()
-            if beater is not None:
-                beater.join(timeout=1.0)
-        self._next = self.store.finish(
+            if self.heartbeats:
+                self._beat(None)
+        status, self._next = self.store.finish(
             claim, error, traceback_text, backoff_s, keys=self.keys
         )
         if self.on_complete is not None:
-            self.on_complete(claim.key, self.store.get(claim.key))
+            self.on_complete(claim.key, status)
         return claim
 
     def release(self) -> None:
         """Hand back the job claimed for the next :meth:`run_one`, if
-        any, so it does not wait out its lease."""
+        any, so it does not wait out its lease, and stop the heartbeat
+        thread."""
         if self._next is not None:
             self.store.release(self._next)
             self._next = None
+        if self._beater is not None:
+            with self._beat_cond:
+                self._beat_closed = True
+                self._beat_cond.notify()
+            self._beater.join()
+            self._beater = None
+            self._beat_closed = False
 
-    def _beat(self, key: str, stop: threading.Event) -> None:
+    def _beat(self, key: Optional[str]) -> None:
+        """Renew ``key``'s lease from now on (``None``: no point is in
+        flight), starting the heartbeat thread with the first point."""
+        with self._beat_cond:
+            self._beat_key = key
+            self._beat_gen += 1
+            self._beat_cond.notify()
+        if self._beater is None and key is not None:
+            self._beater = threading.Thread(
+                target=self._beat_main, name="repro-heartbeat", daemon=True
+            )
+            self._beater.start()
+
+    def _beat_main(self) -> None:
+        """The heartbeat thread: renew the lease of the point in flight
+        every ``lease_s / HEARTBEAT_DIVISOR`` it keeps running."""
+        interval = max(0.01, self.store.lease_s / HEARTBEAT_DIVISOR)
+        cond = self._beat_cond
         # SQLite connections belong to the thread that opened them, so
         # the beater opens its own -- only once a heartbeat is due.
-        interval = max(0.01, self.store.lease_s / HEARTBEAT_DIVISOR)
         store = None
         try:
-            while not stop.wait(interval):
-                if store is None:
-                    store = JobStore(
-                        self.store.path,
-                        lease_s=self.store.lease_s,
-                        quarantine_after=self.store.quarantine_after,
-                    )
-                if not store.heartbeat(key, self.owner):
-                    return  # lease lost; stop renewing
-        except Exception:
-            return  # a dying store must not crash the sim thread
+            while True:
+                with cond:
+                    if self._beat_closed:
+                        return
+                    gen, key = self._beat_gen, self._beat_key
+                    if cond.wait_for(
+                        lambda: self._beat_gen != gen or self._beat_closed,
+                        interval if key is not None else None,
+                    ):
+                        continue
+                try:
+                    if store is None:
+                        store = JobStore(
+                            self.store.path,
+                            lease_s=self.store.lease_s,
+                            quarantine_after=self.store.quarantine_after,
+                        )
+                    renewed = store.heartbeat(key, self.owner)
+                except Exception:  # a dying store must not crash the sim
+                    renewed, store = False, None  # reopened when next due
+                if not renewed:  # lease lost: wait for the next point
+                    with cond:
+                        cond.wait_for(
+                            lambda: self._beat_gen != gen or self._beat_closed
+                        )
         finally:
             if store is not None:
                 store.close()
@@ -264,11 +306,14 @@ class WorkerLoop:
         points this loop executed.  When nothing is claimable but open
         jobs remain (leased to someone else), polls until their leases
         resolve or expire."""
-        while True:
-            if self.run_one() is None:
-                if self.store.open_jobs(self.keys) == 0:
-                    return self.executed
-                time.sleep(poll_s)
+        try:
+            while True:
+                if self.run_one() is None:
+                    if self.store.open_jobs(self.keys) == 0:
+                        return self.executed
+                    time.sleep(poll_s)
+        finally:
+            self.release()
 
 
 def worker_main(
@@ -316,7 +361,7 @@ class WorkerPool:
     have their leases released immediately and are restarted within a
     bounded budget; expired leases of hung-but-alive workers are left
     to lease expiry (claims reclaim them lazily).  ``on_terminal(key,
-    row)`` fires once per job as it reaches a terminal status, so the
+    status)`` fires once per job as it reaches a terminal status, so the
     caller can report progress incrementally.
     """
 
@@ -427,7 +472,7 @@ class WorkerPool:
                         if row.key not in reported:
                             reported.add(row.key)
                             if self.on_terminal is not None:
-                                self.on_terminal(row.key, row)
+                                self.on_terminal(row.key, row.status)
                     else:
                         open_jobs += 1
                         if row.status == "leased" and row.lease_owner:

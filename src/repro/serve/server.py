@@ -47,6 +47,12 @@ only source of truth: a wake-up only says "look again", and the
 ``WATCH_POLL_S`` / ``DEFAULT_POLL_S`` re-checks stay as a backstop for
 changes made outside this process (lease expiry, another server on the
 same cache directory, pool children).
+
+Connections are kept alive: one connection serves requests in turn
+until the client asks to close it (``Connection: close`` or HTTP/1.0),
+an SSE stream ends, a request's body cannot be read to its end (the
+400 answer closes it), it sits idle for ``LONG_POLL_CAP_S``, or the
+server stops.
 """
 
 from __future__ import annotations
@@ -54,13 +60,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import pickle
 import signal
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common import config as repro_config
@@ -77,7 +84,8 @@ DEFAULT_PORT = 8765
 MAX_BODY_BYTES = 8 << 20
 #: ``?wait=`` long-polls are capped at this many seconds per request
 #: (clients re-issue; an unbounded wait would pin a dead client's
-#: connection forever).
+#: connection forever).  A kept-alive connection idle this long is
+#: closed.
 LONG_POLL_CAP_S = 60.0
 #: Longest a long-poll or SSE stream goes without re-reading status.
 #: Completions in this process wake them at once; the re-check catches
@@ -96,6 +104,12 @@ _REASONS = {
 
 class _NotFound(Exception):
     """Route-level 404 (unknown sweep/job/path)."""
+
+
+class _BadRequest(Exception):
+    """A request whose body cannot be read to its end: answered 400,
+    then the connection closes (an unread body would otherwise be parsed
+    as the next request)."""
 
 
 class Server:
@@ -149,6 +163,7 @@ class Server:
         #: the ``serve.`` prefix (the job store's lifetime counters --
         #: which prove dedup and reclamation -- ride under ``store.``).
         self.counters: Dict[str, int] = {
+            "http_connections": 0,
             "http_requests": 0,
             "http_errors": 0,
             "sweeps_submitted": 0,
@@ -176,6 +191,10 @@ class Server:
         #: Records of open sweeps by id.  A record is dropped the first
         #: time its status reads terminal; ``sweeps/<id>.json`` keeps it.
         self._sweeps: Dict[str, Dict] = {}
+        #: Open connections (writer -> handler task), and those of them
+        #: waiting for their next request (closed first at stop).
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # Paths / identity
@@ -292,10 +311,27 @@ class Server:
             async with server:
                 while not self._stop.is_set():
                     await asyncio.sleep(0.05)
+                await self._close_connections(server)
         finally:
             self._front.close()
             with contextlib.suppress(OSError):
                 self.discovery_path.unlink()
+
+    async def _close_connections(self, server) -> None:
+        """Stop accepting, then end every connection without cancelling
+        its handler: idle ones are closed at once, and a request in
+        flight gets its answer (long-polls and SSE streams return at
+        stop) unless it takes longer than a second."""
+        server.close()
+        for writer in list(self._idle):
+            writer.close()
+        for _ in range(2):  # wait for answers, then close what is left
+            if self._connections:
+                await asyncio.wait(
+                    list(self._connections.values()), timeout=1.0
+                )
+            for writer in list(self._connections):
+                writer.close()
 
     # ------------------------------------------------------------------
     # Wake-ups (best effort: the store stays the source of truth)
@@ -391,131 +427,175 @@ class Server:
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
+        """Serve requests over one connection until it closes (see the
+        module docstring for when)."""
+        self.counters["http_connections"] += 1
+        self._connections[writer] = asyncio.current_task()
+        loop = asyncio.get_running_loop()
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, query, body = request
-            self.counters["http_requests"] += 1
-            try:
-                await self._route(method, path, query, body, writer)
-            except (ConfigError, SchemaError) as exc:
-                await self._send_json(writer, 400, wire.error_doc(str(exc)))
-            except _NotFound as exc:
-                await self._send_json(writer, 404, wire.error_doc(str(exc)))
-            except Exception as exc:
-                self.counters["http_errors"] += 1
-                await self._send_json(
-                    writer,
-                    500,
-                    wire.error_doc(f"{type(exc).__name__}: {exc}"),
-                )
+            while not self._stop.is_set():
+                self._idle.add(writer)
+                idle_close = loop.call_later(LONG_POLL_CAP_S, writer.close)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    self.counters["http_requests"] += 1
+                    await self._send(
+                        writer,
+                        *_json(400, wire.error_doc(str(exc))),
+                        keep_alive=False,
+                    )
+                    return
+                finally:
+                    idle_close.cancel()
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                self.counters["http_requests"] += 1
+                if not await self._respond(writer, *request):
+                    return
         except (
             ConnectionResetError,
             BrokenPipeError,
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
         ):
             pass
         finally:
+            del self._connections[writer]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
     async def _read_request(
         self, reader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
+        """The next request as ``(method, path, query, body,
+        keep_alive)``, or ``None`` when the client has closed the
+        connection or sent no request line."""
+        try:
+            line = await reader.readline()
+            if not line:
+                return None
+            parts = line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            method, target = parts[0].upper(), parts[1]
+            headers: Dict[str, str] = {}
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a line longer than the stream's limit
+            raise _BadRequest("request line or header too long") from None
+        if "transfer-encoding" in headers:
+            raise _BadRequest(
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length"
+            )
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(
+                f"Content-Length {length!r} is not a non-negative integer"
+            )
+        length = int(length)
         if length > MAX_BODY_BYTES:
-            raise ConfigError(
+            raise _BadRequest(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        body = await reader.readexactly(length) if length > 0 else b""
+        body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {
             k: v[-1] for k, v in parse_qs(split.query).items() if v
         }
-        return method, split.path.rstrip("/") or "/", query, body
+        keep_alive = (
+            len(parts) > 2
+            and parts[2] == "HTTP/1.1"
+            and "close" not in headers.get("connection", "").lower()
+        )
+        return method, split.path.rstrip("/") or "/", query, body, keep_alive
+
+    async def _respond(
+        self, writer, method, path, query, body, keep_alive: bool
+    ) -> bool:
+        """Answer one request; returns whether the connection stays
+        open for the next."""
+        try:
+            response = await self._route(method, path, query, body, writer)
+        except (ConfigError, SchemaError) as exc:
+            response = _json(400, wire.error_doc(str(exc)))
+        except _NotFound as exc:
+            response = _json(404, wire.error_doc(str(exc)))
+        except Exception as exc:
+            self.counters["http_errors"] += 1
+            response = _json(
+                500, wire.error_doc(f"{type(exc).__name__}: {exc}")
+            )
+        if response is None:  # an SSE stream, which ends its connection
+            return False
+        await self._send(writer, *response, keep_alive=keep_alive)
+        return keep_alive
 
     async def _send(
-        self, writer, status: int, payload: bytes, content_type: str
+        self,
+        writer,
+        status: int,
+        payload: bytes,
+        content_type: str,
+        keep_alive: bool,
     ) -> None:
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
 
-    async def _send_json(self, writer, status: int, doc: Dict) -> None:
-        await self._send(
-            writer,
-            status,
-            json.dumps(doc, sort_keys=True).encode(),
-            "application/json",
-        )
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method, path, query, body, writer) -> None:
+    async def _route(
+        self, method, path, query, body, writer
+    ) -> Optional[Tuple[int, bytes, str]]:
+        """The response to one request as ``(status, payload,
+        content_type)``, or ``None`` once an SSE stream has been
+        written."""
         if path in ("/v1/healthz", "/healthz"):
             self._require(method, "GET")
-            await self._send_json(writer, 200, self._health_doc())
-        elif path == "/v1/metrics":
+            return _json(200, self._health_doc())
+        if path == "/v1/metrics":
             self._require(method, "GET")
-            await self._send(
-                writer,
+            return (
                 200,
                 self._metrics_text().encode(),
                 "text/plain; version=0.0.4",
             )
-        elif path == "/v1/report":
+        if path == "/v1/report":
             self._require(method, "GET")
-            await self._send(
-                writer, 200, self._report_html(query).encode(), "text/html"
-            )
-        elif path == "/v1/sweeps":
+            return 200, self._report_html(query).encode(), "text/html"
+        if path == "/v1/sweeps":
             if method == "POST":
-                status, doc = self._submit(body)
-                await self._send_json(writer, status, doc)
-            else:
-                self._require(method, "GET")
-                await self._send_json(writer, 200, self._sweep_list())
-        elif path.startswith("/v1/sweeps/"):
+                return _json(*self._submit(body))
+            self._require(method, "GET")
+            return _json(200, self._sweep_list())
+        if path.startswith("/v1/sweeps/"):
             self._require(method, "GET")
             record = self._load_record(path[len("/v1/sweeps/"):])
             if query.get("stream") == "sse":
                 await self._stream_sweep(writer, record)
-            else:
-                await self._poll_sweep(writer, record, query)
-        elif path.startswith("/v1/jobs/"):
+                return None
+            return _json(200, await self._poll_sweep(record, query))
+        if path.startswith("/v1/jobs/"):
             self._require(method, "GET")
-            await self._send_json(
-                writer, 200, self._job_doc(path[len("/v1/jobs/"):])
-            )
-        else:
-            raise _NotFound(
-                f"no route for {path!r}; see docs/SERVICE.md for the "
-                "endpoint list"
-            )
+            return _json(200, self._job_doc(path[len("/v1/jobs/"):]))
+        raise _NotFound(
+            f"no route for {path!r}; see docs/SERVICE.md for the "
+            "endpoint list"
+        )
 
     @staticmethod
     def _require(method: str, expected: str) -> None:
@@ -658,19 +738,20 @@ class Server:
             "result": result.to_dict() if result is not None else None,
         }
 
-    async def _poll_sweep(self, writer, record, query) -> None:
+    async def _poll_sweep(self, record, query) -> Dict:
         try:
             wait_s = float(query.get("wait", "0"))
         except ValueError:
-            raise ConfigError("?wait= must be a number of seconds") from None
+            wait_s = math.nan
+        if math.isnan(wait_s):
+            raise ConfigError("?wait= must be a number of seconds")
         deadline = time.monotonic() + min(max(wait_s, 0.0), LONG_POLL_CAP_S)
         while True:
             changed = self._changed
             doc = self._sweep_status(record)
             remaining = deadline - time.monotonic()
             if doc["done"] or remaining <= 0 or self._stop.is_set():
-                await self._send_json(writer, 200, doc)
-                return
+                return doc
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
                     changed.wait(), min(WATCH_POLL_S, remaining)
@@ -758,6 +839,10 @@ class Server:
             title=f"repro serve report ({len(points)} cached points)",
             resilience=self._front.counters(),
         )
+
+
+def _json(status: int, doc: Dict) -> Tuple[int, bytes, str]:
+    return status, json.dumps(doc, sort_keys=True).encode(), "application/json"
 
 
 def _spec_blob(spec) -> Optional[bytes]:

@@ -8,7 +8,11 @@ schema-version pins, and the new CLI subcommand parsers.
 
 from __future__ import annotations
 
+import http.server
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -32,7 +36,8 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return Client(server.url)
+    with Client(server.url) as c:
+        yield c
 
 
 class TestClient:
@@ -43,7 +48,8 @@ class TestClient:
 
     def test_env_endpoint(self, server, monkeypatch):
         monkeypatch.setenv("REPRO_SERVER", server.url)
-        assert Client().healthz()["ok"] is True
+        with Client() as c:
+            assert c.healthz()["ok"] is True
 
     def test_scheme_defaulted(self, server):
         bare = server.url[len("http://"):]
@@ -104,6 +110,143 @@ class TestClient:
     def test_discover(self, server, tmp_path):
         assert discover(server.cache_dir) == server.url
         assert discover(tmp_path) is None
+
+
+def _served(server):
+    """``(connections, requests)`` the server has seen so far."""
+    return (
+        server.counters["http_connections"],
+        server.counters["http_requests"],
+    )
+
+
+class TestRequests:
+    """One kept-alive connection per thread, and only the requests the
+    answer needs."""
+
+    def test_cached_round_trip_is_two_requests(self, server, client):
+        sid = client.submit(**POINT)
+        client.wait(sid, timeout_s=180)
+        with Client(server.url) as c:
+            before = _served(server)
+            assert c.submit(**POINT) == sid
+            done = c.wait(sid)  # the submit response already read done
+            assert done["done"] and done["ok"] and done["id"] == sid
+            assert "created_jobs" not in done
+            [point] = c.fetch(sid)  # no status re-read: one job fetch
+            assert point.result.cycles > 0
+            assert _served(server) == (before[0] + 1, before[1] + 2)
+
+    def test_fresh_round_trip_is_three_requests(self, server):
+        with Client(server.url) as c:
+            before = _served(server)
+            sid = c.submit(**dict(POINT, seed=31))
+            c.wait(sid, timeout_s=180)
+            assert len(c.fetch(sid)) == 1
+            connections, requests = _served(server)
+        assert connections == before[0] + 1
+        # submit, one or more long-polls, one job fetch
+        assert requests >= before[1] + 3
+
+    def test_round_trips_reuse_one_connection(self, server, client):
+        client.wait(client.submit(**POINT), timeout_s=180)
+        with Client(server.url) as c:
+            before = _served(server)
+            for _ in range(20):
+                sid = c.submit(**POINT)
+                c.wait(sid, timeout_s=180)
+                assert len(c.fetch(sid)) == 1
+            assert c.metrics() and c.healthz()["ok"]
+            assert _served(server)[0] == before[0] + 1
+
+    def test_shared_client_across_threads(self, server):
+        """Eight threads share one client, each with its own sweep: one
+        connection per thread at most, and every fetched result is
+        byte-identical to a local run."""
+        seeds = range(40, 48)
+        shared = Client(server.url)
+        before = _served(server)
+        fetched, errors = {}, []
+
+        def run(seed):
+            try:
+                sid = shared.submit(**dict(POINT, seed=seed))
+                shared.wait(sid, timeout_s=180)
+                [point] = shared.fetch(sid)
+                fetched[seed] = point.result.to_json()
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+            finally:
+                shared.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert _served(server)[0] - before[0] <= 8
+        for seed in seeds:
+            [local] = api.sweep(
+                configs=["pthread"],
+                workloads=["canneal"],
+                cores=(4,),
+                scale=0.1,
+                seed=seed,
+            )
+            assert fetched[seed] == local.result.to_json()
+
+    def test_reconnects_after_idle_close(self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "LONG_POLL_CAP_S", 0.2)
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            with Client(srv.url) as c:
+                assert c.healthz()["ok"]
+                time.sleep(0.6)  # the server closes the idle connection
+                assert c.healthz()["ok"]
+            assert _served(srv) == (2, 2)
+        finally:
+            srv.stop()
+
+    def test_server_that_closes_each_connection(self):
+        """Against a server that answers ``Connection: close`` (as the
+        parent version of ``repro serve`` does), every request opens a
+        fresh connection and succeeds."""
+        connections = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                connections.append(self.client_address)
+                body = json.dumps({"ok": True}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *_):
+                pass
+
+        httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with Client(f"http://127.0.0.1:{httpd.server_port}") as c:
+                for _ in range(3):
+                    assert c.healthz() == {"ok": True}
+            assert len(set(connections)) == 3
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
 
 
 class TestApiVerbs:
@@ -260,9 +403,9 @@ class TestCliParsers:
     def test_cli_fetch_round_trip(self, server, capsys):
         from repro.__main__ import main
 
-        c = Client(server.url)
-        sid = c.submit(**POINT)
-        c.wait(sid, timeout_s=180)
+        with Client(server.url) as c:
+            sid = c.submit(**POINT)
+            c.wait(sid, timeout_s=180)
         assert main(["fetch", "--server", server.url, sid]) == 0
         out = capsys.readouterr().out
         assert out.startswith("config,workload")

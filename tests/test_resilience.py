@@ -117,16 +117,19 @@ class TestJobStore:
         claim = store.claim("w1")
         # Inside the backoff window: not claimable, even in the same
         # transaction.
-        assert store.finish(claim, "RuntimeError: boom", backoff_s=3.0) is None
+        assert store.finish(claim, "RuntimeError: boom", backoff_s=3.0) == (
+            "pending",
+            None,
+        )
         assert store.get("k1").status == "pending"
         assert store.claim("w1") is None
         clock.advance(3.5)
         claim = store.claim("w1")
         assert claim.attempt == 2
-        store.finish(
+        status, _ = store.finish(
             claim, "RuntimeError: boom", traceback_text="Traceback..."
         )
-        assert store.get("k1").status == "quarantined"
+        assert status == store.get("k1").status == "quarantined"
         artifact = store.quarantine_path("k1")
         assert artifact.is_file()
         assert "RuntimeError: boom" in artifact.read_text()
@@ -152,8 +155,8 @@ class TestJobStore:
         store.claim("w-fresh")
         store.mark_done("k1", "w-fresh")
         assert not store.mark_done("k1", "w-hung")
-        assert store.finish(hung) is None
-        assert store.finish(hung, "late failure") is None
+        assert store.finish(hung) == ("stale", None)
+        assert store.finish(hung, "late failure") == ("stale", None)
         row = store.get("k1")
         assert (row.status, row.error) == ("done", None)
         assert store.counters()["stale_completions"] == 3
@@ -172,21 +175,24 @@ class TestJobStore:
         for key in ("k1", "k2", "k3"):
             store.enqueue(key)
         first = store.claim("w1")
-        second = store.finish(first)
-        assert store.get("k1").status == "done"
+        status, second = store.finish(first)
+        assert status == store.get("k1").status == "done"
         assert (second.key, second.owner, second.attempt) == ("k2", "w1", 1)
         assert store.get("k2").status == "leased"
         # A failure backs off, so the next claim skips that point.
-        third = store.finish(second, error="boom", backoff_s=5.0)
+        _, third = store.finish(second, error="boom", backoff_s=5.0)
         row = store.get("k2")
         assert (row.status, row.error) == ("pending", "boom")
         assert third.key == "k3"
         # ``keys`` limits what the fused claim may take.
-        assert store.finish(third, keys=["k3"]) is None
+        assert store.finish(third, keys=["k3"]) == ("done", None)
         clock.advance(6.0)
         retry = store.claim("w1")
         assert (retry.key, retry.attempt) == ("k2", 2)
-        assert store.finish(retry, "boom again", "Traceback ...") is None
+        assert store.finish(retry, "boom again", "Traceback ...") == (
+            "quarantined",
+            None,
+        )
         assert store.get("k2").status == "quarantined"
         assert store.quarantine_path("k2").exists()
         counters = store.counters()
@@ -428,6 +434,81 @@ class TestWorkerLoop:
         assert store.get(key).status == "done"
         assert counters["heartbeats"] > 0
         assert counters["stale_completions"] == 0
+        store.close()
+
+    def test_one_beater_renews_each_long_point(self, tmp_path, monkeypatch):
+        """The loop's one heartbeat thread outlives its first point: a
+        short point, then two long ones, and both long ones are
+        renewed."""
+        from repro.workloads.kernels import KERNELS
+
+        def slow(n, scale=1.0):
+            time.sleep(0.3)
+            return KERNELS["canneal"](n, scale)
+
+        specs = [
+            spec(),
+            spec(workload="slow-a", factory=slow),
+            spec(workload="slow-b", factory=slow),
+        ]
+        keys = [s.key() for s in specs]
+        store = JobStore(tmp_path / "jobs.sqlite3", lease_s=0.06)
+        store.enqueue_many([(k, s.describe(), None) for k, s in zip(keys, specs)])
+        renewed = []
+        heartbeat = JobStore.heartbeat
+
+        def recording(self, key, owner):
+            renewed.append(key)
+            return heartbeat(self, key, owner)
+
+        monkeypatch.setattr(JobStore, "heartbeat", recording)
+        WorkerLoop(
+            store,
+            ResultCache(tmp_path / "cache"),
+            specs_by_key=dict(zip(keys, specs)),
+        ).drain()
+        assert {store.get(k).status for k in keys} == {"done"}
+        assert set(keys[1:]) <= set(renewed)
+        assert store.counters()["stale_completions"] == 0
+        store.close()
+
+    def test_fixed_cost_per_point(self, tmp_path, monkeypatch):
+        """200 points through one loop start one heartbeat thread, not
+        one per point, and never re-read a finished row: the outcome
+        reaches ``on_complete`` from the commit that recorded it."""
+        import threading
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        keys = [f"k{i:03d}" for i in range(200)]
+        store.enqueue_many([(k, k, None) for k in keys])
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        class NullCache:
+            def put(self, key, spec, result):
+                pass
+
+        def no_get(key):
+            raise AssertionError(f"store.get({key!r}) per point")
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        monkeypatch.setattr(store, "get", no_get)
+        outcomes = []
+        loop = WorkerLoop(
+            store,
+            NullCache(),
+            specs_by_key={k: k for k in keys},
+            on_complete=lambda key, status: outcomes.append(status),
+        )
+        monkeypatch.setattr(loop, "_execute", lambda spec: None)
+        assert loop.drain() == 200
+        assert outcomes == ["done"] * 200
+        assert started == ["repro-heartbeat"]
+        assert loop._beater is None  # drain stops it
         store.close()
 
 

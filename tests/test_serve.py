@@ -9,9 +9,12 @@ directory with a clean fsck.
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -49,6 +52,25 @@ def _post(url, path, doc):
 def _get(url, path, timeout=120):
     with urllib.request.urlopen(url + path, timeout=timeout) as resp:
         return resp.status, resp.read()
+
+
+def _connect(server):
+    return socket.create_connection((server.host, server.port), timeout=30)
+
+
+def _exchange(sock, raw: bytes):
+    """Send one raw request; returns (status, Connection header, body)."""
+    sock.sendall(raw)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp.status, resp.getheader("Connection"), resp.read()
+
+
+def _closed_by_server(sock) -> bool:
+    return sock.recv(1) == b""
+
+
+HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +153,7 @@ class TestEndpoints:
         _, body = _get(server.url, "/v1/metrics")
         text = body.decode()
         assert "# TYPE repro_serve_http_requests counter" in text
+        assert "# TYPE repro_serve_http_connections counter" in text
         assert "repro_store_enqueued" in text
         assert "repro_serve_workers 1" in text
 
@@ -187,6 +210,120 @@ class TestValidation:
         with pytest.raises(urllib.error.HTTPError) as exc:
             _get(server.url, "/v1/sweeps/feedfacefeedface")
         assert exc.value.code == 404
+
+
+class TestHttpErrors:
+    """Requests the server cannot read to their end are answered 400
+    with an error document, and the connection is closed: under
+    keep-alive an unread body would be parsed as the next request."""
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"Content-Length: 99999999999", "exceeds"),
+            (b"Content-Length: twelve", "not a non-negative integer"),
+            (b"Content-Length: -5", "not a non-negative integer"),
+            (b"Transfer-Encoding: chunked", "Transfer-Encoding"),
+        ],
+        ids=["oversized", "non-numeric", "negative", "transfer-encoding"],
+    )
+    def test_unreadable_body_400_then_close(self, server, header, message):
+        with _connect(server) as sock:
+            status, connection, body = _exchange(
+                sock,
+                b"POST /v1/sweeps HTTP/1.1\r\nHost: x\r\n"
+                + header
+                + b"\r\n\r\n",
+            )
+            assert (status, connection) == (400, "close")
+            doc = json.loads(body)
+            assert doc["schema"] == SERVE_SCHEMA
+            assert message in doc["error"]
+            assert _closed_by_server(sock)
+
+    def test_nan_wait_400(self, server, finished_sweep):
+        """``?wait=nan`` would otherwise pass the 60 s cap as NaN."""
+        sid, _ = finished_sweep
+        with _connect(server) as sock:
+            status, _, body = _exchange(
+                sock,
+                f"GET /v1/sweeps/{sid}?wait=nan HTTP/1.1\r\n"
+                "Host: x\r\n\r\n".encode(),
+            )
+        assert status == 400
+        assert "?wait=" in json.loads(body)["error"]
+
+
+class TestKeepAlive:
+    def test_requests_share_one_connection(self, server):
+        before = server.counters["http_connections"]
+        with _connect(server) as sock:
+            for _ in range(3):
+                status, connection, body = _exchange(sock, HEALTHZ)
+                assert (status, connection) == (200, "keep-alive")
+                assert json.loads(body)["ok"] is True
+            status, connection, _ = _exchange(
+                sock,
+                b"GET /v1/nope HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+            assert (status, connection) == (404, "close")
+            assert _closed_by_server(sock)
+        assert server.counters["http_connections"] == before + 1
+
+    def test_http10_closes(self, server):
+        with _connect(server) as sock:
+            status, connection, _ = _exchange(
+                sock, b"GET /v1/healthz HTTP/1.0\r\n\r\n"
+            )
+            assert (status, connection) == (200, "close")
+            assert _closed_by_server(sock)
+
+    def test_sse_stream_closes(self, server, finished_sweep):
+        sid, _ = finished_sweep
+        with _connect(server) as sock:
+            status, connection, body = _exchange(
+                sock,
+                f"GET /v1/sweeps/{sid}?stream=sse HTTP/1.1\r\n"
+                "Host: x\r\n\r\n".encode(),
+            )
+            assert (status, connection) == (200, "close")
+            assert b"event: done" in body
+
+    def test_urllib_gets_one_response_per_connection(self, server):
+        """A client that asks to close (``urllib``, as the parent
+        version of :mod:`repro.client` did) gets ``Connection: close``."""
+        with urllib.request.urlopen(server.url + "/v1/healthz") as resp:
+            assert resp.headers["Connection"] == "close"
+            assert json.loads(resp.read())["ok"] is True
+
+    def test_idle_connection_closed(self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "LONG_POLL_CAP_S", 0.2)
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            with _connect(srv) as sock:
+                assert _exchange(sock, HEALTHZ)[:2] == (200, "keep-alive")
+                t0 = time.monotonic()
+                assert _closed_by_server(sock)
+                assert time.monotonic() - t0 < 10.0
+        finally:
+            srv.stop()
+
+    def test_stop_closes_connections_cleanly(self, tmp_path, caplog):
+        """An idle kept-alive connection does not hold up ``stop()``,
+        and ending it logs nothing (no cancelled handler)."""
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        with caplog.at_level(logging.ERROR, logger="asyncio"), _connect(
+            srv
+        ) as sock:
+            assert _exchange(sock, HEALTHZ)[0] == 200
+            t0 = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - t0 < 10.0
+            assert _closed_by_server(sock)
+        assert not caplog.records
 
 
 class TestWire:
