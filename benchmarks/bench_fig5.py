@@ -11,14 +11,14 @@ from repro.harness.experiments import FIG5_CONFIGS, fig5
 
 
 @pytest.fixture(scope="module")
-def fig5_results(bench_cores, bench_engine):
-    return fig5(cores=bench_cores, print_out=True, **bench_engine)
+def fig5_results(bench_cores):
+    return fig5(cores=bench_cores, print_out=True)
 
 
-def test_fig5_regenerate(benchmark, bench_cores, bench_engine):
+def test_fig5_regenerate(benchmark, bench_cores):
     # One probe timed (full grid printed by the module fixture run).
     result = benchmark.pedantic(
-        lambda: fig5(cores=(bench_cores[0],), print_out=False, **bench_engine),
+        lambda: fig5(cores=(bench_cores[0],), print_out=False),
         rounds=1,
         iterations=1,
     )

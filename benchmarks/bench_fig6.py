@@ -12,20 +12,17 @@ from repro.harness.experiments import FIG6_CONFIGS, fig6
 
 
 @pytest.fixture(scope="module")
-def grid(bench_cores, bench_scale, bench_engine):
-    return fig6(
-        cores=bench_cores, scale=bench_scale, print_out=True, **bench_engine
-    )
+def grid(bench_cores, bench_scale):
+    return fig6(cores=bench_cores, scale=bench_scale, print_out=True)
 
 
-def test_fig6_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
+def test_fig6_regenerate(benchmark, bench_cores, bench_scale):
     result = benchmark.pedantic(
         lambda: fig6(
             cores=(bench_cores[0],),
             apps=("streamcluster", "raytrace"),
             scale=bench_scale,
             print_out=False,
-            **bench_engine,
         ),
         rounds=1,
         iterations=1,

@@ -14,13 +14,11 @@ from repro.harness.experiments import fig7
 
 
 @pytest.fixture(scope="module")
-def coverage(bench_cores, bench_scale, bench_engine):
-    return fig7(
-        cores=bench_cores, scale=bench_scale, print_out=True, **bench_engine
-    )
+def coverage(bench_cores, bench_scale):
+    return fig7(cores=bench_cores, scale=bench_scale, print_out=True)
 
 
-def test_fig7_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
+def test_fig7_regenerate(benchmark, bench_cores, bench_scale):
     result = benchmark.pedantic(
         lambda: fig7(
             cores=(bench_cores[0],),
@@ -28,7 +26,6 @@ def test_fig7_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
             apps=("radiosity", "streamcluster"),
             scale=bench_scale,
             print_out=False,
-            **bench_engine,
         ),
         rounds=1,
         iterations=1,

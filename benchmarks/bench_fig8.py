@@ -11,19 +11,16 @@ from repro.harness.experiments import fig8
 
 
 @pytest.fixture(scope="module")
-def speedups(bench_cores, bench_scale, bench_engine):
-    return fig8(
-        cores=bench_cores, scale=bench_scale, print_out=True, **bench_engine
-    )
+def speedups(bench_cores, bench_scale):
+    return fig8(cores=bench_cores, scale=bench_scale, print_out=True)
 
 
-def test_fig8_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
+def test_fig8_regenerate(benchmark, bench_cores, bench_scale):
     result = benchmark.pedantic(
         lambda: fig8(
             cores=(bench_cores[0],),
             scale=bench_scale,
             print_out=False,
-            **bench_engine,
         ),
         rounds=1,
         iterations=1,

@@ -13,20 +13,17 @@ from repro.harness.experiments import fig9
 
 
 @pytest.fixture(scope="module")
-def speedups(bench_cores, bench_scale, bench_engine):
-    return fig9(
-        n_cores=bench_cores[-1], scale=bench_scale, print_out=True, **bench_engine
-    )
+def speedups(bench_cores, bench_scale):
+    return fig9(n_cores=bench_cores[-1], scale=bench_scale, print_out=True)
 
 
-def test_fig9_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
+def test_fig9_regenerate(benchmark, bench_cores, bench_scale):
     result = benchmark.pedantic(
         lambda: fig9(
             n_cores=bench_cores[0],
             apps=("streamcluster", "radiosity"),
             scale=bench_scale,
             print_out=False,
-            **bench_engine,
         ),
         rounds=1,
         iterations=1,

@@ -14,17 +14,14 @@ from repro.harness.experiments import headline
 
 
 @pytest.fixture(scope="module")
-def numbers(bench_cores, bench_scale, bench_engine):
-    return headline(
-        n_cores=bench_cores[-1], scale=bench_scale, print_out=True, **bench_engine
-    )
+def numbers(bench_cores, bench_scale):
+    return headline(n_cores=bench_cores[-1], scale=bench_scale, print_out=True)
 
 
-def test_headline_regenerate(benchmark, bench_cores, bench_scale, bench_engine):
+def test_headline_regenerate(benchmark, bench_cores, bench_scale):
     result = benchmark.pedantic(
         lambda: headline(
             n_cores=bench_cores[0], scale=bench_scale, print_out=False,
-            **bench_engine,
         ),
         rounds=1,
         iterations=1,

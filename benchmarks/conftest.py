@@ -12,10 +12,10 @@ numbers.  The printed tables are the deliverable; the benchmark timings
 just record how long each experiment takes to regenerate.
 
 The figure drivers run on the parallel experiment engine
-(:mod:`repro.harness.jobs`): set ``REPRO_BENCH_WORKERS=8`` to fan each
-figure's grid across processes and ``REPRO_BENCH_CACHE=.repro-cache``
-to serve repeated grid points from the on-disk result cache (the
-second benchmark run of an unchanged tree is then nearly free).
+(:mod:`repro.harness.jobs`): set ``REPRO_WORKERS=8`` to fan each
+figure's grid across processes and ``REPRO_CACHE_DIR=.repro-cache`` to
+serve repeated grid points from the on-disk result cache (the second
+benchmark run of an unchanged tree is then nearly free).
 """
 
 import pytest
@@ -28,11 +28,6 @@ FULL = config.bench_full()
 CORES = (16, 64) if FULL else (16,)
 SCALE = 1.0 if FULL else 0.4
 
-#: Engine fan-out/caching for the figure drivers (resolved through the
-#: :mod:`repro.common.config` knob table).
-WORKERS = config.bench_workers()
-CACHE_DIR = config.bench_cache()
-
 
 @pytest.fixture(scope="session")
 def bench_cores():
@@ -42,9 +37,3 @@ def bench_cores():
 @pytest.fixture(scope="session")
 def bench_scale():
     return SCALE
-
-
-@pytest.fixture(scope="session")
-def bench_engine():
-    """Keyword arguments forwarded to every figure driver's engine."""
-    return {"workers": WORKERS, "cache_dir": CACHE_DIR}

@@ -33,7 +33,6 @@ from repro.harness.jobs import (
     JobResult,
     JobSpec,
     resolve_factory,
-    run_jobs,
 )
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.sweep import SweepPoint, add_speedups, to_csv
@@ -63,7 +62,6 @@ __all__ = [
     "EngineStats",
     "JobSpec",
     "JobResult",
-    "run_jobs",
     "add_speedups",
     "to_csv",
     "CONFIG_NAMES",
@@ -447,7 +445,6 @@ def sweep(
     workers: Optional[int] = None,
     cache_dir=None,
     progress=False,
-    machine_hook: Optional[Callable] = None,
     return_stats: bool = False,
     checkers: Sequence[str] = (),
     server: Optional[str] = None,
@@ -487,25 +484,17 @@ def sweep(
         return _sweep_remote(
             server, configs, workloads, cores, scale, seed, checkers,
             params, return_stats,
-            rejected={
-                "workers": workers, "cache_dir": cache_dir,
-                "machine_hook": machine_hook,
-            },
+            rejected={"workers": workers, "cache_dir": cache_dir},
         )
-    if isinstance(workloads, str):
-        workloads = (workloads,)
-    if not isinstance(workloads, dict):
-        workloads = {name: resolve_factory(name) for name in workloads}
     engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
     points = _sweep_impl(
-        configs=configs,
-        workload_factories=workloads,
-        cores=cores,
+        configs,
+        workloads,
+        cores,
         scale=scale,
         seed=seed,
-        machine_hook=machine_hook,
-        engine=engine if machine_hook is None else None,
-        checkers=tuple(checkers),
+        engine=engine,
+        checkers=checkers,
         params=params,
         fault_plan=fault_plan,
     )

@@ -2,8 +2,8 @@
 
 The engine, the CLI, the benchmark suite, and the experiment service
 each grew their own ``os.environ`` reads (``REPRO_WORKERS`` in
-:mod:`repro.harness.jobs`, ``REPRO_BENCH_*`` in ``benchmarks/``, and so
-on), with the parsing and the unset-means-what semantics duplicated at
+:mod:`repro.harness.jobs`, ``REPRO_BENCH_FULL`` in ``benchmarks/``, and
+so on), with the parsing and the unset-means-what semantics duplicated at
 every site.  This module is now the single place a knob is named,
 parsed, defaulted, and documented -- everything else calls the typed
 accessors below.
@@ -79,18 +79,6 @@ KNOBS: Dict[str, Knob] = {
         "base URL of a running `repro serve` instance, e.g. "
         "http://127.0.0.1:8765 (unset = no default server)",
     ),
-    "bench_workers": Knob(
-        "REPRO_BENCH_WORKERS",
-        _parse_int,
-        None,
-        "worker-process count for the benchmarks/ figure drivers",
-    ),
-    "bench_cache": Knob(
-        "REPRO_BENCH_CACHE",
-        _parse_str,
-        None,
-        "result-cache root for the benchmarks/ figure drivers",
-    ),
     "bench_full": Knob(
         "REPRO_BENCH_FULL",
         _parse_bool,
@@ -144,15 +132,6 @@ def cache_dir(override=None) -> Optional[str]:
 def server(override: Optional[str] = None) -> Optional[str]:
     """Default ``repro serve`` base URL for :mod:`repro.client`."""
     return get("server", override)
-
-
-def bench_workers(override: Optional[int] = None) -> Optional[int]:
-    return get("bench_workers", override)
-
-
-def bench_cache(override=None) -> Optional[str]:
-    value = get("bench_cache", override)
-    return str(value) if value is not None else None
 
 
 def bench_full(override: Optional[bool] = None) -> bool:

@@ -5,7 +5,7 @@ every figure and table.
 """
 
 from repro.harness.configs import build_machine, machine_params, CONFIG_NAMES
-from repro.harness.jobs import Engine, EngineStats, JobResult, JobSpec, run_jobs
+from repro.harness.jobs import Engine, EngineStats, JobResult, JobSpec
 from repro.harness.runner import run_workload, RunResult
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "EngineStats",
     "JobResult",
     "JobSpec",
-    "run_jobs",
 ]

@@ -1,7 +1,9 @@
 """Compare two experiment sweeps (e.g., before/after a model change).
 
 Loads the CSV form produced by :mod:`repro.harness.sweep` and reports
-per-point cycle deltas, flagging regressions beyond a threshold::
+per-point cycle deltas, flagging regressions beyond a threshold.  A
+point is its (config, workload, cores, scale): the rows of a load sweep
+differ only in scale (the offered load)::
 
     from repro.harness.compare import compare_csv, render_comparison
     report = compare_csv(old_text, new_text)
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness.report import render_table
 from repro.harness.sweep import from_csv
 
-Key = Tuple[str, str, int]  # (config, workload, n_cores)
+Key = Tuple[str, str, int, float]  # (config, workload, n_cores, scale)
 
 
 @dataclass
@@ -50,7 +52,12 @@ class Comparison:
 def _index(rows) -> Dict[Key, int]:
     out: Dict[Key, int] = {}
     for row in rows:
-        key = (row["config"], row["workload"], int(row["n_cores"]))
+        key = (
+            row["config"],
+            row["workload"],
+            int(row["n_cores"]),
+            float(row["scale"]),
+        )
         out[key] = int(row["cycles"])
     return out
 
@@ -78,12 +85,13 @@ def render_comparison(
             flag = "REGRESSION"
         elif d.percent < -threshold_pct:
             flag = "improved"
-        config, workload, n_cores = d.key
+        config, workload, n_cores, scale = d.key
         rows.append(
             [
                 config,
                 workload,
                 n_cores,
+                scale,
                 d.old_cycles,
                 d.new_cycles,
                 f"{d.percent:+.1f}%",
@@ -91,7 +99,7 @@ def render_comparison(
             ]
         )
     out = render_table(
-        ["config", "workload", "cores", "old", "new", "delta", ""],
+        ["config", "workload", "cores", "scale", "old", "new", "delta", ""],
         rows,
         title="sweep comparison",
     )

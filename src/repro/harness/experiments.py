@@ -1,10 +1,11 @@
 """Experiment drivers: one function per paper table/figure.
 
-Each driver expresses its (config, workload, core-count) grid as
-:class:`repro.harness.jobs.JobSpec` points and runs them through the
-parallel experiment engine -- so every figure fans out across worker
-processes and is served from the result cache on repeat runs (rerunning
-with the same cache directory resumes an interrupted figure).
+Each driver expresses its (config, workload, core-count) grid through
+the shared grid walk and runner (:func:`repro.harness.sweep.grid_specs`,
+:func:`repro.harness.sweep.run_specs`) on the parallel experiment
+engine -- so every figure fans out across worker processes and is
+served from the result cache on repeat runs (rerunning with the same
+cache directory resumes an interrupted figure).
 ``workers``/``cache_dir``/``progress`` on
 each driver (or the ``REPRO_WORKERS``/``REPRO_CACHE_DIR`` environment
 variables) configure the engine.
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import SimulationError
 from repro.common.stats import geomean
-from repro.harness.jobs import Engine, JobSpec
+from repro.harness.jobs import Engine
 from repro.harness.report import render_table
 from repro.harness.runner import RunResult
+from repro.harness.sweep import grid_specs, run_specs
 from repro.workloads import microbench
 from repro.workloads.kernels import FIGURE_APPS, KERNELS
 
@@ -34,41 +35,24 @@ FIG6_CONFIGS = ("msa0", "mcs-tour", "msa-omu-1", "msa-omu-2", "msa-inf", "ideal"
 FIG9_CONFIGS = ("msa-omu-2", "msa-lockonly-2", "msa-barrieronly-2")
 
 
-def _run(config: str, workload_name: str, n_cores: int, seed: int = 2015) -> RunResult:
-    """Run one registry workload in-process (no pool, no cache)."""
-    from repro.harness.jobs import execute_spec
-
-    return execute_spec(
-        JobSpec(config=config, workload=workload_name, cores=n_cores, seed=seed)
-    )
-
-
 def _grid(
-    specs: Sequence[JobSpec],
+    configs: Sequence[str],
+    workloads: Sequence[str],
+    cores: Sequence[int],
+    scale: float = 1.0,
     workers: Optional[int] = None,
     cache_dir=None,
     progress=False,
 ) -> Dict[Tuple[str, str, int], RunResult]:
-    """Run a driver's grid through the engine; results are keyed by
-    (config, workload, cores).  Duplicate grid points collapse to one
-    run.  A point that still fails after its retry aborts the driver --
-    a figure with silent holes would be worse than no figure."""
-    unique: Dict[Tuple[str, str, int], JobSpec] = {}
-    for spec in specs:
-        unique.setdefault((spec.config, spec.workload, spec.cores), spec)
-    engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
-    out: Dict[Tuple[str, str, int], RunResult] = {}
-    failures = []
-    for job in engine.run(list(unique.values())):
-        if job.ok:
-            out[(job.spec.config, job.spec.workload, job.spec.cores)] = job.result
-        else:
-            failures.append(f"{job.spec.describe()}: {job.error}")
-    if failures:
-        raise SimulationError(
-            "grid points failed after retries: " + "; ".join(failures)
-        )
-    return out
+    """Run a driver's (config x workload x cores) grid through the
+    shared walk and runner; results are keyed by (config, workload,
+    cores).  A point that still fails after its retry aborts the
+    driver."""
+    points = run_specs(
+        grid_specs(configs, dict.fromkeys(workloads), cores, scale=scale),
+        Engine(workers=workers, cache_dir=cache_dir, progress=progress),
+    )
+    return {(p.config, p.workload, p.n_cores): p.result for p in points}
 
 
 def _dedupe(configs: Sequence[str]) -> List[str]:
@@ -114,12 +98,9 @@ def fig5(
     """Raw latency (cycles) per probe, config, and core count."""
     probes = list(microbench.MICROBENCHES)
     runs = _grid(
-        [
-            JobSpec(config=config, workload=probe, cores=n)
-            for probe in probes
-            for n in cores
-            for config in configs
-        ],
+        configs,
+        probes,
+        cores,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
@@ -194,12 +175,10 @@ def fig6(
     grid = SpeedupGrid(apps=apps, cores=list(cores), configs=list(configs))
     all_configs = _dedupe(["pthread"] + list(configs))
     runs = _grid(
-        [
-            JobSpec(config=config, workload=app, cores=n, scale=scale)
-            for app in apps
-            for n in cores
-            for config in all_configs
-        ],
+        all_configs,
+        apps,
+        cores,
+        scale=scale,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
@@ -272,11 +251,10 @@ def fig7(
         for (e, n, with_omu) in cells
     }
     runs = _grid(
-        [
-            JobSpec(config=config_of[cell], workload=app, cores=cell[1], scale=scale)
-            for cell in cells
-            for app in apps
-        ],
+        _dedupe(config_of.values()),
+        apps,
+        cores,
+        scale=scale,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
@@ -325,11 +303,10 @@ def fig8(
 ) -> Dict:
     configs = ("pthread", "msa-omu-2", "msa-omu-2-noopt")
     runs = _grid(
-        [
-            JobSpec(config=c, workload="fluidanimate", cores=n, scale=scale)
-            for n in cores
-            for c in configs
-        ],
+        configs,
+        ["fluidanimate"],
+        cores,
+        scale=scale,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
@@ -374,11 +351,10 @@ def fig9(
 ) -> Dict:
     apps = list(apps or KERNELS.keys())
     runs = _grid(
-        [
-            JobSpec(config=config, workload=app, cores=n_cores, scale=scale)
-            for app in apps
-            for config in _dedupe(["pthread"] + list(FIG9_CONFIGS))
-        ],
+        _dedupe(["pthread"] + list(FIG9_CONFIGS)),
+        apps,
+        [n_cores],
+        scale=scale,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
@@ -437,45 +413,43 @@ def chaos(
     sweep demands *zero* violations even at 20% drop rates."""
     from repro.faults import drop_plan
 
-    grid = [(app, rate) for app in apps for rate in drop_rates]
+    names = dict.fromkeys(apps)  # registry workloads, keyed by name
     specs = [
-        JobSpec(
-            config=config,
-            workload=app,
-            cores=n_cores,
+        spec
+        for rate in drop_rates
+        for spec in grid_specs(
+            config,
+            names,
+            n_cores,
             scale=scale,
+            checkers=checkers,
             fault_plan=drop_plan(rate, seed=1) if rate else None,
-            checkers=tuple(checkers),
         )
-        for app, rate in grid
     ]
-    engine = Engine(workers=workers, cache_dir=cache_dir, progress=progress)
+    points = run_specs(
+        specs, Engine(workers=workers, cache_dir=cache_dir, progress=progress)
+    )
+    cells = [(app, rate) for rate in drop_rates for app in names]
+    runs = {cell: p.result for cell, p in zip(cells, points)}
     results: Dict = {}
-    failures = []
-    for (app, rate), job in zip(grid, engine.run(specs)):
-        if not job.ok:
-            failures.append(f"{job.spec.describe()}@drop={rate}: {job.error}")
-            continue
-        run = job.result
-        fc = run.fault_counters
-        results[(app, rate)] = {
-            "cycles": run.cycles,
-            "coverage": run.msa_coverage,
-            "msgs_dropped": fc.get("msgs_dropped", 0),
-            "retransmits": fc.get("retransmits", 0),
-            "retries": fc.get("retries", 0),
-            "timeouts": fc.get("timeouts", 0),
-            "degraded_tiles": fc.get("degraded_tiles", 0),
-            "violations": (
-                len(run.check_report.get("violations", []))
-                if run.check_report is not None
-                else None
-            ),
-        }
-    if failures:
-        raise SimulationError(
-            "chaos points failed after retries: " + "; ".join(failures)
-        )
+    for app in apps:
+        for rate in drop_rates:
+            run = runs[(app, rate)]
+            fc = run.fault_counters
+            results[(app, rate)] = {
+                "cycles": run.cycles,
+                "coverage": run.msa_coverage,
+                "msgs_dropped": fc.get("msgs_dropped", 0),
+                "retransmits": fc.get("retransmits", 0),
+                "retries": fc.get("retries", 0),
+                "timeouts": fc.get("timeouts", 0),
+                "degraded_tiles": fc.get("degraded_tiles", 0),
+                "violations": (
+                    len(run.check_report.get("violations", []))
+                    if run.check_report is not None
+                    else None
+                ),
+            }
     if print_out:
         for app in apps:
             base = results[(app, drop_rates[0])]["cycles"]
@@ -531,11 +505,10 @@ def headline(
     with OMU and MSA-inf."""
     apps = list(KERNELS.keys())
     runs = _grid(
-        [
-            JobSpec(config=config, workload=app, cores=n_cores, scale=scale)
-            for app in apps
-            for config in ("pthread", "msa-omu-2", "msa-inf", "ideal")
-        ],
+        ("pthread", "msa-omu-2", "msa-inf", "ideal"),
+        apps,
+        [n_cores],
+        scale=scale,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,

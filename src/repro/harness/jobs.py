@@ -704,20 +704,19 @@ class Engine:
             if status in TERMINAL and key not in reported:
                 report(key, failed=status != "done")
 
-        def in_process_loop(loop_keys):
-            return WorkerLoop(
+        pooled = self.workers > 1 and len(remote) > 1
+        in_process = local if pooled else keys
+        if in_process:
+            WorkerLoop(
                 store,
                 cache,
-                keys=loop_keys,
+                keys=in_process,
                 specs_by_key=specs_by_key,
                 seed=self.seed,
                 point_timeout_s=self.point_timeout_s,
                 on_complete=on_terminal,
-            )
-
-        if self.workers > 1 and len(remote) > 1:
-            if local:
-                in_process_loop(local).drain()
+            ).drain()
+        if pooled:
             pool = WorkerPool(
                 store,
                 cache.root,
@@ -735,12 +734,6 @@ class Engine:
                 "restarts": pool.restarts,
                 "corruptions": pool.corruptions,
             }
-            if store.open_jobs(keys):
-                # Restart budget exhausted with work left: the parent
-                # finishes the remainder itself.  Points are never lost.
-                in_process_loop(keys).drain()
-        else:
-            in_process_loop(keys).drain()
 
         after = store.counters()
         self.stats.retried += sum(
@@ -788,18 +781,3 @@ class Engine:
             return self.progress
         return None
 
-
-def run_jobs(
-    specs: Sequence[JobSpec],
-    workers: Optional[int] = None,
-    cache_dir=None,
-    retries: int = 1,
-    progress=False,
-) -> List[JobResult]:
-    """One-shot convenience wrapper around :class:`Engine`."""
-    return Engine(
-        workers=workers,
-        cache_dir=cache_dir,
-        retries=retries,
-        progress=progress,
-    ).run(specs)

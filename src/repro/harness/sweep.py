@@ -3,9 +3,13 @@
 Experiments beyond the paper's fixed grids (sensitivity studies, new
 configurations) share the same pattern: run a cartesian grid of
 (config, workload, cores, knobs), collect :class:`RunResult` rows, and
-export them.  :func:`sweep` runs such a grid -- through the parallel
-:mod:`repro.harness.jobs` engine, so grids fan out across worker
-processes and repeat runs are served from the result cache;
+export them.  Every grid in the package is walked by :func:`grid_specs`
+(``repro serve`` expands grid submissions with it too, so remote and
+local sweeps list their points alike) and run by :func:`run_specs` on
+the parallel :mod:`repro.harness.jobs` engine: :func:`sweep`,
+:func:`repro.api.sweep`, the load sweeps of :mod:`repro.traffic` and
+the figure drivers all fan out across worker processes, serve repeat
+runs from the result cache, and fail the same way on a failed point.
 :func:`to_csv` writes the rows in a flat, spreadsheet-friendly form.
 """
 
@@ -15,12 +19,11 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.harness.configs import build_machine
-from repro.harness.jobs import Engine, JobSpec
-from repro.harness.runner import RunResult, run_workload
+from repro.common.errors import SimulationError
+from repro.harness.jobs import Engine, JobSpec, resolve_factory
+from repro.harness.runner import RunResult
 
 
 @dataclass
@@ -35,75 +38,67 @@ class SweepPoint:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-def sweep(
-    configs: Sequence[str],
-    workload_factories: Dict[str, Callable],
-    cores: Sequence[int] = (16,),
+def grid_specs(
+    configs: Union[str, Sequence[str]],
+    workloads: Union[str, Sequence[str], Dict[str, Optional[Callable]]],
+    cores: Union[int, Sequence[int]] = (16,),
     scale: float = 1.0,
     seed: int = 2015,
-    machine_hook: Optional[Callable] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    progress=False,
-    engine: Optional[Engine] = None,
-    checkers: Sequence[str] = (),
     params: Optional[Dict] = None,
-    fault_plan=None,
-) -> List[SweepPoint]:
-    """Run every (config, workload, cores) combination.
+    checkers: Sequence[str] = (),
+    **fields,
+) -> List[JobSpec]:
+    """The one grid walk: every (config, workload, cores) point as a
+    :class:`JobSpec`, cores outermost, then workloads, then configs.
 
-    ``workload_factories`` maps name -> factory(n_threads, scale).
-    ``workers``/``cache_dir``/``progress`` configure the
-    :class:`repro.harness.jobs.Engine` the grid runs on (or pass a
-    pre-built ``engine``); per-point results are deterministic, so the
-    parallel path returns bit-identical results to the serial one.
-
-    ``params`` applies :class:`MachineParams` overrides to every point
-    of the grid -- top-level fields or dotted scalar paths like
-    ``"msa.entries_per_tile"`` (see ``MachineParams.with_overrides``);
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) runs the whole
-    grid under fault injection.  Both are part of each point's cache
-    key, so overridden grids never collide with plain ones.
-
-    ``machine_hook(machine)`` runs after machine construction (for
-    enabling tracing, poking parameters, ...).  Hooks see the live
-    machine, which cannot cross a process boundary or a result cache,
-    so a hooked sweep always runs serially in-process and uncached.
+    A lone config name, workload name or core count stands for a
+    one-element list.  Workload names resolve to their registry
+    factories (the key namespace :func:`repro.api.sweep` and ``repro
+    serve`` share); a ``{name: factory}`` mapping supplies factories
+    explicitly, and a ``None`` factory runs the registry workload by
+    name (the figure drivers key their points that way).  ``fields``
+    are further :class:`JobSpec` fields (``fault_plan``, ``check``,
+    ``max_events``) shared by every point.
     """
-    if machine_hook is not None:
-        if params or fault_plan is not None:
-            raise ConfigError(
-                "machine_hook sweeps run through the legacy in-process "
-                "path, which ignores params/fault_plan; apply overrides "
-                "inside the hook instead"
-            )
-        return _sweep_hooked(
-            configs, workload_factories, cores, scale, seed, machine_hook,
-            checkers,
+    if isinstance(configs, str):
+        configs = [configs]
+    if isinstance(workloads, str):
+        workloads = [workloads]
+    if isinstance(cores, int):
+        cores = [cores]
+    if not isinstance(workloads, dict):
+        workloads = {name: resolve_factory(name) for name in workloads}
+    return [
+        JobSpec(
+            config=config,
+            workload=name,
+            cores=n,
+            scale=scale,
+            seed=seed,
+            params=dict(params) if params else {},
+            factory=factory,
+            checkers=tuple(checkers),
+            **fields,
         )
-    specs = []
-    for n in cores:
-        for name, factory in workload_factories.items():
-            for config in configs:
-                specs.append(
-                    JobSpec(
-                        config=config,
-                        workload=name,
-                        cores=n,
-                        scale=scale,
-                        seed=seed,
-                        params=dict(params) if params else {},
-                        factory=factory,
-                        checkers=tuple(checkers),
-                        fault_plan=fault_plan,
-                    )
-                )
+        for n in cores
+        for name, factory in workloads.items()
+        for config in configs
+    ]
+
+
+def run_specs(
+    specs: Sequence[JobSpec], engine: Optional[Engine] = None
+) -> List[SweepPoint]:
+    """The one grid runner: run ``specs`` on ``engine`` (default: an
+    :class:`Engine` configured from the environment) and return one
+    :class:`SweepPoint` per spec, in spec order.
+
+    A point that still fails after its retries aborts the grid: one
+    :class:`SimulationError` names every failed point -- a figure or
+    CSV with silent holes would be worse than none.
+    """
     if engine is None:
-        engine = Engine(
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
+        engine = Engine()
     points: List[SweepPoint] = []
     failures: List[str] = []
     for job in engine.run(specs):
@@ -126,31 +121,44 @@ def sweep(
     return points
 
 
-def _sweep_hooked(
-    configs, workload_factories, cores, scale, seed, machine_hook,
-    checkers=(),
+def sweep(
+    configs: Sequence[str],
+    workload_factories: Dict[str, Callable],
+    cores: Sequence[int] = (16,),
+    scale: float = 1.0,
+    seed: int = 2015,
+    engine: Optional[Engine] = None,
+    checkers: Sequence[str] = (),
+    params: Optional[Dict] = None,
+    fault_plan=None,
 ) -> List[SweepPoint]:
-    """Legacy in-process path for sweeps with a machine hook."""
-    points: List[SweepPoint] = []
-    for n in cores:
-        for name, factory in workload_factories.items():
-            for config in configs:
-                machine = build_machine(config, n_cores=n, seed=seed)
-                machine_hook(machine)
-                result = run_workload(
-                    machine, factory(n, scale), config=config,
-                    checkers=tuple(checkers),
-                )
-                points.append(
-                    SweepPoint(
-                        config=config,
-                        workload=name,
-                        n_cores=n,
-                        scale=scale,
-                        result=result,
-                    )
-                )
-    return points
+    """Run every (config, workload, cores) combination.
+
+    ``workload_factories`` maps name -> factory(n_threads, scale) (or
+    pass registry names; see :func:`grid_specs`).  The grid runs on
+    ``engine`` (default: an :class:`Engine` configured from
+    ``REPRO_WORKERS``/``REPRO_CACHE_DIR``); per-point results are
+    deterministic, so a parallel engine returns bit-identical results
+    to a serial one.
+
+    ``params`` applies :class:`MachineParams` overrides to every point
+    of the grid -- top-level fields or dotted scalar paths like
+    ``"msa.entries_per_tile"`` (see ``MachineParams.with_overrides``);
+    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) runs the whole
+    grid under fault injection.  Both are part of each point's cache
+    key, so overridden grids never collide with plain ones.
+    """
+    specs = grid_specs(
+        configs,
+        workload_factories,
+        cores,
+        scale=scale,
+        seed=seed,
+        params=params,
+        checkers=checkers,
+        fault_plan=fault_plan,
+    )
+    return run_specs(specs, engine)
 
 
 def add_speedups(points: List[SweepPoint], baseline_config: str) -> None:

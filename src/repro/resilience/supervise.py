@@ -38,7 +38,12 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.resilience.store import Claim, JobStore, default_store_path
+from repro.resilience.store import (
+    TERMINAL,
+    Claim,
+    JobStore,
+    default_store_path,
+)
 
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
@@ -359,8 +364,9 @@ class WorkerPool:
     Spawns ``workers`` processes running :func:`worker_main`, then
     supervises until every job in ``keys`` is terminal: dead workers
     have their leases released immediately and are restarted within a
-    bounded budget; expired leases of hung-but-alive workers are left
-    to lease expiry (claims reclaim them lazily).  ``on_terminal(key,
+    bounded budget (once it is spent with no live worker, the parent
+    runs the rest itself); expired leases of hung-but-alive workers are
+    left to lease expiry (claims reclaim them lazily).  ``on_terminal(key,
     status)`` fires once per job as it reaches a terminal status, so the
     caller can report progress incrementally.
     """
@@ -439,9 +445,9 @@ class WorkerPool:
         return owner, proc
 
     def run(self, keys: Sequence[str]) -> None:
-        """Supervise until every key is terminal (or the restart budget
-        is exhausted with no live workers -- the caller then finishes
-        whatever remains in-process)."""
+        """Supervise until every key is terminal.  When the restart
+        budget is exhausted with no live workers, this process finishes
+        whatever remains itself, so points are never stranded."""
         keys = list(keys)
         budget = (
             self.max_restarts
@@ -462,21 +468,30 @@ class WorkerPool:
             else None
         )
         reported: set = set()
+
+        def report(key, status):
+            if status in TERMINAL and key not in reported:
+                reported.add(key)
+                if self.on_terminal is not None:
+                    self.on_terminal(key, status)
+
+        def scan():
+            """Report newly terminal rows; return the open rows' count
+            and the owners of their live leases."""
+            open_jobs = 0
+            leased_owners = []
+            for row in self.store.rows(keys):
+                report(row.key, row.status)
+                if not row.terminal:
+                    open_jobs += 1
+                    if row.status == "leased" and row.lease_owner:
+                        leased_owners.append(row.lease_owner)
+            return open_jobs, leased_owners
+
         lease_kills_left = self.chaos.kill_first_leases
         try:
             while True:
-                open_jobs = 0
-                leased_owners = []
-                for row in self.store.rows(keys):
-                    if row.terminal:
-                        if row.key not in reported:
-                            reported.add(row.key)
-                            if self.on_terminal is not None:
-                                self.on_terminal(row.key, row.status)
-                    else:
-                        open_jobs += 1
-                        if row.status == "leased" and row.lease_owner:
-                            leased_owners.append(row.lease_owner)
+                open_jobs, leased_owners = scan()
                 if open_jobs == 0:
                     return
                 # Lease-triggered kills: shoot a worker that provably
@@ -508,7 +523,7 @@ class WorkerPool:
                 fleet = alive
                 if not fleet:
                     if self.restarts >= budget:
-                        return  # the caller finishes the rest in-process
+                        break
                     fleet = [self._spawn(keys)]
                 now = time.monotonic()
                 if next_kill is not None and now >= next_kill:
@@ -533,6 +548,20 @@ class WorkerPool:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1.0)
+        # The restart budget is spent with work left: drain it here.
+        from repro.harness.jobs import ResultCache
+
+        WorkerLoop(
+            self.store,
+            ResultCache(self.cache_dir),
+            keys=keys,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+            seed=self.seed,
+            point_timeout_s=self.point_timeout_s,
+            on_complete=report,
+        ).drain()
+        scan()  # points the dead workers finished after the last scan
 
 
 def corrupt_random_entry(cache_dir, rng: random.Random) -> int:

@@ -393,8 +393,8 @@ class Server:
     def _executor_pooled(self, store: JobStore, cache: ResultCache) -> None:
         """Multiprocess execution: batches of open jobs run through a
         supervised :class:`WorkerPool` (bounded batches keep shutdown
-        latency bounded); whatever a pool leaves behind (restart budget
-        exhausted) drains in-process so points are never stranded."""
+        latency bounded), which runs whatever its workers leave behind
+        itself, so points are never stranded."""
         batch_cap = max(8, 4 * self.workers)
         while not self._stop.is_set():
             self._wake.clear()
@@ -413,15 +413,6 @@ class Server:
                 on_terminal=self._notify,
             )
             pool.run(batch)
-            if store.open_jobs(batch):
-                WorkerLoop(
-                    store,
-                    cache,
-                    keys=batch,
-                    seed=self.seed,
-                    point_timeout_s=self.point_timeout_s,
-                    on_complete=self._notify,
-                ).drain()
 
     # ------------------------------------------------------------------
     # HTTP plumbing

@@ -18,9 +18,10 @@ A sweep submission is either a grid (the same shape
      "cores": [16], "scale": 0.25, "seed": 2015}
 
 or an explicit job list (``{"schema": ..., "jobs": [<jobspec wire>,
-...]}``).  Grids expand in the exact order the local engine walks them
-(cores, then workloads, then configs), so a remote sweep returns its
-points in the same order a local one does.
+...]}``).  Grids expand through the local grid walk
+(:func:`repro.harness.sweep.grid_specs`: cores, then workloads, then
+configs), so a remote sweep returns its points in the same order a
+local one does.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Any, Dict, List, Sequence
 from repro.common.errors import ConfigError
 from repro.common.schema import JOBSPEC_SCHEMA, SERVE_SCHEMA, check_schema
 from repro.harness.jobs import JobSpec, resolve_factory
+from repro.harness.sweep import grid_specs
 
 #: How many hex digits of the key hash name a sweep.
 SWEEP_ID_LEN = 16
@@ -63,9 +65,10 @@ def expand_sweep_request(body: Dict[str, Any]) -> List[JobSpec]:
     """Validate one ``POST /v1/sweeps`` body and expand it to specs.
 
     Checks the envelope schema, then either takes the explicit
-    ``jobs`` list or expands the grid fields; every spec passes through
+    ``jobs`` list or expands the grid fields with the local grid walk;
+    job specs and a grid's shared fields alike pass through
     :meth:`JobSpec.from_wire` (so the jobspec schema is enforced on
-    both shapes) and its workload name is resolved against the
+    both shapes), and every workload name is resolved against the
     registries, so an unknown name is rejected at submission time with
     a 400 instead of failing later inside a worker.
     """
@@ -73,7 +76,6 @@ def expand_sweep_request(body: Dict[str, Any]) -> List[JobSpec]:
         raise ConfigError("sweep request must be a JSON object")
     check_schema(body.get("schema"), SERVE_SCHEMA, what="service")
 
-    wires: List[Dict[str, Any]] = []
     if "jobs" in body:
         jobs = body["jobs"]
         if not isinstance(jobs, list) or not jobs:
@@ -81,7 +83,13 @@ def expand_sweep_request(body: Dict[str, Any]) -> List[JobSpec]:
                 "sweep request 'jobs' must be a non-empty list of job "
                 "spec objects"
             )
-        wires = list(jobs)
+        specs = [JobSpec.from_wire(data) for data in jobs]
+        for spec in specs:
+            # Resolve the registry factory now: unknown workloads 400
+            # at submission, and the spec keys match what a local
+            # ``api.sweep`` (which passes registry factories) computes,
+            # so the service and local runs share one cache namespace.
+            spec.factory = resolve_factory(spec.workload)
     else:
         configs = _str_list(body, "configs")
         workloads = _str_list(body, "workloads")
@@ -94,41 +102,39 @@ def expand_sweep_request(body: Dict[str, Any]) -> List[JobSpec]:
             raise ConfigError(
                 "sweep request 'cores' must be positive integers"
             )
-        base = {
+        # The grid's shared fields pass the same jobspec validation as
+        # an explicit job list; the local walk then expands them, so a
+        # remote sweep lists (and keys) its points like a local one.
+        shared = {
             "schema": JOBSPEC_SCHEMA,
-            "scale": body.get("scale", 1.0),
-            "seed": body.get("seed", 2015),
-            "params": body.get("params", {}),
-            "check": body.get("check", True),
-            "checkers": body.get("checkers", []),
+            "config": configs[0],
+            "workload": workloads[0],
         }
-        if "max_events" in body:
-            base["max_events"] = body["max_events"]
-        # Same walk order as repro.harness.sweep.sweep: cores, then
-        # workloads, then configs -- remote point order == local.
-        for n in cores:
-            for workload in workloads:
-                for config in configs:
-                    wires.append(
-                        dict(base, config=config, workload=workload, cores=n)
-                    )
+        for name in ("scale", "seed", "params", "max_events", "check",
+                     "checkers"):
+            if name in body:
+                shared[name] = body[name]
+        base = JobSpec.from_wire(shared)
+        specs = grid_specs(
+            configs,
+            workloads,
+            cores,
+            scale=base.scale,
+            seed=base.seed,
+            params=base.params,
+            checkers=base.checkers,
+            max_events=base.max_events,
+            check=base.check,
+        )
 
     from repro.harness.configs import CONFIG_NAMES
 
-    specs = []
-    for data in wires:
-        spec = JobSpec.from_wire(data)
+    for spec in specs:
         if spec.config not in CONFIG_NAMES:
             raise ConfigError(
                 f"unknown config {spec.config!r}; expected one of "
                 f"{sorted(CONFIG_NAMES)}"
             )
-        # Resolve the registry factory now: unknown workloads 400 at
-        # submission, and the spec keys match what a local
-        # ``api.sweep`` (which passes registry factories) computes, so
-        # the service and local runs share one cache namespace.
-        spec.factory = resolve_factory(spec.workload)
-        specs.append(spec)
     return specs
 
 

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.harness.jobs import Engine, JobSpec
-from repro.harness.sweep import SweepPoint, add_request_metrics
+from repro.common.errors import ConfigError
+from repro.harness.jobs import Engine
+from repro.harness.sweep import (
+    SweepPoint,
+    add_request_metrics,
+    grid_specs,
+    run_specs,
+)
 from repro.traffic.workload import TRAFFIC
 
 #: Default backends compared in a load sweep (paper configs + ideal).
@@ -32,16 +37,16 @@ def load_sweep(
     seed: int = 2015,
     checkers: Sequence[str] = (),
     fault_plan=None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    progress: bool = False,
     engine: Optional[Engine] = None,
 ) -> List[SweepPoint]:
     """Sweep offered load for one scenario across machine configs.
 
     Returns :class:`SweepPoint` rows (``scale`` = load multiplier) with
     request-latency SLO extras already annotated, ready for
-    :func:`repro.harness.sweep.to_csv` or the HTML report.
+    :func:`repro.harness.sweep.to_csv` or the HTML report.  Each load
+    is one config grid (:func:`~repro.harness.sweep.grid_specs`), run
+    on ``engine`` (default: configured from the environment; see
+    :func:`repro.api.traffic` for the ``workers``/``cache_dir`` form).
 
     ``fault_plan`` (e.g. :func:`repro.faults.drop_plan`) runs the whole
     sweep under fault injection -- the overload-plus-failure experiment;
@@ -53,42 +58,18 @@ def load_sweep(
             f"options: {sorted(TRAFFIC)}"
         )
     specs = [
-        JobSpec(
-            config=config,
-            workload=scenario,
-            cores=cores,
+        spec
+        for load in loads
+        for spec in grid_specs(
+            configs,
+            {scenario: None},
+            cores,
             scale=load,
             seed=seed,
-            checkers=tuple(checkers),
+            checkers=checkers,
             fault_plan=fault_plan,
         )
-        for load in loads
-        for config in configs
     ]
-    if engine is None:
-        engine = Engine(
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-    points: List[SweepPoint] = []
-    failures: List[str] = []
-    for job in engine.run(specs):
-        if not job.ok:
-            failures.append(f"{job.spec.describe()}: {job.error}")
-            continue
-        points.append(
-            SweepPoint(
-                config=job.spec.config,
-                workload=job.spec.workload,
-                n_cores=job.spec.cores,
-                scale=job.spec.scale,
-                result=job.result,
-            )
-        )
-    if failures:
-        raise SimulationError(
-            "load-sweep points failed after retries: " + "; ".join(failures)
-        )
+    points = run_specs(specs, engine)
     add_request_metrics(points)
     return points

@@ -139,16 +139,6 @@ class TestSweepSmoke:
         assert len(single) == len(explicit) == 1
         assert single[0].result.to_json() == explicit[0].result.to_json()
 
-    def test_machine_hook_path_still_serial(self):
-        seen = []
-        points = api.sweep(
-            configs=("pthread",),
-            workloads="canneal",
-            scale=0.25,
-            machine_hook=lambda m: seen.append(m.params.n_cores),
-        )
-        assert seen == [16] and len(points) == 1
-
 
 class TestCli:
     def test_module_cli_sweep(self, tmp_path, capsys):

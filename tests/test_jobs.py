@@ -13,7 +13,6 @@ from repro.harness.jobs import (
     ResultCache,
     execute_spec,
     resolve_factory,
-    run_jobs,
 )
 from repro.harness.runner import RunResult
 from repro.resilience.store import JobStore, default_store_path
@@ -445,12 +444,6 @@ class TestEngineCleanup:
         monkeypatch.setattr(store_mod.JobStore, "close", close)
         Engine(workers=1, cache_dir=tmp_path).run([spec()])
         assert closed == [default_store_path(tmp_path)]
-
-
-class TestRunJobsWrapper:
-    def test_one_shot(self, tmp_path):
-        jobs = run_jobs([spec()], workers=1, cache_dir=tmp_path)
-        assert jobs[0].ok and isinstance(jobs[0].result, RunResult)
 
 
 class TestProgressReporting:

@@ -5,6 +5,7 @@ byte-identically to an undisturbed serial run."""
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -23,9 +24,11 @@ from repro.resilience import (
     ChaosPlan,
     JobStore,
     WorkerLoop,
+    WorkerPool,
     chaos_harness,
     fsck,
 )
+from repro.workloads.kernels import KERNELS
 
 SPEC = JobSpec(config="pthread", workload="canneal", cores=4, scale=0.1, seed=7)
 
@@ -141,6 +144,13 @@ def _claim_and_hang(store_path, owner, started):
     time.sleep(60)  # never heartbeats, never completes
 
 
+def _slow_canneal(n, scale=1.0):
+    """canneal, after a pause long enough for a supervisor to see the
+    point leased (the point itself simulates in milliseconds)."""
+    time.sleep(0.3)
+    return KERNELS["canneal"](n, scale)
+
+
 class TestSigkillRecovery:
     def test_sigkilled_worker_releases_lease_and_point_is_retried(
         self, tmp_path
@@ -182,6 +192,44 @@ class TestSigkillRecovery:
         loop.drain()
         assert store.get(key).status == "done"
         assert cache.get(key).to_json() == execute_spec(SPEC).to_json()
+
+    def test_pool_out_of_restarts_finishes_every_point_itself(
+        self, tmp_path
+    ):
+        """The pool's one worker is SIGKILLed mid-point with no restart
+        budget left: ``run`` still returns only once every key is done,
+        with results byte-identical to a serial run."""
+        specs = [
+            JobSpec(config=c, workload="canneal", cores=4, scale=0.1, seed=7,
+                    factory=_slow_canneal)
+            for c in ("pthread", "msa-omu-2")
+        ]
+        keys = [s.key() for s in specs]
+        store = JobStore(tmp_path / "jobs.sqlite3", lease_s=5.0,
+                         quarantine_after=5)
+        store.enqueue_many(
+            (key, s.describe(), pickle.dumps(s)) for key, s in zip(keys, specs)
+        )
+        terminal = []
+        pool = WorkerPool(
+            store,
+            tmp_path / "cache",
+            workers=1,
+            lease_s=5.0,
+            quarantine_after=5,
+            max_restarts=0,
+            chaos=ChaosPlan(kill_first_leases=1),
+            on_terminal=lambda key, status: terminal.append((key, status)),
+        )
+        pool.run(keys)
+        assert (pool.kills, pool.restarts) == (1, 0)
+        assert [store.get(key).status for key in keys] == ["done"] * 2
+        assert sorted(terminal) == sorted((key, "done") for key in keys)
+        cache = ResultCache(tmp_path / "cache")
+        assert [cache.get(key).to_json() for key in keys] == [
+            execute_spec(s).to_json() for s in specs
+        ]
+        store.close()
 
     def test_engine_converges_under_seeded_kills(self, tmp_path):
         specs = [

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.common.errors import SimulationError
+from repro.harness import experiments
 from repro.harness.runner import RunResult
 from repro.harness.sweep import (
     SweepPoint,
@@ -11,6 +13,7 @@ from repro.harness.sweep import (
     to_csv,
 )
 from repro.workloads.kernels import KERNELS
+from tests.test_jobs import _always_fail
 
 
 @pytest.fixture(scope="module")
@@ -35,16 +38,34 @@ class TestSweep:
         assert by_config["pthread"].extras["speedup"] == 1.0
         assert by_config["msa-omu-2"].extras["speedup"] > 1.0
 
-    def test_machine_hook_called(self):
-        seen = []
-        sweep(
-            configs=("pthread",),
-            workload_factories={"barnes": KERNELS["barnes"]},
-            cores=(16,),
-            scale=0.25,
-            machine_hook=lambda m: seen.append(m.params.n_cores),
+
+class TestFailureRule:
+    """Every grid fails alike: a point that still fails after its retry
+    raises one :class:`SimulationError` naming that point."""
+
+    @pytest.mark.parametrize("entry", ["sweep", "experiments._grid"])
+    def test_failed_point_is_named(self, entry, monkeypatch):
+        monkeypatch.setitem(KERNELS, "broken", _always_fail)
+        with pytest.raises(SimulationError) as info:
+            if entry == "sweep":
+                sweep(
+                    configs=("pthread",),
+                    workload_factories={
+                        "broken": _always_fail,
+                        "canneal": KERNELS["canneal"],
+                    },
+                    cores=(4,),
+                    scale=0.1,
+                )
+            else:
+                experiments._grid(
+                    ("pthread",), ("broken", "canneal"), (4,), scale=0.1
+                )
+        message = str(info.value)
+        assert "broken/pthread@4: RuntimeError: synthetic workload failure" in (
+            message
         )
-        assert seen == [16]
+        assert "canneal" not in message
 
 
 class TestCsv:

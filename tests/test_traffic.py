@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import DeterministicRng
 from repro.harness.configs import build_machine
+from repro.harness.jobs import Engine
 from repro.harness.runner import run_workload
 from repro.traffic import (
     ARRIVALS,
@@ -217,7 +218,7 @@ class TestHarnessIntegration:
             loads=(0.5, 1.0),
             cores=4,
             seed=SEED,
-            cache_dir=str(tmp_path / "cache"),
+            engine=Engine(cache_dir=str(tmp_path / "cache")),
         )
         assert len(points) == 4
         text = to_csv(points)
@@ -299,7 +300,7 @@ class TestReports:
 
         points = load_sweep(configs=("pthread", "ideal"), loads=(0.5, 1.0),
                             cores=4, seed=SEED,
-                            cache_dir=str(tmp_path / "cache"))
+                            engine=Engine(cache_dir=str(tmp_path / "cache")))
         html = render_sweep_report(points)
         assert "Tail latency under offered load" in html
         assert "<polyline" in html
