@@ -560,6 +560,8 @@ def _run_status(args) -> int:
 
     with Client(args.server) as client:
         doc = client.status(args.sweep_id)
+    for job in doc["jobs"]:  # progress only: `repro fetch` prints results
+        job.pop("result", None)
     print(_json.dumps(doc, indent=2, sort_keys=True))
     return 0 if doc["ok"] or not doc["done"] else 1
 

@@ -17,7 +17,9 @@ the server has closed it in between.  The client sends only the
 requests the answer needs: it remembers the last status document it
 received on each thread, so :meth:`Client.wait` on a sweep whose
 submission already read done sends nothing, and :meth:`Client.fetch`
-reads the job list from that document and requests only the results.
+builds its points from that document, which carries each result once
+the sweep is done.  A cached round trip is one request, a fresh one
+two.
 
 Results are reconstructed with :meth:`RunResult.from_dict` from the
 server's cached bytes, so a fetched point serializes byte-identically
@@ -38,6 +40,7 @@ from urllib.parse import urlsplit
 from repro.common import config as repro_config
 from repro.common.errors import ConfigError, ServiceError
 from repro.common.schema import SERVE_SCHEMA
+from repro.harness.jobs import JobSpec
 from repro.harness.runner import RunResult
 from repro.harness.sweep import SweepPoint
 
@@ -217,7 +220,8 @@ class Client:
 
     def status(self, sweep_id: str) -> Dict:
         """The sweep's status document: per-job status rows, status
-        counts, and the ``done``/``ok`` rollups."""
+        counts, and the ``done``/``ok`` rollups; once the sweep is done,
+        each done row carries its serialized ``result``."""
         return self._remember(self._request(f"/v1/sweeps/{sweep_id}"))
 
     def wait(self, sweep_id: str, timeout_s: Optional[float] = None) -> Dict:
@@ -250,7 +254,7 @@ class Client:
                 )
         if not doc["ok"]:
             bad = [
-                f"{j['config']}/{j['workload']}: {j['error']}"
+                f"{_label(j)}: {j['error']}"
                 for j in doc["jobs"]
                 if j["status"] == "quarantined"
             ]
@@ -263,27 +267,32 @@ class Client:
         """Fetch a finished sweep's results as
         :class:`~repro.harness.sweep.SweepPoint` rows, in submission
         order -- the same order and bytes a local ``api.sweep`` of the
-        same grid produces.  The job list comes from the last status
-        document received for ``sweep_id`` when there is one (a sweep's
-        jobs never change: its id hashes their keys); each result is
-        one ``/v1/jobs/{key}`` request."""
+        same grid produces.  The points come from the last status
+        document received for ``sweep_id``, or from one status read when
+        there is none (a sweep's jobs never change: its id hashes their
+        keys); a done sweep's document carries each result.  A job whose
+        result the document lacks (an older server, a document read
+        before the sweep was done, an evicted cache entry) costs one
+        ``/v1/jobs/{key}`` request."""
         doc = self._known(sweep_id) or self.status(sweep_id)
         points = []
         for job in doc["jobs"]:
-            jd = self.fetch_job(job["key"])
-            if jd["result"] is None:
-                raise ServiceError(
-                    f"job {job['key'][:12]} ({job['config']}/"
-                    f"{job['workload']}) has no result yet "
-                    f"(status: {jd['status']})"
-                )
+            result = job.get("result")
+            if result is None:
+                jd = self.fetch_job(job["key"])
+                result = jd["result"]
+                if result is None:
+                    raise ServiceError(
+                        f"job {job['key'][:12]} ({_label(job)}) has no "
+                        f"result yet (status: {jd['status']})"
+                    )
             points.append(
                 SweepPoint(
                     config=job["config"],
                     workload=job["workload"],
                     n_cores=job["cores"],
                     scale=job["scale"],
-                    result=RunResult.from_dict(jd["result"]),
+                    result=RunResult.from_dict(result),
                 )
             )
         return points
@@ -310,6 +319,17 @@ class Client:
         if baseline:
             path += f"?baseline={baseline}"
         return self._request_text(path)
+
+
+def _label(job: Dict) -> str:
+    """A status-document job row named like a failed local point
+    (:meth:`JobSpec.label`)."""
+    return JobSpec(
+        config=job["config"],
+        workload=job["workload"],
+        cores=job["cores"],
+        scale=job["scale"],
+    ).label()
 
 
 def discover(cache_dir=None) -> Optional[str]:

@@ -104,6 +104,21 @@ class JobSpec:
     def describe(self) -> str:
         return f"{self.workload}/{self.config}@{self.cores}"
 
+    def label(self) -> str:
+        """:meth:`describe` plus the scale and, for a fault run, the
+        drop rate and a digest of the whole plan: the name a failure
+        gives its point, distinct for the points of a load sweep (which
+        differ only in scale) or a chaos sweep (only in drop rate)."""
+        label = f"{self.describe()} scale={self.scale:g}"
+        plan = self.fault_plan
+        if plan is not None:
+            drops = [m.drop_prob for m in plan.messages if m.drop_prob]
+            if drops:
+                label += " drop=" + ",".join(f"{p:g}" for p in drops)
+            blob = _KEY_JSON.encode(asdict(plan)).encode()
+            label += f" faults={hashlib.sha256(blob).hexdigest()[:8]}"
+        return label
+
     def to_wire(self) -> Dict[str, Any]:
         """Pure-data wire form (HTTP submission to ``repro serve``).
 
@@ -418,14 +433,16 @@ class ResultCache:
         self.corrupt += 1
         return None
 
-    def has(self, key: str) -> bool:
-        """Whether a whole entry for ``key`` is stored: :meth:`get`'s
-        validation (version, key, checksum) without decoding the
-        :class:`RunResult`."""
-        if self._entry(key) is None:
-            return False
+    def read(self, key: str) -> Optional[Dict[str, Any]]:
+        """The serialized result of a whole entry for ``key``, or
+        ``None``: :meth:`get`'s validation (version, key, checksum) and
+        counters, without decoding the :class:`RunResult`.  What the
+        service checks a finished point with and serves as is."""
+        data = self._entry(key)
+        if data is None:
+            return None
         self.hits += 1
-        return True
+        return data["result"]
 
     def get(self, key: str) -> Optional[RunResult]:
         data = self._entry(key)

@@ -103,7 +103,7 @@ def run_specs(
     failures: List[str] = []
     for job in engine.run(specs):
         if not job.ok:
-            failures.append(f"{job.spec.describe()}: {job.error}")
+            failures.append(f"{job.spec.label()}: {job.error}")
             continue
         points.append(
             SweepPoint(

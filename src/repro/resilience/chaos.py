@@ -185,11 +185,11 @@ def chaos_harness(
         expected = baseline[job.key]
         if job.result is None:
             mismatched.append(
-                f"{job.spec.describe()}: no result ({job.error})"
+                f"{job.spec.label()}: no result ({job.error})"
             )
         elif job.result.to_json() != expected:
             mismatched.append(
-                f"{job.spec.describe()}: result diverged from serial run"
+                f"{job.spec.label()}: result diverged from serial run"
             )
 
     # 4. fsck over the battered cache: whatever the injections tore up

@@ -20,7 +20,8 @@ Endpoints (all JSON unless noted; see docs/SERVICE.md):
 ``POST /v1/sweeps``     submit a sweep (grid or explicit job list); 202
                         with the sweep's status document
 ``GET /v1/sweeps``      list known sweeps
-``GET /v1/sweeps/{id}`` sweep status; ``?wait=S`` long-polls until done
+``GET /v1/sweeps/{id}`` sweep status (a done sweep's carries each
+                        result); ``?wait=S`` long-polls until done
                         (capped), ``?stream=sse`` streams progress as
                         Server-Sent Events
 ``GET /v1/jobs/{key}``  one job's status and (when done) its RunResult
@@ -47,6 +48,12 @@ only source of truth: a wake-up only says "look again", and the
 ``WATCH_POLL_S`` / ``DEFAULT_POLL_S`` re-checks stay as a backstop for
 changes made outside this process (lease expiry, another server on the
 same cache directory, pool children).
+
+The answer that says done carries the results: the status document of
+a done sweep -- the submit answer, a plain or ``?wait`` status read --
+holds each done job's cached result, read and checksum-verified once
+(:meth:`ResultCache.read`), so collecting them takes no
+``/v1/jobs`` request.
 
 Connections are kept alive: one connection serves requests in turn
 until the client asks to close it (``Connection: close`` or HTTP/1.0),
@@ -579,7 +586,9 @@ class Server:
             if query.get("stream") == "sse":
                 await self._stream_sweep(writer, record)
                 return None
-            return _json(200, await self._poll_sweep(record, query))
+            return _json(
+                200, self._with_results(await self._poll_sweep(record, query))
+            )
         if path.startswith("/v1/jobs/"):
             self._require(method, "GET")
             return _json(200, self._job_doc(path[len("/v1/jobs/"):]))
@@ -605,6 +614,8 @@ class Server:
         store, cache = self._front, self._front_cache
         keys = [spec.key() for spec in specs]
         prior = {row.key: row.status for row in store.rows(keys)}
+        # The done rows' results, read once here and served inline.
+        results: Dict[str, Dict] = {}
         created_jobs = 0
         wake = False
         for key in keys:
@@ -612,11 +623,14 @@ class Server:
             # A key repeated within the submission dedups against its
             # first occurrence.
             prior[key] = "repeat"
+            result = cache.read(key) if status == "done" else None
+            if result is not None:
+                results[key] = result
             if status is None:
                 created_jobs += 1
                 self.counters["jobs_enqueued"] += 1
                 wake = True
-            elif status == "done" and not cache.has(key):
+            elif status == "done" and result is None:
                 # The row claims completion but the cached bytes are
                 # gone (fsck eviction after corruption): resubmission
                 # is an explicit request for the result, so re-run.
@@ -644,7 +658,7 @@ class Server:
         else:
             _atomic_write_json(path, record)
             self.counters["sweeps_submitted"] += 1
-        doc = self._sweep_status(record)
+        doc = self._with_results(self._sweep_status(record), results)
         doc["created_jobs"] = created_jobs
         doc["deduped_jobs"] = len(keys) - created_jobs
         return 202, doc
@@ -677,7 +691,7 @@ class Server:
             row = rows.get(entry["key"])
             if row is not None:
                 status, attempts, error = row.status, row.attempts, row.error
-            elif self._front_cache.has(entry["key"]):
+            elif self._front_cache.read(entry["key"]) is not None:
                 # Store rebuilt (corruption) but the result survives.
                 status, attempts, error = "done", 0, None
             else:
@@ -702,6 +716,26 @@ class Server:
             "jobs": jobs,
         }
 
+    def _with_results(
+        self, doc: Dict, results: Optional[Dict[str, Dict]] = None
+    ) -> Dict:
+        """``doc`` with, once the sweep is done, each done job's cached
+        result as its ``result`` (``None`` if the entry is gone): the
+        answer that says done carries what was waited for.  ``results``
+        are entries this request has already read.  Only documents
+        returned as a request's answer get results -- not the listing,
+        SSE events or the sweep records -- so neither memory nor a
+        status read grows with result size."""
+        if doc["done"]:
+            results = {} if results is None else results
+            for job in doc["jobs"]:
+                if job["status"] == "done":
+                    key = job["key"]
+                    if key not in results:
+                        results[key] = self._front_cache.read(key)
+                    job["result"] = results[key]
+        return doc
+
     def _sweep_list(self) -> Dict:
         sweeps = []
         for path in sorted(self.sweeps_dir.glob("*.json")):
@@ -716,7 +750,7 @@ class Server:
 
     def _job_doc(self, key: str) -> Dict:
         row = self._front.get(key)
-        result = self._front_cache.get(key)
+        result = self._front_cache.read(key)
         if row is None and result is None:
             raise _NotFound(f"unknown job {key!r}")
         return {
@@ -726,7 +760,7 @@ class Server:
             "status": row.status if row is not None else "done",
             "attempts": row.attempts if row is not None else 0,
             "error": row.error if row is not None else None,
-            "result": result.to_dict() if result is not None else None,
+            "result": result,
         }
 
     async def _poll_sweep(self, record, query) -> Dict:

@@ -23,6 +23,13 @@ from repro.common.errors import ConfigError, SchemaError, ServiceError
 from repro.serve import Server
 
 POINT = dict(configs="pthread", workloads="canneal", cores=4, scale=0.1, seed=7)
+GRID = dict(
+    configs=["pthread", "msa-omu-2", "ideal"],
+    workloads="canneal",
+    cores=4,
+    scale=0.1,
+    seed=9,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +131,7 @@ class TestRequests:
     """One kept-alive connection per thread, and only the requests the
     answer needs."""
 
-    def test_cached_round_trip_is_two_requests(self, server, client):
+    def test_cached_round_trip_is_one_request(self, server, client):
         sid = client.submit(**POINT)
         client.wait(sid, timeout_s=180)
         with Client(server.url) as c:
@@ -133,20 +140,84 @@ class TestRequests:
             done = c.wait(sid)  # the submit response already read done
             assert done["done"] and done["ok"] and done["id"] == sid
             assert "created_jobs" not in done
-            [point] = c.fetch(sid)  # no status re-read: one job fetch
+            [point] = c.fetch(sid)  # the submit response carried it
             assert point.result.cycles > 0
-            assert _served(server) == (before[0] + 1, before[1] + 2)
+            assert _served(server) == (before[0] + 1, before[1] + 1)
 
-    def test_fresh_round_trip_is_three_requests(self, server):
+    def test_fresh_round_trip_is_two_requests(self, server):
         with Client(server.url) as c:
             before = _served(server)
             sid = c.submit(**dict(POINT, seed=31))
             c.wait(sid, timeout_s=180)
             assert len(c.fetch(sid)) == 1
-            connections, requests = _served(server)
-        assert connections == before[0] + 1
-        # submit, one or more long-polls, one job fetch
-        assert requests >= before[1] + 3
+            # submit, then one long-poll whose answer carries the result
+            assert _served(server) == (before[0] + 1, before[1] + 2)
+
+    def test_fetch_of_done_sweep_sends_no_job_request(self, server):
+        with Client(server.url) as c:
+            sid = c.submit(**GRID)
+            c.wait(sid, timeout_s=180)
+            before = _served(server)
+            assert len(c.fetch(sid)) == 3
+            assert _served(server)[1] == before[1]
+        with Client(server.url) as c:  # no status document yet
+            before = _served(server)
+            assert len(c.fetch(sid)) == 3
+            assert _served(server)[1] == before[1] + 1  # one status read
+
+    def test_inline_results_match_local_sweep(self, server):
+        with Client(server.url) as c:
+            sid = c.submit(**GRID)
+            c.wait(sid, timeout_s=180)
+            remote = c.fetch(sid)
+        local = api.sweep(
+            configs=GRID["configs"],
+            workloads=GRID["workloads"],
+            cores=(GRID["cores"],),
+            scale=GRID["scale"],
+            seed=GRID["seed"],
+        )
+        assert [p.result.to_json() for p in remote] == [
+            p.result.to_json() for p in local
+        ]
+
+    def test_fetch_falls_back_without_inline_results(
+        self, server, monkeypatch
+    ):
+        """Against a status document without results (as an older server
+        sends), each point costs one ``/v1/jobs`` request and reads the
+        same bytes."""
+        with Client(server.url) as c:
+            sid = c.submit(**GRID)
+            c.wait(sid, timeout_s=180)
+            inline = [p.result.to_json() for p in c.fetch(sid)]
+        monkeypatch.setattr(
+            Server, "_with_results", lambda self, doc, results=None: doc
+        )
+        with Client(server.url) as c:
+            before = _served(server)
+            fetched = [p.result.to_json() for p in c.fetch(sid)]
+            assert _served(server)[1] == before[1] + 1 + 3
+        assert fetched == inline
+
+    def test_evicted_result_is_service_error(self, server):
+        from repro.harness.jobs import ResultCache
+
+        with Client(server.url) as c:
+            sid = c.submit(**dict(POINT, seed=33))
+            [job] = c.wait(sid, timeout_s=180)["jobs"]
+        ResultCache(server.cache_dir).path(job["key"]).unlink()
+        with Client(server.url) as c:
+            with pytest.raises(ServiceError, match="has no result"):
+                c.fetch(sid)
+
+    def test_quarantine_names_the_point(self, server):
+        with Client(server.url) as c:
+            sid = c.submit(**dict(POINT, seed=34), max_events=10)
+            with pytest.raises(
+                ServiceError, match=r"canneal/pthread@4 scale=0\.1: "
+            ):
+                c.wait(sid, timeout_s=180)
 
     def test_round_trips_reuse_one_connection(self, server, client):
         client.wait(client.submit(**POINT), timeout_s=180)
@@ -410,3 +481,15 @@ class TestCliParsers:
         out = capsys.readouterr().out
         assert out.startswith("config,workload")
         assert "pthread,canneal,4,0.1" in out
+
+    def test_cli_status_prints_no_results(self, server, capsys):
+        from repro.__main__ import main
+
+        with Client(server.url) as c:
+            sid = c.submit(**POINT)
+            c.wait(sid, timeout_s=180)
+            assert "result" in c.status(sid)["jobs"][0]
+        assert main(["status", "--server", server.url, sid]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["done"] and doc["ok"]
+        assert all("result" not in job for job in doc["jobs"])

@@ -148,6 +148,29 @@ class TestEndpoints:
         _, body = _get(server.url, "/v1/sweeps")
         sweeps = json.loads(body)["sweeps"]
         assert any(s["id"] == sid and s["done"] for s in sweeps)
+        assert b'"result"' not in body
+
+    def test_done_status_carries_results(self, server, finished_sweep):
+        """Every answer that reads done -- a resubmission, a plain and a
+        long-polled status read -- carries each job's result as
+        ``/v1/jobs`` serves it; the sweep record on disk does not."""
+        sid, _ = finished_sweep
+        _, resubmitted = _post(
+            server.url, "/v1/sweeps", dict(POINT, schema=SERVE_SCHEMA)
+        )
+        docs = [resubmitted] + [
+            json.loads(_get(server.url, f"/v1/sweeps/{sid}{query}")[1])
+            for query in ("", "?wait=5")
+        ]
+        key = docs[0]["jobs"][0]["key"]
+        _, body = _get(server.url, f"/v1/jobs/{key}")
+        expected = json.loads(body)["result"]
+        assert expected["schema"] == "repro.result/1"
+        for doc in docs:
+            assert doc["done"]
+            assert [job["result"] for job in doc["jobs"]] == [expected]
+        record = (server.sweeps_dir / f"{sid}.json").read_text()
+        assert '"result"' not in record
 
     def test_metrics_prometheus(self, server, finished_sweep):
         _, body = _get(server.url, "/v1/metrics")
@@ -168,6 +191,7 @@ class TestEndpoints:
         text = body.decode()
         assert "event: progress" in text
         assert "event: done" in text
+        assert '"result"' not in text
 
 
 class TestValidation:
@@ -566,14 +590,14 @@ class TestSweepRecords:
             at = data.index(b'"cycles": ') + len(b'"cycles": ')
             data[at] = ord("9") if data[at] != ord("9") else ord("8")
             path.write_bytes(bytes(data))
-            assert not cache.has(key)
+            assert cache.read(key) is None
 
             _, doc = _post(srv.url, "/v1/sweeps", body)
             assert (doc["created_jobs"], doc["deduped_jobs"]) == (1, 0)
             assert srv.counters["jobs_requeued"] == 1
             _, raw = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
             assert json.loads(raw)["ok"]
-            assert cache.has(key)
+            assert cache.read(key) is not None
         finally:
             srv.stop()
 

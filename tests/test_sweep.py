@@ -4,11 +4,13 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.harness import experiments
+from repro.harness.jobs import Engine, JobSpec
 from repro.harness.runner import RunResult
 from repro.harness.sweep import (
     SweepPoint,
     add_speedups,
     from_csv,
+    run_specs,
     sweep,
     to_csv,
 )
@@ -62,10 +64,36 @@ class TestFailureRule:
                     ("pthread",), ("broken", "canneal"), (4,), scale=0.1
                 )
         message = str(info.value)
-        assert "broken/pthread@4: RuntimeError: synthetic workload failure" in (
-            message
-        )
+        assert (
+            "broken/pthread@4 scale=0.1: RuntimeError: synthetic workload "
+            "failure"
+        ) in message
         assert "canneal" not in message
+
+    def test_points_differing_only_in_scale_are_named_apart(self):
+        specs = [
+            JobSpec("pthread", "broken", cores=4, scale=scale,
+                    factory=_always_fail)
+            for scale in (0.1, 0.2)
+        ]
+        with pytest.raises(SimulationError) as info:
+            run_specs(specs, Engine(workers=1, cache_dir=""))
+        message = str(info.value)
+        for scale in ("0.1", "0.2"):
+            assert message.count(f"broken/pthread@4 scale={scale}: ") == 1
+
+    def test_fault_points_are_named_by_drop_rate_and_plan(self):
+        from repro.faults import drop_plan
+
+        labels = [
+            JobSpec("msa-omu-2", "barrier", fault_plan=plan).label()
+            for plan in (drop_plan(0.05, seed=1), drop_plan(0.1, seed=1),
+                         drop_plan(0.1, seed=2), None)
+        ]
+        assert labels[0].startswith("barrier/msa-omu-2@16 scale=1 drop=0.05 ")
+        assert labels[1].startswith("barrier/msa-omu-2@16 scale=1 drop=0.1 ")
+        assert labels[3] == "barrier/msa-omu-2@16 scale=1"
+        assert len(set(labels)) == 4  # the seed moves the plan digest
 
 
 class TestCsv:
