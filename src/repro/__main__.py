@@ -249,7 +249,7 @@ def _run_chaos_harness(args) -> int:
         cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
         kill_interval_s=args.kill_interval,
         kill_first_leases=args.kill_leases,
-        corrupt_interval_s=args.corrupt_interval,
+        corrupt_first_entries=args.corrupt_entries,
         diskfull_puts=args.diskfull_puts,
         retries=args.retries,
         progress=args.progress,
@@ -760,15 +760,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="SIGKILL the owners of the first N observed leases "
-        "(guaranteed mid-point kills, independent of point speed)",
+        help="the workers running the first N claimed points SIGKILL "
+        "themselves mid-point (independent of point speed)",
     )
     p.add_argument(
-        "--corrupt-interval",
-        type=float,
-        default=0.7,
-        metavar="S",
-        help="byte-flip a random cache entry this often (seconds)",
+        "--corrupt-entries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="bit-flip each of the first N cache entries as it lands",
     )
     p.add_argument(
         "--diskfull-puts",

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
+from repro.common.types import SyncType
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class NocParams:
     """Cycles from NIC injection to first router."""
 
     def validate(self) -> None:
-        if self.router_latency < 0 or self.link_latency < 0:
+        if min(self.router_latency, self.link_latency, self.injection_latency) < 0:
             raise ConfigError("NoC latencies must be non-negative")
         if self.flits_per_message < 1:
             raise ConfigError("flits_per_message must be >= 1")
@@ -57,6 +58,8 @@ class CacheParams:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.hit_latency < 0:
+            raise ConfigError("hit_latency must be >= 0")
         if self.line_size & (self.line_size - 1):
             raise ConfigError("line_size must be a power of two")
         if self.n_sets & (self.n_sets - 1):
@@ -130,13 +133,13 @@ class MSAParams:
         return self.entries_per_tile is None
 
     def supports(self, sync_type) -> bool:
-        from repro.common.types import SyncType
-
-        return {
-            SyncType.LOCK: self.lock_support,
-            SyncType.BARRIER: self.barrier_support,
-            SyncType.CONDVAR: self.condvar_support,
-        }[sync_type]
+        if sync_type is SyncType.LOCK:
+            return self.lock_support
+        if sync_type is SyncType.BARRIER:
+            return self.barrier_support
+        if sync_type is SyncType.CONDVAR:
+            return self.condvar_support
+        raise KeyError(sync_type)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+# The enums below key hot-path dicts (per-op and per-result counter
+# handles).  ``Enum.__hash__`` hashes the member name in a Python frame;
+# members are singletons compared by identity, so each class takes the
+# C-level identity hash, which agrees with ``==``.
+
 
 class SyncResult(enum.Enum):
     """Result of a hardware synchronization instruction (paper section 3).
@@ -21,6 +26,8 @@ class SyncResult(enum.Enum):
       thread scheduling (suspension/migration) or a forced hand-off to
       software; the fallback differs per primitive (section 4).
     """
+
+    __hash__ = object.__hash__
 
     SUCCESS = "success"
     FAIL = "fail"
@@ -34,6 +41,8 @@ class SyncResult(enum.Enum):
 class SyncType(enum.Enum):
     """The synchronization primitive an MSA entry is currently used for
     (the 2-bit ``Type`` field of an MSA entry, Figure 1)."""
+
+    __hash__ = object.__hash__
 
     LOCK = "lock"
     BARRIER = "barrier"
@@ -49,6 +58,8 @@ class SyncOp(enum.Enum):
     interrupted (context switch / migration).
     """
 
+    __hash__ = object.__hash__
+
     LOCK = "lock"
     TRYLOCK = "trylock"
     """Extension beyond the paper's six instructions: a non-blocking
@@ -63,46 +74,11 @@ class SyncOp(enum.Enum):
     FINISH = "finish"
     SUSPEND = "suspend"
 
-    @property
-    def is_acquire(self) -> bool:
-        """Acquire-type requests may allocate a new MSA entry
-        (section 3.1); release-type requests never do."""
-        return self in _ACQUIRE_OPS
-
-    @property
-    def is_release(self) -> bool:
-        return self in _RELEASE_OPS
-
-    @property
-    def sync_type(self) -> SyncType:
-        """The primitive family this operation belongs to."""
-        return _OP_FAMILY[self]
-
-
-_ACQUIRE_OPS = frozenset(
-    {SyncOp.LOCK, SyncOp.TRYLOCK, SyncOp.BARRIER, SyncOp.COND_WAIT}
-)
-_RELEASE_OPS = frozenset(
-    {SyncOp.UNLOCK, SyncOp.COND_SIGNAL, SyncOp.COND_BCAST}
-)
-_OP_FAMILY = {
-    SyncOp.LOCK: SyncType.LOCK,
-    SyncOp.TRYLOCK: SyncType.LOCK,
-    SyncOp.UNLOCK: SyncType.LOCK,
-    SyncOp.BARRIER: SyncType.BARRIER,
-    SyncOp.COND_WAIT: SyncType.CONDVAR,
-    SyncOp.COND_SIGNAL: SyncType.CONDVAR,
-    SyncOp.COND_BCAST: SyncType.CONDVAR,
-    # FINISH/SUSPEND target whatever primitive the address is used for;
-    # family is resolved from the request context, default CONDVAR here
-    # is never consulted.
-    SyncOp.FINISH: SyncType.CONDVAR,
-    SyncOp.SUSPEND: SyncType.CONDVAR,
-}
-
 
 class CacheState(enum.Enum):
     """MESI stable states for an L1 line."""
+
+    __hash__ = object.__hash__
 
     MODIFIED = "M"
     EXCLUSIVE = "E"

@@ -18,7 +18,7 @@ from repro.common.params import MachineParams
 from repro.common.stats import merge_counters
 from repro.faults import FaultInjector, FaultPlane, ReliableTransport
 from repro.mem.address import AddressAllocator
-from repro.mem.memsys import MemoryFabric, MemorySystem
+from repro.mem.memsys import MemoryFabric
 from repro.msa.ideal import IdealSyncOracle
 from repro.msa.isa import MODE_ALWAYS_FAIL, MODE_HW, MODE_IDEAL, SyncUnit
 from repro.msa.slice import MSASlice
@@ -147,9 +147,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Component accessors used by the runtime
     # ------------------------------------------------------------------
-    def memory_system(self, core: int) -> MemorySystem:
-        return self.memory.memory_system(core)
-
     def sync_unit(self, core: int) -> SyncUnit:
         return self.sync_units[core]
 

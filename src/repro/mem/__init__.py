@@ -9,6 +9,6 @@ moving data and far cheaper to simulate (see DESIGN.md).
 """
 
 from repro.mem.address import AddressMap, AddressAllocator
-from repro.mem.memsys import MemorySystem, MemoryFabric
+from repro.mem.memsys import MemoryFabric
 
-__all__ = ["AddressMap", "AddressAllocator", "MemorySystem", "MemoryFabric"]
+__all__ = ["AddressMap", "AddressAllocator", "MemoryFabric"]

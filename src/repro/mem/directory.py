@@ -42,13 +42,15 @@ class DirEntry:
         return "I"
 
 
-@dataclass
 class _Txn:
     """An in-flight directory transaction awaiting remote acks."""
 
-    kind: str
-    requestor: CoreId
-    needed_acks: int = 0
+    __slots__ = ("kind", "requestor", "needed_acks")
+
+    def __init__(self, kind: str, requestor: CoreId, needed_acks: int = 0):
+        self.kind = kind
+        self.requestor = requestor
+        self.needed_acks = needed_acks
 
 
 class DirectorySlice:
@@ -69,12 +71,20 @@ class DirectorySlice:
         self.entries: Dict[int, DirEntry] = {}
         self._busy: Dict[int, _Txn] = {}
         self._queues: Dict[int, Deque[Message]] = {}
+        # Per-request counter handles, bound on first increment: a slice
+        # registers only the counters its traffic touched (the counter
+        # set is part of the determinism contract).
+        self._gets = None
+        self._getm = None
+        self._queued = None
+        self._cold_misses = None
         network.register(tile, "coh", self._on_message)
 
     def entry(self, line: int) -> DirEntry:
-        if line not in self.entries:
-            self.entries[line] = DirEntry()
-        return self.entries[line]
+        entry = self.entries.get(line)
+        if entry is None:
+            entry = self.entries[line] = DirEntry()
+        return entry
 
     # ------------------------------------------------------------------
     # Message handling & per-line serialization
@@ -86,7 +96,10 @@ class DirectorySlice:
             return
         if line in self._busy:
             self._queues.setdefault(line, deque()).append(msg)
-            self.stats.counter("queued_requests").inc()
+            queued = self._queued
+            if queued is None:
+                queued = self._queued = self.stats.counter("queued_requests")
+            queued.value += 1
             return
         self._process(msg)
 
@@ -115,7 +128,10 @@ class DirectorySlice:
         if not entry.touched:
             entry.touched = True
             latency += self.params.memory_latency
-            self.stats.counter("cold_misses").inc()
+            cold = self._cold_misses
+            if cold is None:
+                cold = self._cold_misses = self.stats.counter("cold_misses")
+            cold.value += 1
         return latency
 
     def _reply(self, core: CoreId, kind: str, line: int, delay: int) -> None:
@@ -126,26 +142,25 @@ class DirectorySlice:
         same core ahead of its data (the NoC is FIFO per source-
         destination pair, so injection order is arrival order)."""
         self._busy[line] = _Txn("reply", core)
+        self.sim.schedule(delay, self._inject_reply, (core, kind, line))
 
-        def inject():
-            self.network.send(
-                Message(src=self.tile, dst=core, kind=kind, payload={"line": line})
-            )
-            self._unblock(line)
-
-        self.sim.schedule(delay, inject)
+    def _inject_reply(self, args: tuple) -> None:
+        core, kind, line = args
+        self._fwd(core, kind, line)
+        self._unblock(line)
 
     def _fwd(self, core: CoreId, kind: str, line: int) -> None:
-        self.network.send(
-            Message(src=self.tile, dst=core, kind=kind, payload={"line": line})
-        )
+        self.network.send(Message(self.tile, core, kind, {"line": line}))
 
     # ------------------------------------------------------------------
     # Request state machines
     # ------------------------------------------------------------------
     def _do_gets(self, line: int, core: CoreId) -> None:
         entry = self.entry(line)
-        self.stats.counter("gets").inc()
+        gets = self._gets
+        if gets is None:
+            gets = self._gets = self.stats.counter("gets")
+        gets.value += 1
         delay = self._access_latency(entry)
         if entry.owner is None:
             if entry.sharers:
@@ -163,7 +178,10 @@ class DirectorySlice:
 
     def _do_getm(self, line: int, core: CoreId) -> None:
         entry = self.entry(line)
-        self.stats.counter("getm").inc()
+        getm = self._getm
+        if getm is None:
+            getm = self._getm = self.stats.counter("getm")
+        getm.value += 1
         delay = self._access_latency(entry)
         if entry.owner is None and not entry.sharers:
             entry.owner = core

@@ -10,7 +10,7 @@ has granted sufficient permission, which preserves linearizability.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Deque, Dict, Optional
 
 from repro.common.params import CacheParams
@@ -21,18 +21,25 @@ from repro.noc.network import Network
 from repro.sim.kernel import Future, Simulator
 
 
+#: Operation kinds, compared by identity on the access path.
+_LOAD = 0
+_STORE = 1
+_RMW = 2
+
+
 class _Op:
     """One in-flight memory operation from the core."""
 
-    __slots__ = ("kind", "addr", "future", "value", "rmw_fn", "issued_at")
+    __slots__ = ("kind", "addr", "line", "future", "value", "rmw_fn", "issued_at")
 
-    def __init__(self, kind, addr, future, value=None, rmw_fn=None):
-        self.kind = kind  # "load" | "store" | "rmw"
+    def __init__(self, kind, addr, line, future, value, rmw_fn, issued_at):
+        self.kind = kind  # _LOAD | _STORE | _RMW
         self.addr = addr
+        self.line = line
         self.future = future
         self.value = value  # store value
         self.rmw_fn = rmw_fn
-        self.issued_at = 0
+        self.issued_at = issued_at
 
 
 class _Mshr:
@@ -77,16 +84,22 @@ class L1Cache:
         self._set_mask = params.n_sets - 1
         self._line_shift = params.line_size.bit_length() - 1
         self._hit_latency = params.hit_latency
+        # For the inline calendar push of hit completions (_start).
+        self._buckets = sim._buckets
+        self._times = sim._times
+        self._complete_cb = self._complete_if_valid
         # Every access touches two of these; bind them once (see
         # common/stats.py on hot-path counter binding).
-        self._op_counts = {
-            kind: self.stats.counter(f"{kind}s")
-            for kind in ("load", "store", "rmw")
-        }
-        self._op_latency = {
-            kind: self.stats.histogram(f"{kind}_latency")
-            for kind in ("load", "store", "rmw")
-        }
+        self._loads = self.stats.counter("loads")
+        self._stores = self.stats.counter("stores")
+        self._rmws = self.stats.counter("rmws")
+        self._load_latency = self.stats.histogram("load_latency")
+        # Indexed by op kind.
+        self._op_latency = (
+            self._load_latency,
+            self.stats.histogram("store_latency"),
+            self.stats.histogram("rmw_latency"),
+        )
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._hit_replays = self.stats.counter("hit_replays")
@@ -97,16 +110,37 @@ class L1Cache:
     # ------------------------------------------------------------------
     # Core-facing API
     # ------------------------------------------------------------------
+    # Each builds its op and starts it in place: with ``ThreadCtx``
+    # calling straight in, a cache hit costs two frames here plus the
+    # op and future constructors (see docs/PERF.md, "Per-access cost").
     def load(self, addr: int) -> Future:
-        return self._submit(_Op("load", addr, self.sim.future()))
+        sim = self.sim
+        future = Future(sim)
+        self._loads.value += 1
+        self._start(
+            _Op(_LOAD, addr, addr >> self._line_shift, future, None, None, sim.now)
+        )
+        return future
 
     def store(self, addr: int, value: int) -> Future:
-        return self._submit(_Op("store", addr, self.sim.future(), value=value))
+        sim = self.sim
+        future = Future(sim)
+        self._stores.value += 1
+        self._start(
+            _Op(_STORE, addr, addr >> self._line_shift, future, value, None, sim.now)
+        )
+        return future
 
     def rmw(self, addr: int, fn: Callable[[int], int]) -> Future:
         """Atomic read-modify-write; the future resolves to the *old*
         value.  Requires write permission, like real atomics."""
-        return self._submit(_Op("rmw", addr, self.sim.future(), rmw_fn=fn))
+        sim = self.sim
+        future = Future(sim)
+        self._rmws.value += 1
+        self._start(
+            _Op(_RMW, addr, addr >> self._line_shift, future, None, fn, sim.now)
+        )
+        return future
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -121,11 +155,6 @@ class L1Cache:
     def state_of(self, line: int) -> CacheState:
         return self._set_of(line).get(line, CacheState.INVALID)
 
-    def _touch(self, line: int) -> None:
-        bucket = self._set_of(line)
-        if line in bucket:
-            bucket.move_to_end(line)
-
     def _set_state(self, line: int, state: CacheState) -> None:
         bucket = self._set_of(line)
         if state is CacheState.INVALID:
@@ -134,22 +163,11 @@ class L1Cache:
             bucket[line] = state
             bucket.move_to_end(line)
 
-    def _sufficient(self, state: CacheState, op: _Op) -> bool:
-        if op.kind == "load":
-            return state.can_read
-        return state.can_write
-
     # ------------------------------------------------------------------
     # The access path
     # ------------------------------------------------------------------
-    def _submit(self, op: _Op) -> Future:
-        op.issued_at = self.sim.now
-        self._op_counts[op.kind].value += 1
-        self._start(op)
-        return op.future
-
     def _start(self, op: _Op) -> None:
-        line = op.addr >> self._line_shift
+        line = op.line
         # _set_of inlined: this and _complete_if_valid bracket every
         # access, so the helper call was two frames per operation.
         sets = self._sets
@@ -160,49 +178,52 @@ class L1Cache:
         state = bucket.get(line, _INVALID)
         if (
             state is not _INVALID
-            if op.kind == "load"
+            if op.kind is _LOAD
             else (state is _MODIFIED or state is _EXCLUSIVE)
         ):
             # Hit: the line is necessarily present in the bucket.
             self._hits.value += 1
             bucket.move_to_end(line)
-            self.sim.schedule(
-                self._hit_latency, self._complete_if_valid, (op, line)
-            )
+            # Simulator.schedule inlined (the hit latency is >= 0).
+            when = self.sim.now + self._hit_latency
+            pending = self._buckets.get(when)
+            if pending is None:
+                self._buckets[when] = [(self._complete_cb, op)]
+                heappush(self._times, when)
+            else:
+                pending.append((self._complete_cb, op))
             return
         self._miss(op, line)
 
-    def _complete_if_valid(self, op_line) -> None:
+    def _complete_if_valid(self, op: _Op) -> None:
         """Permission may have been revoked during the hit latency
-        (a racing invalidation); re-check and retry if so."""
-        op, line = op_line
-        sets = self._sets
-        index = line & self._set_mask
-        bucket = sets.get(index)
-        if bucket is None:
-            bucket = sets[index] = OrderedDict()
-        state = bucket.get(line, _INVALID)
-        kind = op.kind
-        if (
-            state is _INVALID
-            if kind == "load"
-            else not (state is _MODIFIED or state is _EXCLUSIVE)
-        ):
-            self._hit_replays.value += 1
-            self._start(op)
+        (a racing invalidation); re-check and retry if so.  A load that
+        still hits completes here; stores and atomics go through
+        :meth:`_perform`."""
+        line = op.line
+        bucket = self._sets.get(line & self._set_mask)
+        state = _INVALID if bucket is None else bucket.get(line, _INVALID)
+        if op.kind is _LOAD:
+            if state is not _INVALID:
+                self._load_latency.add(self.sim.now - op.issued_at)
+                op.future.complete(self.backing_store.get(op.addr, 0))
+                return
+        elif state is _MODIFIED or state is _EXCLUSIVE:
+            if state is _EXCLUSIVE:
+                bucket[line] = _MODIFIED
+                bucket.move_to_end(line)
+            self._perform(op)
             return
-        if kind != "load" and state is _EXCLUSIVE:
-            bucket[line] = _MODIFIED
-            bucket.move_to_end(line)
-        self._perform(op)
+        self._hit_replays.value += 1
+        self._start(op)
 
     def _perform(self, op: _Op) -> None:
         """Apply the operation to the backing store and resolve it."""
         kind = op.kind
         self._op_latency[kind].add(self.sim.now - op.issued_at)
-        if kind == "load":
+        if kind is _LOAD:
             op.future.complete(self.backing_store.get(op.addr, 0))
-        elif kind == "store":
+        elif kind is _STORE:
             self.backing_store[op.addr] = op.value
             op.future.complete(None)
         else:  # rmw
@@ -212,7 +233,7 @@ class L1Cache:
 
     def _miss(self, op: _Op, line: int) -> None:
         self._misses.value += 1
-        want_write = op.kind != "load"
+        want_write = op.kind is not _LOAD
         mshr = self._mshrs.get(line)
         if mshr is not None:
             # Line transaction already in flight; piggyback.  If this op
@@ -227,13 +248,9 @@ class L1Cache:
         self._send_home(line, kind)
 
     def _send_home(self, line: int, kind: str) -> None:
+        core = self.core_id
         self.network.send(
-            Message(
-                src=self.core_id,
-                dst=self.home_of_line(line),
-                kind=kind,
-                payload={"line": line, "core": self.core_id},
-            )
+            Message(core, self.home_of_line(line), kind, {"line": line, "core": core})
         )
 
     # ------------------------------------------------------------------
@@ -241,39 +258,38 @@ class L1Cache:
     # ------------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
         line = msg.payload["line"]
-        if msg.kind == "coh_l1.data_s":
+        kind = msg.kind
+        if kind == "coh_l1.data_s":
             self._fill(line, _SHARED)
-        elif msg.kind == "coh_l1.data_e":
+        elif kind == "coh_l1.data_e":
             self._fill(line, _EXCLUSIVE)
-        elif msg.kind == "coh_l1.inv":
+        elif kind == "coh_l1.inv":
             self._set_state(line, _INVALID)
             self._invalidations.value += 1
-            self._ack_home(line, "coh.inv_ack")
-        elif msg.kind == "coh_l1.fwd_gets":
+            self._send_home(line, "coh.inv_ack")
+        elif kind == "coh_l1.fwd_gets":
             # Downgrade to S; dirty data is already in the backing store.
             if self.state_of(line) is not _INVALID:
                 self._set_state(line, _SHARED)
-            self._ack_home(line, "coh.fwd_ack")
-        elif msg.kind == "coh_l1.fwd_getm":
+            self._send_home(line, "coh.fwd_ack")
+        elif kind == "coh_l1.fwd_getm":
             self._set_state(line, _INVALID)
             self._invalidations.value += 1
-            self._ack_home(line, "coh.fwd_ack")
+            self._send_home(line, "coh.fwd_ack")
         else:
             raise ValueError(f"L1 {self.core_id}: unknown message {msg}")
 
-    def _ack_home(self, line: int, kind: str) -> None:
-        self.network.send(
-            Message(
-                src=self.core_id,
-                dst=self.home_of_line(line),
-                kind=kind,
-                payload={"line": line, "core": self.core_id},
-            )
-        )
-
     def _fill(self, line: int, state: CacheState) -> None:
-        self._evict_for(line)
-        self._set_state(line, state)
+        bucket = self._set_of(line)
+        if line not in bucket and len(bucket) >= self.params.associativity:
+            # Make room: evict the LRU line, writing back an M/E victim.
+            victim, vstate = next(iter(bucket.items()))
+            del bucket[victim]
+            self._evictions.value += 1
+            if vstate is _MODIFIED or vstate is _EXCLUSIVE:
+                self._send_home(victim, "coh.putm")
+        bucket[line] = state
+        bucket.move_to_end(line)
         mshr = self._mshrs.pop(line, None)
         if mshr is None:
             return
@@ -283,23 +299,19 @@ class L1Cache:
         # for the same line livelock (each steals the other's line
         # inside its fill-to-use window).  The miss path already charged
         # the access latency.  Ops needing more permission (store after
-        # an S fill) re-enter the miss path and issue an upgrade.
+        # an S fill) re-enter the miss path and issue an upgrade.  Only
+        # messages change a line's state or evict, so ``bucket`` stays
+        # this set's table while performed ops resume their threads.
         for op in mshr.ops:
-            current = self.state_of(line)
-            if self._sufficient(current, op):
-                if op.kind != "load" and current is _EXCLUSIVE:
-                    self._set_state(line, _MODIFIED)
-                self._perform(op)
-            else:
+            current = bucket.get(line, _INVALID)
+            if op.kind is _LOAD:
+                if current is _INVALID:
+                    self._start(op)
+                    continue
+            elif current is _EXCLUSIVE:
+                bucket[line] = _MODIFIED
+                bucket.move_to_end(line)
+            elif current is not _MODIFIED:
                 self._start(op)
-
-    def _evict_for(self, line: int) -> None:
-        """Make room in the target set, writing back M/E victims."""
-        bucket = self._set_of(line)
-        if line in bucket or len(bucket) < self.params.associativity:
-            return
-        victim, vstate = next(iter(bucket.items()))
-        del bucket[victim]
-        self._evictions.value += 1
-        if vstate is _MODIFIED or vstate is _EXCLUSIVE:
-            self._send_home(victim, "coh.putm")
+                continue
+            self._perform(op)

@@ -1,51 +1,20 @@
-"""Memory-system assembly and the per-core facade.
+"""Memory-system assembly.
 
 :class:`MemoryFabric` builds one directory slice per tile and one L1 per
-core over a shared :class:`~repro.noc.network.Network`;
-:class:`MemorySystem` is the handle a core/thread uses to issue memory
-operations.
+core over a shared :class:`~repro.noc.network.Network`; a thread issues
+its memory operations straight to its core's L1 (``l1s[core]``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.common.params import MachineParams
-from repro.common.types import CoreId
 from repro.mem.address import AddressMap
 from repro.mem.directory import DirectorySlice
 from repro.mem.l1 import L1Cache
 from repro.noc.network import Network
-from repro.sim.kernel import Future, Simulator
-
-
-class MemorySystem:
-    """One core's view of memory."""
-
-    def __init__(self, l1: L1Cache):
-        self._l1 = l1
-        self.core_id = l1.core_id
-
-    def load(self, addr: int) -> Future:
-        return self._l1.load(addr)
-
-    def store(self, addr: int, value: int) -> Future:
-        return self._l1.store(addr, value)
-
-    def rmw(self, addr: int, fn: Callable[[int], int]) -> Future:
-        """Atomic read-modify-write; resolves to the old value."""
-        return self._l1.rmw(addr, fn)
-
-    def fetch_add(self, addr: int, delta: int = 1) -> Future:
-        return self._l1.rmw(addr, lambda v: v + delta)
-
-    def test_and_set(self, addr: int) -> Future:
-        """Resolves to the old value (0 means we won the lock word)."""
-        return self._l1.rmw(addr, lambda v: 1)
-
-    def compare_and_swap(self, addr: int, expect: int, new: int) -> Future:
-        """Resolves to the old value; the swap applied iff old == expect."""
-        return self._l1.rmw(addr, lambda v: new if v == expect else v)
+from repro.sim.kernel import Simulator
 
 
 class MemoryFabric:
@@ -72,14 +41,6 @@ class MemoryFabric:
             )
             for core in range(params.n_cores)
         ]
-        # The facade is stateless per core; threads fetch one per memory
-        # operation, so hand out a single cached instance per core.
-        self._memory_systems: List[MemorySystem] = [
-            MemorySystem(l1) for l1 in self.l1s
-        ]
-
-    def memory_system(self, core: CoreId) -> MemorySystem:
-        return self._memory_systems[core]
 
     def stat_sets(self):
         """Yield ``(prefix, StatSet, labels)`` for every stats-bearing

@@ -333,13 +333,15 @@ class SyncUnit:
             # nothing needs undoing.
             self._squashed_reqs.discard(req_id)
             return
+        # The payload carries the SyncOp member itself, so the slice
+        # need not rebuild it from its value.
         self.network.send(
             Message(
-                src=self.core_id,
-                dst=self.home_of(addr),
-                kind="msa.req",
-                payload={
-                    "op": op.value,
+                self.core_id,
+                self.home_of(addr),
+                "msa.req",
+                {
+                    "op": op,
                     "addr": addr,
                     "aux": aux,
                     "core": requester,
@@ -352,10 +354,10 @@ class SyncUnit:
         addr, future = addr_future
         self.network.send(
             Message(
-                src=self.core_id,
-                dst=self.home_of(addr),
-                kind="msa.finish",
-                payload={"addr": addr, "core": self.core_id},
+                self.core_id,
+                self.home_of(addr),
+                "msa.finish",
+                {"addr": addr, "core": self.core_id},
             )
         )
         future.complete(SyncResult.SUCCESS)
@@ -376,10 +378,10 @@ class SyncUnit:
             return
         self.network.send(
             Message(
-                src=self.core_id,
-                dst=self.home_of(addr),
-                kind="msa.silent",
-                payload={"addr": addr, "core": requester},
+                self.core_id,
+                self.home_of(addr),
+                "msa.silent",
+                {"addr": addr, "core": requester},
             )
         )
         future.complete(SyncResult.SUCCESS)

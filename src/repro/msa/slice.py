@@ -169,10 +169,10 @@ class MSASlice:
         core, req_id, result, addr, grant_hwsync, rearm = args
         self.network.send(
             Message(
-                src=self.tile,
-                dst=self._core_of(core),
-                kind="msa_cpu.resp",
-                payload={
+                self.tile,
+                self._core_of(core),
+                "msa_cpu.resp",
+                {
                     "result": result,
                     "req_id": req_id,
                     "addr": addr,
@@ -224,7 +224,7 @@ class MSASlice:
                 payload={"req_id": req_id},
             )
         )
-        op = SyncOp(p["op"])
+        op = p["op"]
         if verdict == "abort" and op in (
             SyncOp.LOCK,
             SyncOp.TRYLOCK,
@@ -425,15 +425,17 @@ class MSASlice:
         return False
 
     def _select_waiter(self, entry: MSAEntry) -> CoreId:
-        """Round-robin selection starting at the slice's NBTC register;
-        updates NBTC to the position after the selected requester."""
+        """Round-robin selection starting at the slice's NBTC register:
+        the waiting requester fewest positions at or after NBTC (mod the
+        requester count) wins, and NBTC moves to the position after it.
+        A min over the waiters, not a scan of every position."""
+        if not entry.waiters:
+            raise ProtocolError(f"select_waiter on empty HWQueue: {entry}")
         n = self.network.topology.n_tiles * self.hw_threads
-        for offset in range(n):
-            candidate = (self.nbtc + offset) % n
-            if candidate in entry.waiters:
-                self.nbtc = (candidate + 1) % n
-                return candidate
-        raise ProtocolError(f"select_waiter on empty HWQueue: {entry}")
+        nbtc = self.nbtc
+        candidate = min(entry.waiters, key=lambda w: (w - nbtc) % n)
+        self.nbtc = (candidate + 1) % n
+        return candidate
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -461,7 +463,7 @@ class MSASlice:
                 return
         if kind == "msa.req":
             self._handle_request(
-                SyncOp(p["op"]), p["addr"], p["aux"], p["core"], p["req_id"]
+                p["op"], p["addr"], p["aux"], p["core"], p["req_id"]
             )
         elif kind == "msa.silent":
             self._handle_silent(p["addr"], p["core"])

@@ -4,7 +4,8 @@ Components at each tile register a handler per message-kind prefix; the
 network routes messages over the link fabric and dispatches them to the
 destination tile's handler.  Delivery is exactly-once and per-link FIFO.
 
-Hot-path layout: every message pays ``inject`` + one ``_dispatch``, so
+Hot-path layout: every message pays ``inject`` (which also starts the
+link traversal) + one ``_dispatch``, so
 the per-call stat lookups (dict hit + f-string per counter) are hoisted
 into attributes bound at construction, handler dispatch is a per-tile
 dict indexed by the message's precomputed ``prefix`` (no tuple key
@@ -15,6 +16,7 @@ latency histogram, and the optional checker probe.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -38,6 +40,10 @@ class Network:
         self.topology = MeshTopology(n_tiles)
         self.stats = StatSet("noc")
         self.fabric = LinkFabric(sim, self.params, self.stats)
+        self._cross = self.fabric._cross
+        self._injection_latency = self.params.injection_latency
+        self._buckets = sim._buckets
+        self._times = sim._times
         self._tile_handlers: List[Dict[str, Handler]] = [
             {} for _ in range(self.topology.n_tiles)
         ]
@@ -157,13 +163,28 @@ class Network:
             links = row[message.dst] = self.fabric.route(
                 self.topology.links_on_route(src, message.dst)
             )
+        # The message crosses ``links`` one hop event at a time (see
+        # LinkFabric._make_cross); a local message (no links) is
+        # delivered straight after the injection latency.  An armed
+        # injector may stall the message at the NIC first.
+        when = self.sim.now + self._injection_latency
         injector = self._injector
-        if injector is None:
-            self.fabric.traverse(links, self._delivery, message)
+        if injector is not None:
+            when += injector.send_delay(message)
+        if links:
+            # The hop state is a mutable list reused across the whole
+            # traversal (only the index advances): exactly one in-flight
+            # hop event holds it at a time.
+            entry = (self._cross, [links, 0, self._delivery, message])
         else:
-            self.fabric.traverse(
-                links, self._delivery, message, injector.send_delay(message)
-            )
+            entry = (self._delivery, message)
+        # Simulator.schedule inlined (both delays are validated >= 0).
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [entry]
+            heappush(self._times, when)
+        else:
+            bucket.append(entry)
 
     def _deliver(self, message: Message) -> None:
         """Final-hop arrival: apply delivery faults, then hand covered

@@ -13,55 +13,39 @@ event per hop per message), so the per-hop handler built by
 :meth:`LinkFabric._make_cross` carries its state in a plain list
 scheduled with the kernel's ``(callback, arg)`` form -- no per-hop
 closures, no copy of the hop list -- performs the link reservation
-inline rather than through :meth:`Link.reserve` /
-:attr:`Link.queue_delay` (both kept for tests and occasional callers),
-and appends the next hop straight into the kernel's calendar.
+inline, and appends the next hop straight into the kernel's calendar.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.common.params import NocParams
 from repro.common.stats import StatSet
 from repro.common.types import TileId
-from repro.sim.kernel import NO_ARG, Simulator
+from repro.sim.kernel import Simulator
 
 
 class Link:
-    """A directed inter-tile link with FIFO serialization."""
+    """A directed inter-tile link with FIFO serialization: the per-hop
+    handler reserves it for one message at a time (``_free_at``)."""
 
-    __slots__ = ("sim", "occupancy_cycles", "_free_at", "busy_cycles")
+    __slots__ = ("_free_at",)
 
-    def __init__(self, sim: Simulator, occupancy_cycles: int):
-        self.sim = sim
-        self.occupancy_cycles = occupancy_cycles
+    def __init__(self):
         self._free_at = 0
-        self.busy_cycles = 0
-
-    def reserve(self) -> int:
-        """Reserve the link for one message; returns the cycle at which
-        the message *finishes* crossing (its head may proceed then)."""
-        start = max(self.sim.now, self._free_at)
-        finish = start + self.occupancy_cycles
-        self._free_at = finish
-        self.busy_cycles += self.occupancy_cycles
-        return finish
-
-    @property
-    def queue_delay(self) -> int:
-        """Cycles a message arriving now would wait before crossing."""
-        return max(0, self._free_at - self.sim.now)
 
 
 class LinkFabric:
     """All directed links of the mesh, plus traversal accounting.
 
-    The network asks the fabric to carry a message across an ordered
-    list of links; the fabric chains per-link reservations, adding the
-    router pipeline latency at each hop, and invokes the delivery
-    callback when the final link releases the message.
+    The network starts a message across an ordered list of links by
+    scheduling the per-hop handler :attr:`_cross` with the state
+    ``[links, 0, deliver, deliver_arg]``; the handler chains per-link
+    reservations, adding the router pipeline latency at each hop, and
+    calls ``deliver(deliver_arg)`` when the final link releases the
+    message.
     """
 
     def __init__(self, sim: Simulator, params: NocParams, stats: StatSet):
@@ -75,7 +59,6 @@ class LinkFabric:
         # counter set matches the pre-optimization network exactly.
         self._stall_cycles = None
         self._router_latency = params.router_latency
-        self._injection_latency = params.injection_latency
         # Hop events dominate the event mix (60-80% on the headline
         # workloads), so the per-hop handler is compiled once as a
         # closure over the kernel's calendar.
@@ -85,7 +68,7 @@ class LinkFabric:
         key = (src, dst)
         link = self._links.get(key)
         if link is None:
-            link = self._links[key] = Link(self.sim, self._occupancy)
+            link = self._links[key] = Link()
         return link
 
     def route(self, hops) -> Tuple[Link, ...]:
@@ -93,30 +76,6 @@ class LinkFabric:
         objects (callers cache the result per route so traversal never
         touches the link dictionary)."""
         return tuple(self.link(src, dst) for src, dst in hops)
-
-    def traverse(
-        self,
-        links: Tuple[Link, ...],
-        deliver: Callable,
-        deliver_arg=NO_ARG,
-        extra_delay: int = 0,
-    ) -> None:
-        """Send a message across ``links`` (from :meth:`route`, in hop
-        order).
-
-        Local delivery (no links) still pays the injection latency.
-        ``deliver`` is invoked as ``deliver(deliver_arg)`` (or bare when
-        no argument is given).  ``extra_delay`` models a fault-injected
-        stall at the NIC before the message enters the fabric.
-        """
-        delay = self._injection_latency + extra_delay
-        if not links:
-            self.sim.schedule(delay, deliver, deliver_arg)
-            return
-        # The hop state is a mutable list reused across the whole
-        # traversal (only the index advances), not a fresh tuple per
-        # hop: exactly one in-flight hop event holds it at a time.
-        self.sim.schedule(delay, self._cross, [links, 0, deliver, deliver_arg])
 
     def _make_cross(self):
         """Compile the per-hop handler: reserve ``links[index]``, then
@@ -130,9 +89,8 @@ class LinkFabric:
         buckets = sim._buckets
         times = sim._times
         router_latency = self._router_latency
-        # Every link is built with the same serialized occupancy, so it
-        # is a per-fabric constant -- a cell load here, not a per-hop
-        # attribute read.
+        # Every link has the same serialized occupancy, a per-fabric
+        # constant -- a cell load here, not a per-hop attribute read.
         occupancy = self._occupancy
         push = heappush
 
@@ -153,7 +111,6 @@ class LinkFabric:
                 start = now
             finish = start + occupancy
             link._free_at = finish
-            link.busy_cycles += occupancy
             when = finish + router_latency
             index += 1
             if index < len(links):

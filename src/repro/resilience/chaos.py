@@ -6,16 +6,18 @@ runs a small sweep twice:
 
 1. an **undisturbed serial baseline** -- every spec executed in this
    process, no pool, no cache, no store;
-2. a **chaotic supervised sweep** -- a worker pool whose members are
-   SIGKILLed mid-point on a timer, whose result cache gets random
-   byte-flips injected while the sweep runs, and whose workers see
-   simulated ``ENOSPC`` disk-full errors on their first cache writes.
+2. a **chaotic supervised sweep** -- a worker pool whose workers kill
+   themselves mid-point on the first claimed points (and, optionally,
+   on a timer), whose first result-cache entries get a bit flipped as
+   they land, and whose workers see simulated ``ENOSPC`` disk-full
+   errors on their first cache writes.
 
 The engine's resilience machinery (leases + heartbeats, seeded backoff,
 quarantine, checksummed cache entries, in-parent fallback) must absorb
 all of it: the harness asserts every point converges to a result
-**byte-identical** to the serial baseline, then runs :func:`repro.
-resilience.fsck.fsck` over the battered cache as a final health check.
+**byte-identical** to the serial baseline, that every planned
+injection fired, then runs :func:`repro.resilience.fsck.fsck` over the
+battered cache as a final health check.
 ``python -m repro chaos-harness`` is the CLI entry point and CI gate.
 """
 
@@ -69,6 +71,8 @@ class ChaosHarnessResult:
     kills: int = 0
     restarts: int = 0
     corruptions: int = 0
+    planned_kills: int = 0
+    planned_corruptions: int = 0
     quarantined: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
     fsck_report: Optional[FsckReport] = None
@@ -80,9 +84,20 @@ class ChaosHarnessResult:
         return not self.mismatched
 
     @property
+    def fired(self) -> bool:
+        """Every planned injection happened: a gauntlet that injected
+        less than it planned proves less than it claims."""
+        return (
+            self.kills >= self.planned_kills
+            and self.corruptions >= self.planned_corruptions
+        )
+
+    @property
     def ok(self) -> bool:
-        return self.identical and (
-            self.fsck_report is None or self.fsck_report.ok
+        return (
+            self.identical
+            and self.fired
+            and (self.fsck_report is None or self.fsck_report.ok)
         )
 
     def describe(self) -> str:
@@ -90,11 +105,14 @@ class ChaosHarnessResult:
         lines = [
             f"chaos-harness: {self.total} points, {verdict} vs serial "
             f"baseline",
-            f"  injected: {self.kills} worker kill(s), "
-            f"{self.corruptions} cache corruption(s); "
+            f"  injected: {self.kills} worker kill(s) (planned "
+            f"{self.planned_kills}), {self.corruptions} cache "
+            f"corruption(s) (planned {self.planned_corruptions}); "
             f"{self.restarts} worker restart(s), "
             f"{self.quarantined} quarantined",
         ]
+        if not self.fired:
+            lines.append("  SHORT: fewer injections than planned")
         interesting = (
             "leases_granted",
             "leases_expired",
@@ -128,16 +146,19 @@ def chaos_harness(
     cores: int = 4,
     kill_interval_s: float = 0.4,
     kill_first_leases: int = 2,
-    corrupt_interval_s: float = 0.7,
+    corrupt_first_entries: int = 2,
     diskfull_puts: int = 1,
     retries: int = 9,
     progress=False,
 ) -> ChaosHarnessResult:
     """Run the chaos gauntlet; see the module docstring for the plot.
 
-    ``kill_first_leases`` guarantees SIGKILLs that land mid-point even
-    when every point simulates in milliseconds (the wall-clock
-    ``kill_interval_s`` timer alone may never fire on a fast machine).
+    ``kill_first_leases`` and ``corrupt_first_entries`` are the planned
+    injections (see :class:`ChaosPlan`): each fires on an event, a
+    claimed point or a landed entry, so it lands even when every point
+    simulates in milliseconds, and ``.ok`` requires that all of them
+    fired.  The wall-clock ``kill_interval_s`` timer adds unplanned
+    kills on top when the sweep runs long enough.
     ``retries`` is deliberately generous (default 9): every injected
     disk-full failure burns an attempt, and the point of this harness is
     to prove convergence under fire, not to quarantine healthy specs.
@@ -172,7 +193,7 @@ def chaos_harness(
         chaos=ChaosPlan(
             kill_interval_s=kill_interval_s,
             kill_first_leases=kill_first_leases,
-            corrupt_interval_s=corrupt_interval_s,
+            corrupt_first_entries=corrupt_first_entries,
             diskfull_puts=diskfull_puts,
             seed=seed,
         ),
@@ -203,6 +224,8 @@ def chaos_harness(
         kills=pool_stats.get("kills", 0),
         restarts=pool_stats.get("restarts", 0),
         corruptions=pool_stats.get("corruptions", 0),
+        planned_kills=kill_first_leases,
+        planned_corruptions=corrupt_first_entries,
         quarantined=counters.get("quarantined", 0),
         counters=counters,
         fsck_report=fsck_report,

@@ -31,7 +31,9 @@ import multiprocessing
 import os
 import pickle
 import random
+import shutil
 import signal
+import tempfile
 import threading
 import time
 import traceback
@@ -80,24 +82,29 @@ def backoff_delay(
 class ChaosPlan:
     """Harness-level chaos knobs (see :mod:`repro.resilience.chaos`).
 
-    All injection is seeded and parent-driven (kills, corruption) or
-    deterministic per worker (disk-full), so a chaos run is
-    reproducible given the same plan.
+    The planned injections are triggered by events, not timers, so they
+    fire however fast the points simulate: a worker kills itself on a
+    claimed point (lease kills), the supervisor corrupts entries as it
+    sees them land, and each worker's first cache writes fail
+    (disk-full).  Only the optional ``kill_interval_s`` kills run on a
+    wall-clock timer, seeded.
     """
 
     kill_interval_s: float = 0.0
     """SIGKILL one random live worker this often (0 disables)."""
 
     kill_first_leases: int = 0
-    """SIGKILL the owners of the first N leases the supervisor observes
-    (0 disables).  Unlike the wall-clock timer, this lands the kill
-    *mid-point* by construction -- the victim provably holds a lease --
-    so it exercises lease reclamation even when every point simulates
-    in milliseconds."""
+    """The workers running the first N claimed points SIGKILL
+    themselves mid-point: after simulating, before the result is stored,
+    while they hold the point's lease (0 disables).  Each kill takes one
+    of N tokens the supervisor lays out, so exactly N kills happen as
+    long as the grid lasts that many claims, and every kill exercises
+    lease reclamation."""
 
-    corrupt_interval_s: float = 0.0
-    """Flip one byte of a random result-cache entry this often
-    (0 disables)."""
+    corrupt_first_entries: int = 0
+    """Flip one bit in each of the first N result-cache entries to
+    land, as the supervisor sees their points finish (0 disables).  The
+    engine finds each one unreadable and re-runs the point."""
 
     diskfull_puts: int = 0
     """Each worker's first N cache writes fail with ``ENOSPC``."""
@@ -108,7 +115,7 @@ class ChaosPlan:
     def active(self) -> bool:
         return bool(
             self.kill_interval_s or self.kill_first_leases
-            or self.corrupt_interval_s or self.diskfull_puts
+            or self.corrupt_first_entries or self.diskfull_puts
         )
 
 
@@ -121,6 +128,24 @@ def make_diskfull_hook(puts: int) -> Callable[[], None]:
         if remaining[0] > 0:
             remaining[0] -= 1
             raise OSError(errno.ENOSPC, "chaos: simulated disk full")
+
+    return hook
+
+
+def make_kill_hook(tokens_dir: str) -> Callable[[], None]:
+    """A :attr:`ResultCache.put_hook` that SIGKILLs its own worker while
+    a kill token is left in ``tokens_dir``.  The put comes after the
+    claim and before the point is finished, so the dying worker holds
+    the lease.  Unlinking a token file is the atomic take: one worker
+    gets each."""
+
+    def hook() -> None:
+        for name in sorted(os.listdir(tokens_dir)):
+            try:
+                os.unlink(os.path.join(tokens_dir, name))
+            except FileNotFoundError:  # another worker took it
+                continue
+            os.kill(os.getpid(), signal.SIGKILL)
 
     return hook
 
@@ -333,6 +358,7 @@ def worker_main(
     seed: int,
     point_timeout_s: Optional[float],
     diskfull_puts: int = 0,
+    kill_tokens: Optional[str] = None,
 ) -> None:
     """Entry point of one supervised worker process."""
     from repro.harness.jobs import ResultCache
@@ -341,8 +367,18 @@ def worker_main(
         store_path, lease_s=lease_s, quarantine_after=quarantine_after
     )
     cache = ResultCache(cache_dir)
+    hooks = []
+    if kill_tokens is not None:
+        hooks.append(make_kill_hook(kill_tokens))
     if diskfull_puts:
-        cache.put_hook = make_diskfull_hook(diskfull_puts)
+        hooks.append(make_diskfull_hook(diskfull_puts))
+    if hooks:
+
+        def put_hook() -> None:
+            for hook in hooks:
+                hook()
+
+        cache.put_hook = put_hook
     try:
         WorkerLoop(
             store,
@@ -404,6 +440,7 @@ class WorkerPool:
         self.kills = 0
         self.corruptions = 0
         self._spawned = 0
+        self._kill_tokens: Optional[str] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -438,6 +475,7 @@ class WorkerPool:
                 self.seed,
                 self.point_timeout_s,
                 self.chaos.diskfull_puts,
+                self._kill_tokens,
             ),
             daemon=True,
         )
@@ -448,67 +486,53 @@ class WorkerPool:
         """Supervise until every key is terminal.  When the restart
         budget is exhausted with no live workers, this process finishes
         whatever remains itself, so points are never stranded."""
+        from repro.harness.jobs import ResultCache
+
         keys = list(keys)
+        cache = ResultCache(self.cache_dir)
         budget = (
             self.max_restarts
             if self.max_restarts is not None
             else 4 + 2 * len(keys)
         )
+        planned_kills = self.chaos.kill_first_leases
+        if planned_kills:
+            self._kill_tokens = tempfile.mkdtemp(prefix="repro-chaos-kills-")
+            for index in range(planned_kills):
+                open(os.path.join(self._kill_tokens, str(index)), "w").close()
         fleet = [self._spawn(keys) for _ in range(self.workers)]
         rng = random.Random(self.chaos.seed ^ 0xC4A05)
-        now = time.monotonic()
         next_kill = (
-            now + self.chaos.kill_interval_s
+            time.monotonic() + self.chaos.kill_interval_s
             if self.chaos.kill_interval_s
             else None
         )
-        next_corrupt = (
-            now + self.chaos.corrupt_interval_s
-            if self.chaos.corrupt_interval_s
-            else None
-        )
+        corruptions_left = self.chaos.corrupt_first_entries
         reported: set = set()
 
         def report(key, status):
+            nonlocal corruptions_left
             if status in TERMINAL and key not in reported:
                 reported.add(key)
+                if status == "done" and corruptions_left > 0:
+                    corruptions_left -= 1
+                    self.corruptions += corrupt_entry(cache.path(key), rng)
                 if self.on_terminal is not None:
                     self.on_terminal(key, status)
 
         def scan():
-            """Report newly terminal rows; return the open rows' count
-            and the owners of their live leases."""
+            """Report newly terminal rows; return the open rows' count."""
             open_jobs = 0
-            leased_owners = []
             for row in self.store.rows(keys):
                 report(row.key, row.status)
                 if not row.terminal:
                     open_jobs += 1
-                    if row.status == "leased" and row.lease_owner:
-                        leased_owners.append(row.lease_owner)
-            return open_jobs, leased_owners
+            return open_jobs
 
-        lease_kills_left = self.chaos.kill_first_leases
         try:
             while True:
-                open_jobs, leased_owners = scan()
-                if open_jobs == 0:
+                if scan() == 0:
                     return
-                # Lease-triggered kills: shoot a worker that provably
-                # holds a lease, i.e. is mid-point right now.
-                if lease_kills_left > 0 and leased_owners:
-                    by_owner = dict(fleet)
-                    for owner in leased_owners:
-                        proc = by_owner.get(owner)
-                        if (
-                            lease_kills_left > 0
-                            and proc is not None
-                            and proc.is_alive()
-                            and proc.pid
-                        ):
-                            os.kill(proc.pid, signal.SIGKILL)
-                            self.kills += 1
-                            lease_kills_left -= 1
                 # Bury dead workers, release their leases, restart.
                 alive = []
                 for owner, proc in fleet:
@@ -534,11 +558,6 @@ class WorkerPool:
                         if victim.pid:
                             os.kill(victim.pid, signal.SIGKILL)
                             self.kills += 1
-                if next_corrupt is not None and now >= next_corrupt:
-                    next_corrupt = now + self.chaos.corrupt_interval_s
-                    self.corruptions += corrupt_random_entry(
-                        self.cache_dir, rng
-                    )
                 time.sleep(self.poll_s)
         finally:
             deadline = time.monotonic() + max(2.0, 4 * self.poll_s)
@@ -548,12 +567,15 @@ class WorkerPool:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1.0)
+            if self._kill_tokens is not None:
+                # Every token taken is a worker that killed itself.
+                self.kills += planned_kills - len(os.listdir(self._kill_tokens))
+                shutil.rmtree(self._kill_tokens, ignore_errors=True)
+                self._kill_tokens = None
         # The restart budget is spent with work left: drain it here.
-        from repro.harness.jobs import ResultCache
-
         WorkerLoop(
             self.store,
-            ResultCache(self.cache_dir),
+            cache,
             keys=keys,
             backoff_base=self.backoff_base,
             backoff_cap=self.backoff_cap,
@@ -564,16 +586,13 @@ class WorkerPool:
         scan()  # points the dead workers finished after the last scan
 
 
-def corrupt_random_entry(cache_dir, rng: random.Random) -> int:
-    """Flip one byte of one random cache entry file; returns 1 if a
-    file was mutated (0 when the cache is still empty)."""
-    from pathlib import Path
-
-    entries = sorted(Path(cache_dir).glob("*/*.json"))
-    if not entries:
+def corrupt_entry(path, rng: random.Random) -> int:
+    """Flip one random bit of the cache entry file at ``path``; returns
+    1 if the file was mutated (0 when it is missing or empty)."""
+    try:
+        data = bytearray(path.read_bytes())
+    except FileNotFoundError:
         return 0
-    path = rng.choice(entries)
-    data = bytearray(path.read_bytes())
     if not data:
         return 0
     index = rng.randrange(len(data))
@@ -587,8 +606,9 @@ __all__ = [
     "WorkerLoop",
     "WorkerPool",
     "backoff_delay",
-    "corrupt_random_entry",
+    "corrupt_entry",
     "default_store_path",
     "make_diskfull_hook",
+    "make_kill_hook",
     "worker_main",
 ]

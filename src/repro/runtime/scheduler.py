@@ -71,16 +71,17 @@ class Scheduler:
         self.threads.append(thread)
         self.contexts[tid] = ctx
 
-        def runner():
-            yield from body(ctx)
-            thread.finished = True
-            self._core_owner.pop((thread.core, thread.slot), None)
-            return None
-
-        self._procs[tid] = self.sim.process(
-            runner(), name=thread.name, delay=start_delay
-        )
+        # The body runs as the process itself (no wrapping generator,
+        # whose frame every resume would pass through); the finish
+        # bookkeeping rides on the process's exit future instead.
+        proc = self.sim.process(body(ctx), name=thread.name, delay=start_delay)
+        proc.on_exit.add_callback(lambda _result: self._finish(thread))
+        self._procs[tid] = proc
         return thread
+
+    def _finish(self, thread: SimThread) -> None:
+        thread.finished = True
+        self._core_owner.pop((thread.core, thread.slot), None)
 
     # ------------------------------------------------------------------
     def suspend(self, thread: SimThread) -> None:
@@ -138,9 +139,6 @@ class Scheduler:
         self.sim.schedule(latency, do_resume)
 
     # ------------------------------------------------------------------
-    def all_finished(self) -> bool:
-        return all(t.finished for t in self.threads)
-
     def check_for_deadlock(self) -> None:
         """Called when the event queue drains: any unfinished thread is
         deadlocked (blocked on a future nothing will complete).  The

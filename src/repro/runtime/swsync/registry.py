@@ -38,9 +38,3 @@ class SwStateRegistry:
         if key not in self._lines:
             self._lines[key] = self._allocator.line()
         return self._lines[key]
-
-    def addr_key(self, addr: Address) -> Address:
-        """Reverse lookup helper: MCS releases read a node address from
-        memory, so node addresses must round-trip through the simulated
-        memory as plain integers -- which they do (addresses are ints)."""
-        return addr

@@ -60,25 +60,27 @@ class SoftwareLibrary(SyncLibrary):
         self._barrier = barrier_impl
         self._condvar = condvar_impl
 
+    # Each returns the implementation's generator itself (no wrapping
+    # frame for every resume of the operation to pass through).
     def lock(self, th, addr: Address) -> Generator:
-        yield from self._lock.lock(th, addr)
+        return self._lock.lock(th, addr)
 
     def unlock(self, th, addr: Address) -> Generator:
-        yield from self._lock.unlock(th, addr)
+        return self._lock.unlock(th, addr)
 
     def barrier(self, th, addr: Address, goal: int) -> Generator:
-        yield from self._barrier.wait(th, addr, goal)
+        return self._barrier.wait(th, addr, goal)
 
     def cond_wait(self, th, cond: Address, lock: Address) -> Generator:
-        yield from self._condvar.wait(
+        return self._condvar.wait(
             th, cond, lock, self._lock.lock, self._lock.unlock
         )
 
     def cond_signal(self, th, cond: Address) -> Generator:
-        yield from self._condvar.signal(th, cond)
+        return self._condvar.signal(th, cond)
 
     def cond_broadcast(self, th, cond: Address) -> Generator:
-        yield from self._condvar.broadcast(th, cond)
+        return self._condvar.broadcast(th, cond)
 
 
 class HybridLibrary(SyncLibrary):

@@ -51,13 +51,17 @@ class ThreadCtx:
     """The execution context handed to a thread body.
 
     Wired up by the scheduler: ``machine`` must expose ``sim``,
-    ``memory_system(core)``, ``sync_unit(core)``, and ``sync_library``.
+    ``memory.l1s`` and ``sync_units`` (both indexed by core), and
+    ``sync_library``.  Memory and sync operations go straight to the
+    thread's current core's L1 and sync unit.
     """
 
     def __init__(self, machine, thread: SimThread):
         self.machine = machine
         self.sim: Simulator = machine.sim
         self.thread = thread
+        self._l1s = machine.memory.l1s
+        self._sync_units = machine.sync_units
         self.stats = StatSet(f"thread.{thread.tid}")
         self._probe = getattr(machine, "probe", None)
         """Checker event bus; ``None`` (the common case) keeps every
@@ -97,48 +101,50 @@ class ThreadCtx:
         return None
 
     def load(self, addr: Address) -> Generator:
-        value = yield self.machine.memory_system(self.core).load(addr)
-        if self.thread.suspended:
+        thread = self.thread
+        value = yield self._l1s[thread.core].load(addr)
+        if thread.suspended:
             yield from self._absorb_suspension()
         probe = self._probe
         if probe is not None and probe.mem_active and not self._sync_depth:
-            probe.emit("mem_read", tid=self.tid, addr=addr)
+            probe.emit("mem_read", tid=thread.tid, addr=addr)
         return value
 
     def store(self, addr: Address, value: int) -> Generator:
-        yield self.machine.memory_system(self.core).store(addr, value)
-        if self.thread.suspended:
+        thread = self.thread
+        yield self._l1s[thread.core].store(addr, value)
+        if thread.suspended:
             yield from self._absorb_suspension()
         probe = self._probe
         if probe is not None and probe.mem_active and not self._sync_depth:
-            probe.emit("mem_write", tid=self.tid, addr=addr)
+            probe.emit("mem_write", tid=thread.tid, addr=addr)
         return None
 
     def rmw(self, addr: Address, fn) -> Generator:
         """Atomic read-modify-write; returns the old value."""
-        old = yield self.machine.memory_system(self.core).rmw(addr, fn)
-        if self.thread.suspended:
+        thread = self.thread
+        old = yield self._l1s[thread.core].rmw(addr, fn)
+        if thread.suspended:
             yield from self._absorb_suspension()
         probe = self._probe
         if probe is not None and probe.mem_active and not self._sync_depth:
-            probe.emit("mem_atomic", tid=self.tid, addr=addr)
+            probe.emit("mem_atomic", tid=thread.tid, addr=addr)
         return old
 
+    # The atomics below return the rmw generator itself rather than
+    # wrapping it (``yield from th.fetch_add(...)`` works the same),
+    # which saves a generator frame on every resume of the access.
     def fetch_add(self, addr: Address, delta: int = 1) -> Generator:
-        old = yield from self.rmw(addr, lambda v: v + delta)
-        return old
+        return self.rmw(addr, lambda v: v + delta)
 
     def test_and_set(self, addr: Address) -> Generator:
-        old = yield from self.rmw(addr, lambda v: 1)
-        return old
+        return self.rmw(addr, lambda v: 1)
 
     def swap(self, addr: Address, new: int) -> Generator:
-        old = yield from self.rmw(addr, lambda v: new)
-        return old
+        return self.rmw(addr, lambda v: new)
 
     def compare_and_swap(self, addr: Address, expect: int, new: int) -> Generator:
-        old = yield from self.rmw(addr, lambda v: new if v == expect else v)
-        return old
+        return self.rmw(addr, lambda v: new if v == expect else v)
 
     def sync(self, op: SyncOp, addr: Address, aux: int = 0) -> Generator:
         """Execute a hardware synchronization instruction (section 3's
@@ -149,15 +155,16 @@ class ThreadCtx:
         lands while the thread is suspended is consumed only after
         resume (paper sections 4.1.2 / 4.3.2).
         """
+        thread = self.thread
         while True:
-            result = yield self.machine.sync_unit(self.core).issue(
-                op, addr, aux, slot=self.thread.slot
+            result = yield self._sync_units[thread.core].issue(
+                op, addr, aux, thread.slot
             )
             if result is SQUASHED:
                 self.stats.counter("sync_squashed").inc()
                 yield from self._absorb_suspension()
                 continue
-            if self.thread.suspended:
+            if thread.suspended:
                 yield from self._absorb_suspension()
             counter = self._sync_counters.get((op, result))
             if counter is None:
@@ -202,68 +209,53 @@ class ThreadCtx:
     # These wrappers are the checker probe's thread-level vantage point:
     # one call site per operation covers the hardware fast path, the
     # software fallback, and every recovery/retry flavor in between.
-    def _guarded(self, op) -> Generator:
+    # With no probe attached each returns the library's generator
+    # itself, so resuming the operation passes through no wrapper frame.
+    def _observed(self, op, addr, aux, before, after=None) -> Generator:
+        """Run the library generator ``op`` between the ``before`` and
+        ``after`` probe events, marked as sync-library internals."""
+        probe = self._probe
+        probe.emit(before, tid=self.tid, addr=addr, aux=aux)
         self._sync_depth += 1
         try:
             yield from op
         finally:
             self._sync_depth -= 1
+        if after is not None:
+            probe.emit(after, tid=self.tid, addr=addr, aux=aux)
 
     def lock(self, addr: Address) -> Generator:
-        probe = self._probe
-        if probe is None:
-            yield from self.machine.sync_library.lock(self, addr)
-            return
-        probe.emit("lock_req", tid=self.tid, addr=addr)
-        yield from self._guarded(self.machine.sync_library.lock(self, addr))
-        probe.emit("lock_acq", tid=self.tid, addr=addr)
+        op = self.machine.sync_library.lock(self, addr)
+        if self._probe is None:
+            return op
+        return self._observed(op, addr, None, "lock_req", "lock_acq")
 
     def unlock(self, addr: Address) -> Generator:
-        probe = self._probe
-        if probe is None:
-            yield from self.machine.sync_library.unlock(self, addr)
-            return
-        probe.emit("lock_rel", tid=self.tid, addr=addr)
-        yield from self._guarded(self.machine.sync_library.unlock(self, addr))
+        op = self.machine.sync_library.unlock(self, addr)
+        if self._probe is None:
+            return op
+        return self._observed(op, addr, None, "lock_rel")
 
     def barrier(self, addr: Address, goal: int) -> Generator:
-        probe = self._probe
-        if probe is None:
-            yield from self.machine.sync_library.barrier(self, addr, goal)
-            return
-        probe.emit("barrier_enter", tid=self.tid, addr=addr, aux=goal)
-        yield from self._guarded(
-            self.machine.sync_library.barrier(self, addr, goal)
-        )
-        probe.emit("barrier_exit", tid=self.tid, addr=addr, aux=goal)
+        op = self.machine.sync_library.barrier(self, addr, goal)
+        if self._probe is None:
+            return op
+        return self._observed(op, addr, goal, "barrier_enter", "barrier_exit")
 
     def cond_wait(self, cond: Address, lock: Address) -> Generator:
-        probe = self._probe
-        if probe is None:
-            yield from self.machine.sync_library.cond_wait(self, cond, lock)
-            return
-        probe.emit("cond_wait_begin", tid=self.tid, addr=cond, aux=lock)
-        yield from self._guarded(
-            self.machine.sync_library.cond_wait(self, cond, lock)
-        )
-        probe.emit("cond_wait_end", tid=self.tid, addr=cond, aux=lock)
+        op = self.machine.sync_library.cond_wait(self, cond, lock)
+        if self._probe is None:
+            return op
+        return self._observed(op, cond, lock, "cond_wait_begin", "cond_wait_end")
 
     def cond_signal(self, cond: Address) -> Generator:
-        probe = self._probe
-        if probe is not None:
-            probe.emit("cond_signal", tid=self.tid, addr=cond, aux=0)
-            yield from self._guarded(
-                self.machine.sync_library.cond_signal(self, cond)
-            )
-            return
-        yield from self.machine.sync_library.cond_signal(self, cond)
+        op = self.machine.sync_library.cond_signal(self, cond)
+        if self._probe is None:
+            return op
+        return self._observed(op, cond, 0, "cond_signal")
 
     def cond_broadcast(self, cond: Address) -> Generator:
-        probe = self._probe
-        if probe is not None:
-            probe.emit("cond_signal", tid=self.tid, addr=cond, aux=1)
-            yield from self._guarded(
-                self.machine.sync_library.cond_broadcast(self, cond)
-            )
-            return
-        yield from self.machine.sync_library.cond_broadcast(self, cond)
+        op = self.machine.sync_library.cond_broadcast(self, cond)
+        if self._probe is None:
+            return op
+        return self._observed(op, cond, 1, "cond_signal")

@@ -142,6 +142,8 @@ class Process:
         "on_exit",
         "_waiting_on",
         "_step_cb",
+        "_buckets",
+        "_times",
     )
 
     def __init__(self, sim: "Simulator", body: ProcessBody, name: str = "?"):
@@ -155,6 +157,9 @@ class Process:
         # One bound method for the process's whole life: every resume
         # (timer or future completion) reuses it instead of re-binding.
         self._step_cb = self._step
+        # The calendar, for the inline push of int yields in _step.
+        self._buckets = sim._buckets
+        self._times = sim._times
 
     def start(self, delay: int = 0) -> "Process":
         self.sim.schedule(delay, self._step_cb, None)
@@ -177,11 +182,22 @@ class Process:
             self.sim._release(self)
             return
         cls = type(yielded)
-        if cls is int:
-            self.sim.schedule(yielded, self._step_cb, None)
+        if cls is int and yielded >= 0:
+            # Simulator.schedule inlined (a negative delay takes the
+            # slow path, which raises): most resumes are int yields.
+            when = self.sim.now + yielded
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [(self._step_cb, None)]
+                heappush(self._times, when)
+            else:
+                bucket.append((self._step_cb, None))
         elif cls is Future:
             self._waiting_on = yielded
-            yielded.add_callback(self._step_cb)
+            if yielded._cb is None and not yielded._done:
+                yielded._cb = self._step_cb  # add_callback's common case
+            else:
+                yielded.add_callback(self._step_cb)
         else:
             self._dispatch(yielded)
 

@@ -66,13 +66,12 @@ class TestBasicAccess:
     def test_load_of_untouched_address_is_zero(self):
         m = make_machine()
         got = []
-        m.memory_system(0).load(1 << 20).add_callback(got.append)
+        m.memory.l1s[0].load(1 << 20).add_callback(got.append)
         m.sim.run()
         assert got == [0]
 
     def test_store_then_load_same_core(self):
         m = make_machine()
-        mem = m.memory_system(0)
         got = []
 
         def body(th):
@@ -279,6 +278,30 @@ class TestEviction:
         m.run()
         m.check_invariants()
         assert got == [42]
+
+
+class TestLazyCounters:
+    """Counter *sets* are part of the determinism contract: a directory
+    slice's cached counter handles are bound lazily, so it registers a
+    per-request counter only once a request touches it."""
+
+    def test_idle_directory_has_no_counters(self):
+        m = make_machine()
+        assert all(d.stats.counters == {} for d in m.memory.directories)
+
+    def test_one_gets_registers_exactly_its_counters(self):
+        m = make_machine()
+        addr = 1 << 22
+        home = m.memory.amap.home_of(addr)
+
+        def body(th):
+            yield from th.load(addr)
+
+        m.scheduler.spawn(body, core=0)
+        m.run()
+        for tile, directory in enumerate(m.memory.directories):
+            expected = {"gets": 1, "cold_misses": 1} if tile == home else {}
+            assert directory.stats.counters == expected
 
 
 @settings(max_examples=20, deadline=None)

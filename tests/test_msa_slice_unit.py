@@ -96,6 +96,33 @@ class TestNBTCSelection:
         assert s._select_waiter(a) == 1  # nbtc -> 2
         assert s._select_waiter(b) == 9  # continues from 2
 
+    @pytest.mark.parametrize("hw_threads", [1, 2])
+    def test_matches_position_scan(self, machine16, hw_threads):
+        """The min over the waiters picks the requester the hardware's
+        position-by-position scan from NBTC would, and leaves NBTC in the
+        same state, over random waiter sets and NBTC values."""
+        import random
+
+        s = self._slice(machine16)
+        s.hw_threads = hw_threads
+        n = 16 * hw_threads
+
+        def scan(waiters, nbtc):
+            for offset in range(n):
+                candidate = (nbtc + offset) % n
+                if candidate in waiters:
+                    return candidate, (candidate + 1) % n
+            raise AssertionError("empty")
+
+        rng = random.Random(hw_threads)
+        for _ in range(500):
+            entry = MSAEntry(addr=0x100, sync_type=SyncType.LOCK)
+            for requester in rng.sample(range(n), rng.randint(1, n)):
+                entry.waiters[requester] = 0
+            s.nbtc = rng.randrange(n)
+            expected = scan(entry.waiters, s.nbtc)
+            assert (s._select_waiter(entry), s.nbtc) == expected
+
 
 class TestTypeChecking:
     def test_mixed_type_use_raises(self, machine16):

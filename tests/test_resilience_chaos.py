@@ -261,7 +261,7 @@ class TestChaosHarness:
             scale=0.15,
             cores=4,
             kill_interval_s=0.2,
-            corrupt_interval_s=0.3,
+            corrupt_first_entries=2,
             diskfull_puts=1,
         )
         assert result.identical, result.describe()
@@ -274,3 +274,30 @@ class TestChaosHarness:
             result.kills + result.corruptions + counters.get("retries", 0)
         ) >= 1
         assert result.fsck_report is not None and result.fsck_report.ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planned_injections_all_fire(self, tmp_path, seed):
+        """Lease kills and entry corruptions are triggered by claims and
+        landings, not timers: on the default 4-point grid every planned
+        one fires, whatever the seed and however fast the points run
+        (the timer kills are off so the count is exact)."""
+        result = chaos_harness(
+            workdir=tmp_path, workers=3, seed=seed, kill_interval_s=0.0
+        )
+        assert result.total == 4
+        assert (result.planned_kills, result.planned_corruptions) == (2, 2)
+        assert (result.kills, result.corruptions) == (2, 2), result.describe()
+        assert result.ok, result.describe()
+
+
+def test_short_injection_is_not_ok():
+    from repro.resilience.chaos import ChaosHarnessResult
+
+    result = ChaosHarnessResult(
+        total=4, kills=1, corruptions=2, planned_kills=2, planned_corruptions=2
+    )
+    assert result.identical and not result.fired and not result.ok
+    text = result.describe()
+    assert "1 worker kill(s) (planned 2)" in text
+    assert "2 cache corruption(s) (planned 2)" in text
+    assert "SHORT" in text

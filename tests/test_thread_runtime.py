@@ -93,6 +93,23 @@ class TestPrimitives:
 
 
 class TestSyncStatsAndResults:
+    def test_plain_thread_registers_no_spin_or_sync_counters(self):
+        """Spin and sync counter handles are bound on first use: a
+        thread that only loads, stores and computes reports none."""
+        m = build_machine("msa-omu-2", n_cores=16)
+        addr = m.allocator.line()
+
+        def body(th):
+            yield from th.store(addr, 1)
+            yield from th.load(addr)
+            yield from th.compute(10)
+
+        m.scheduler.spawn(body)
+        m.run()
+        names = m.scheduler.contexts[0].stats.counters
+        assert "spin_polls" not in names
+        assert not [name for name in names if name.startswith("sync.")]
+
     def test_sync_stats_recorded(self):
         m = build_machine("msa-omu-2", n_cores=16)
         addr = m.allocator.sync_var()
