@@ -101,6 +101,12 @@ class CoreParams:
     context_switch_latency: int = 200
     """OS cost to suspend/resume a thread."""
 
+    def validate(self) -> None:
+        if self.hw_threads < 1:
+            raise ConfigError("hw_threads must be >= 1")
+        if self.sync_fence_latency < 0:
+            raise ConfigError("sync_fence_latency must be >= 0")
+
 
 @dataclass(frozen=True)
 class MSAParams:
@@ -127,6 +133,8 @@ class MSAParams:
     def validate(self) -> None:
         if self.entries_per_tile is not None and self.entries_per_tile < 0:
             raise ConfigError("entries_per_tile must be >= 0 or None")
+        if self.msa_access_latency < 0:
+            raise ConfigError("msa_access_latency must be >= 0")
 
     @property
     def is_infinite(self) -> bool:
@@ -262,8 +270,7 @@ class MachineParams:
             )
         self.noc.validate()
         self.l1.validate()
-        if self.core.hw_threads < 1:
-            raise ConfigError("hw_threads must be >= 1")
+        self.core.validate()
         if self.msa is not None:
             self.msa.validate()
         self.omu.validate()

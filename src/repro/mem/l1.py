@@ -153,11 +153,11 @@ class L1Cache:
         return bucket
 
     def state_of(self, line: int) -> CacheState:
-        return self._set_of(line).get(line, CacheState.INVALID)
+        return self._set_of(line).get(line, _INVALID)
 
     def _set_state(self, line: int, state: CacheState) -> None:
         bucket = self._set_of(line)
-        if state is CacheState.INVALID:
+        if state is _INVALID:
             bucket.pop(line, None)
         else:
             bucket[line] = state

@@ -21,6 +21,20 @@ from repro.common.stats import StatSet
 from repro.common.types import Address, CoreId, SyncOp, SyncResult
 from repro.sim.kernel import Future, Simulator
 
+# Enum members as module globals: on Python 3.11 reading a member through
+# its class costs about four plain attribute reads (``EnumType`` defines
+# ``__getattr__``), and the sync path reads several per operation.
+_LOCK = SyncOp.LOCK
+_TRYLOCK = SyncOp.TRYLOCK
+_UNLOCK = SyncOp.UNLOCK
+_BARRIER = SyncOp.BARRIER
+_COND_WAIT = SyncOp.COND_WAIT
+_COND_SIGNAL = SyncOp.COND_SIGNAL
+_COND_BCAST = SyncOp.COND_BCAST
+_FINISH = SyncOp.FINISH
+_SUCCESS = SyncResult.SUCCESS
+_BUSY = SyncResult.BUSY
+
 
 @dataclass
 class _LockState:
@@ -52,22 +66,22 @@ class IdealSyncOracle:
         self, op: SyncOp, addr: Address, aux: int, core: CoreId, future: Future
     ) -> None:
         self.stats.counter(f"op.{op.value}").inc()
-        if op is SyncOp.LOCK:
+        if op is _LOCK:
             self._lock(addr, core, future)
-        elif op is SyncOp.TRYLOCK:
+        elif op is _TRYLOCK:
             self._trylock(addr, core, future)
-        elif op is SyncOp.UNLOCK:
+        elif op is _UNLOCK:
             self._unlock(addr, core, future)
-        elif op is SyncOp.BARRIER:
+        elif op is _BARRIER:
             self._barrier(addr, aux, future)
-        elif op is SyncOp.COND_WAIT:
+        elif op is _COND_WAIT:
             self._cond_wait(addr, aux, core, future)
-        elif op is SyncOp.COND_SIGNAL:
+        elif op is _COND_SIGNAL:
             self._cond_signal(addr, future, broadcast=False)
-        elif op is SyncOp.COND_BCAST:
+        elif op is _COND_BCAST:
             self._cond_signal(addr, future, broadcast=True)
-        elif op is SyncOp.FINISH:
-            future.complete(SyncResult.SUCCESS)
+        elif op is _FINISH:
+            future.complete(_SUCCESS)
         else:
             raise ProtocolError(f"ideal oracle: unexpected op {op}")
 
@@ -76,7 +90,7 @@ class IdealSyncOracle:
         state = self._locks.setdefault(addr, _LockState())
         if state.owner is None:
             state.owner = core
-            future.complete(SyncResult.SUCCESS)
+            future.complete(_SUCCESS)
         else:
             state.waiters.append((core, future))
 
@@ -84,19 +98,19 @@ class IdealSyncOracle:
         state = self._locks.setdefault(addr, _LockState())
         if state.owner is None:
             state.owner = core
-            future.complete(SyncResult.SUCCESS)
+            future.complete(_SUCCESS)
         else:
-            future.complete(SyncResult.BUSY)
+            future.complete(_BUSY)
 
     def _unlock(self, addr: Address, core: CoreId, future: Future) -> None:
         state = self._locks.get(addr)
         if state is None or state.owner is None:
             raise ProtocolError(f"ideal: unlock of free lock {addr:#x}")
-        future.complete(SyncResult.SUCCESS)
+        future.complete(_SUCCESS)
         if state.waiters:
             next_core, next_future = state.waiters.popleft()
             state.owner = next_core
-            next_future.complete(SyncResult.SUCCESS)
+            next_future.complete(_SUCCESS)
         else:
             state.owner = None
 
@@ -106,7 +120,7 @@ class IdealSyncOracle:
         if len(state.arrived) >= goal:
             arrived, state.arrived = state.arrived, deque()
             for f in arrived:
-                f.complete(SyncResult.SUCCESS)
+                f.complete(_SUCCESS)
 
     def _cond_wait(
         self, cond: Address, lock: Address, core: CoreId, future: Future
@@ -119,7 +133,7 @@ class IdealSyncOracle:
         self._unlock(lock, core, release)
 
     def _cond_signal(self, cond: Address, future: Future, broadcast: bool) -> None:
-        future.complete(SyncResult.SUCCESS)
+        future.complete(_SUCCESS)
         state = self._conds.get(cond)
         if state is None or not state.waiters:
             return

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from heapq import heappush
 from typing import Dict, Optional
 
 from repro.common.params import CoreParams, MSAParams
@@ -28,6 +29,18 @@ from repro.common.types import Address, CoreId, SyncOp, SyncResult
 from repro.noc.message import Message
 from repro.noc.network import Network
 from repro.sim.kernel import Future, Simulator
+
+# Enum members as module globals: on Python 3.11 reading a member through
+# its class costs about four plain attribute reads (``EnumType`` defines
+# ``__getattr__``), and the sync path reads several per operation.
+_LOCK = SyncOp.LOCK
+_TRYLOCK = SyncOp.TRYLOCK
+_UNLOCK = SyncOp.UNLOCK
+_COND_WAIT = SyncOp.COND_WAIT
+_FINISH = SyncOp.FINISH
+_SUCCESS = SyncResult.SUCCESS
+_FAIL = SyncResult.FAIL
+_ABORT = SyncResult.ABORT
 
 
 class _Squashed:
@@ -88,7 +101,11 @@ class SyncUnit:
         # f-string was measurable).
         self._silent_lock_hits = None
         self._silent_unlock_hits = None
+        self._hwsync_revoked = None
         self._fence_latency = core_params.sync_fence_latency
+        # For the inline calendar push of the fence-delayed send (issue).
+        self._buckets = sim._buckets
+        self._times = sim._times
         self._requester_base = core_id * core_params.hw_threads
 
         self._pending: Dict[int, Future] = {}
@@ -174,7 +191,7 @@ class SyncUnit:
         """Execute a synchronization instruction from hardware-thread
         ``slot``; the future resolves to a :class:`SyncResult` (or
         ``SQUASHED`` after a suspension)."""
-        future = self.sim.future()
+        future = Future(self.sim)
         issued = self._issued_counts.get(op)
         if issued is None:
             issued = self._issued_counts[op] = self.stats.counter(
@@ -193,7 +210,7 @@ class SyncUnit:
             # MSA-0: the instruction is implemented trivially -- it
             # always FAILs, locally, without sending any message.
             self.stats.counter("always_fail").inc()
-            future.complete_at(fence, SyncResult.FAIL)
+            future.complete_at(fence, _FAIL)
             return future
 
         if self._injector is not None:
@@ -213,19 +230,19 @@ class SyncUnit:
             self._hwsync.pop(addr, None)
             if self._held.get(addr) == slot:
                 del self._held[addr]
-            result = (
-                SyncResult.SUCCESS if op is SyncOp.FINISH else SyncResult.FAIL
-            )
-            future.complete_at(fence, result)
+            future.complete_at(fence, _SUCCESS if op is _FINISH else _FAIL)
             return future
 
-        if op is SyncOp.FINISH:
+        # Each path below sends after the fence through one calendar
+        # ``entry`` (a plain request unless a fast path sets another);
+        # a silent UNLOCK also retires (completes) at that cycle.
+        entry = None
+        retired = False
+        if op is _FINISH:
             # Fire-and-forget OMU notification; completes at the core
             # as soon as the message is injected.
-            self.sim.schedule(fence, self._send_finish, (addr, future))
-            return future
-
-        if op is SyncOp.UNLOCK:
+            entry = (self._send_finish, (addr, future))
+        elif op is _UNLOCK:
             # Disarm any idle-armed bit before the release becomes
             # visible: after the MSA hands the lock to a waiter, a
             # silent re-acquire here would break mutual exclusion.  The
@@ -259,25 +276,22 @@ class SyncUnit:
                 self._detached_reqs.add(req_id)
                 if self._plane is not None:
                     self._register_detached(req_id, addr, aux, requester)
-                self.sim.schedule(
-                    fence,
+                entry = (
                     self._send_request,
-                    (SyncOp.UNLOCK, addr, aux, req_id, requester),
+                    (_UNLOCK, addr, aux, req_id, requester),
                 )
-                future.complete_at(fence, SyncResult.SUCCESS)
-                return future
-            if holder == slot:
+                retired = True
+            elif holder == slot:
                 del self._held[addr]
-        elif op is SyncOp.COND_WAIT:
+        elif op is _COND_WAIT:
             # COND_WAIT releases the associated lock (aux) on our
             # behalf at the MSA; disarm/unhold it for the same reason.
             self._hwsync.pop(aux, None)
             if self._held.get(aux) == slot:
                 del self._held[aux]
             self._hw_owned.pop(aux, None)
-
-        if (
-            op in (SyncOp.LOCK, SyncOp.TRYLOCK)
+        elif (
+            (op is _LOCK or op is _TRYLOCK)
             and self.msa_params.hwsync_opt
             and self._hwsync.pop(addr, None)
         ):
@@ -294,16 +308,23 @@ class SyncUnit:
             self._held[addr] = slot
             if self._plane is not None:
                 self._hw_owned[addr] = slot
-            self.sim.schedule(
-                fence, self._send_silent, (addr, future, requester, slot)
-            )
-            return future
+            entry = (self._send_silent, (addr, future, requester, slot))
+        if entry is None:
+            req_id = next(_req_ids)
+            self._register_pending(req_id, op, addr, aux, slot, future)
+            entry = (self._send_request, (op, addr, aux, req_id, requester))
 
-        req_id = next(_req_ids)
-        self._register_pending(req_id, op, addr, aux, slot, future)
-        self.sim.schedule(
-            fence, self._send_request, (op, addr, aux, req_id, requester)
-        )
+        # Simulator.schedule inlined (the fence is >= 0: CoreParams
+        # validates it and fault plans only add to it).
+        when = self.sim.now + fence
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = bucket = [entry]
+            heappush(self._times, when)
+        else:
+            bucket.append(entry)
+        if retired:
+            bucket.append((future.complete, _SUCCESS))
         return future
 
     def _register_pending(
@@ -360,7 +381,7 @@ class SyncUnit:
                 {"addr": addr, "core": self.core_id},
             )
         )
-        future.complete(SyncResult.SUCCESS)
+        future.complete(_SUCCESS)
 
     def _send_silent(self, state) -> None:
         addr, future, requester, slot = state
@@ -373,8 +394,8 @@ class SyncUnit:
             self._hw_owned.pop(addr, None)
             # Fall back to a normal LOCK round trip.
             req_id = next(_req_ids)
-            self._register_pending(req_id, SyncOp.LOCK, addr, 0, slot, future)
-            self._send_request((SyncOp.LOCK, addr, 0, req_id, requester))
+            self._register_pending(req_id, _LOCK, addr, 0, slot, future)
+            self._send_request((_LOCK, addr, 0, req_id, requester))
             return
         self.network.send(
             Message(
@@ -384,7 +405,7 @@ class SyncUnit:
                 {"addr": addr, "core": requester},
             )
         )
-        future.complete(SyncResult.SUCCESS)
+        future.complete(_SUCCESS)
 
     # ------------------------------------------------------------------
     # Suspension (scheduler-driven)
@@ -416,7 +437,7 @@ class SyncUnit:
             )
         )
         self.stats.counter("suspends_sent").inc()
-        if op in (SyncOp.LOCK, SyncOp.TRYLOCK):
+        if op is _LOCK or op is _TRYLOCK:
             future = self._pending.pop(req_id)
             self._pending_op.pop(req_id)
             self._pending_addr.pop(req_id)
@@ -432,6 +453,73 @@ class SyncUnit:
     # Response path
     # ------------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
+        if msg.kind != "msa_cpu.resp":
+            self._on_control(msg)
+            return
+        p = msg.payload
+        req_id = p["req_id"]
+        result: SyncResult = p["result"]
+        if req_id in self._detached_reqs:
+            # Silent-UNLOCK notification response: consumed only for the
+            # re-arm bit (the instruction already retired as SUCCESS).
+            self._detached_reqs.discard(req_id)
+            self._detached_info.pop(req_id, None)
+            self._detached_attempt.pop(req_id, None)
+            if result is _SUCCESS and p.get("rearm"):
+                self._note_hwsync(p["addr"])
+            return
+        if req_id in self._squashed_reqs:
+            self._squashed_reqs.discard(req_id)
+            slot = self._pending_slot.pop(req_id, 0)
+            # A grant raced our suspension: we now own a lock the thread
+            # never observed acquiring.  Release it immediately.
+            if result is _SUCCESS:
+                self.stats.counter("squashed_grant_released").inc()
+                if p.get("grant_hwsync"):
+                    self._held[p["addr"]] = slot
+                if self._plane is not None:
+                    self._hw_owned[p["addr"]] = slot
+                self.issue(_UNLOCK, p["addr"], slot=slot)
+            elif result is _FAIL or result is _ABORT:
+                # The home charged the OMU for a software fallback this
+                # request will never run (the thread re-issues the
+                # instruction after resume): FINISH cancels the charge.
+                self.stats.counter("squashed_fallback_finished").inc()
+                self.issue(_FINISH, p["addr"], slot=slot)
+            return
+        future = self._pending.pop(req_id, None)
+        if future is None:
+            if self._plane is not None:
+                # A duplicate (response-cache replay) or a grant from a
+                # home that was declared dead while it was in flight;
+                # the request already resolved, so the response is void.
+                self.stats.counter("stale_responses").inc()
+                return
+            raise ValueError(
+                f"sync unit {self.core_id}: response for unknown req {req_id}"
+            )
+        op = self._pending_op.pop(req_id, None)
+        self._pending_addr.pop(req_id, None)
+        req_slot = self._pending_slot.pop(req_id, 0)
+        self._clear_fault_state(req_id)
+        if self.current_req.get(req_slot) == req_id:
+            self.current_req[req_slot] = None
+        if result is _SUCCESS:
+            if p.get("grant_hwsync"):
+                # A lock grant: we hold it (silent-unlock fast path).
+                self._held[p["addr"]] = req_slot
+            if p.get("rearm"):
+                self._note_hwsync(p["addr"])
+            if self._plane is not None:
+                if op is _LOCK or op is _TRYLOCK:
+                    self._hw_owned[p["addr"]] = req_slot
+                elif op is _UNLOCK:
+                    self._hw_owned.pop(p["addr"], None)
+        future.complete(result)
+
+    def _on_control(self, msg: Message) -> None:
+        """Everything but a response: delivery acknowledgments and pongs
+        (fault-plan machines) and HWSync revokes."""
         if msg.kind == "msa_cpu.accept":
             # The home slice took delivery of our request (fault-plan
             # machines only): stop re-sending, keep ping-checking.
@@ -454,7 +542,12 @@ class SyncUnit:
                 # otherwise arrive after our acknowledgment, when the
                 # MSA may already have freed or re-granted the entry).
                 self._silent_cancelled[addr] = True
-            self.stats.counter("hwsync_revoked").inc()
+            revoked = self._hwsync_revoked
+            if revoked is None:
+                revoked = self._hwsync_revoked = self.stats.counter(
+                    "hwsync_revoked"
+                )
+            revoked.value += 1
             self.network.send(
                 Message(
                     src=self.core_id,
@@ -464,68 +557,7 @@ class SyncUnit:
                 )
             )
             return
-        if msg.kind != "msa_cpu.resp":
-            raise ValueError(f"sync unit {self.core_id}: unknown {msg}")
-        p = msg.payload
-        req_id = p["req_id"]
-        result: SyncResult = p["result"]
-        if req_id in self._detached_reqs:
-            # Silent-UNLOCK notification response: consumed only for the
-            # re-arm bit (the instruction already retired as SUCCESS).
-            self._detached_reqs.discard(req_id)
-            self._detached_info.pop(req_id, None)
-            self._detached_attempt.pop(req_id, None)
-            if result is SyncResult.SUCCESS and p.get("rearm"):
-                self._note_hwsync(p["addr"])
-            return
-        if req_id in self._squashed_reqs:
-            self._squashed_reqs.discard(req_id)
-            slot = self._pending_slot.pop(req_id, 0)
-            # A grant raced our suspension: we now own a lock the thread
-            # never observed acquiring.  Release it immediately.
-            if result is SyncResult.SUCCESS:
-                self.stats.counter("squashed_grant_released").inc()
-                if p.get("grant_hwsync"):
-                    self._held[p["addr"]] = slot
-                if self._plane is not None:
-                    self._hw_owned[p["addr"]] = slot
-                self.issue(SyncOp.UNLOCK, p["addr"], slot=slot)
-            elif result in (SyncResult.FAIL, SyncResult.ABORT):
-                # The home charged the OMU for a software fallback this
-                # request will never run (the thread re-issues the
-                # instruction after resume): FINISH cancels the charge.
-                self.stats.counter("squashed_fallback_finished").inc()
-                self.issue(SyncOp.FINISH, p["addr"], slot=slot)
-            return
-        future = self._pending.pop(req_id, None)
-        if future is None:
-            if self._plane is not None:
-                # A duplicate (response-cache replay) or a grant from a
-                # home that was declared dead while it was in flight;
-                # the request already resolved, so the response is void.
-                self.stats.counter("stale_responses").inc()
-                return
-            raise ValueError(
-                f"sync unit {self.core_id}: response for unknown req {req_id}"
-            )
-        op = self._pending_op.pop(req_id, None)
-        self._pending_addr.pop(req_id, None)
-        req_slot = self._pending_slot.pop(req_id, 0)
-        self._clear_fault_state(req_id)
-        if self.current_req.get(req_slot) == req_id:
-            self.current_req[req_slot] = None
-        if result is SyncResult.SUCCESS:
-            if p.get("grant_hwsync"):
-                # A lock grant: we hold it (silent-unlock fast path).
-                self._held[p["addr"]] = req_slot
-            if p.get("rearm"):
-                self._note_hwsync(p["addr"])
-            if self._plane is not None:
-                if op in (SyncOp.LOCK, SyncOp.TRYLOCK):
-                    self._hw_owned[p["addr"]] = req_slot
-                elif op is SyncOp.UNLOCK:
-                    self._hw_owned.pop(p["addr"], None)
-        future.complete(result)
+        raise ValueError(f"sync unit {self.core_id}: unknown {msg}")
 
     def _note_hwsync(self, addr: Address) -> None:
         """Record the HWSync bit; capacity models L1 residency.  Evicted
@@ -616,7 +648,7 @@ class SyncUnit:
             )
         # Idempotent: the slice dedups by req_id and replays the cached
         # response if the original was actually processed.
-        self._send_request((SyncOp.UNLOCK, addr, aux, req_id, requester))
+        self._send_request((_UNLOCK, addr, aux, req_id, requester))
         self.sim.schedule(
             self._timeout_for(attempt + 1),
             lambda: self._check_detached(req_id),
@@ -701,7 +733,7 @@ class SyncUnit:
             self.current_req[slot] = None
         self._clear_fault_state(req_id)
         self.stats.counter("degraded_fails").inc()
-        future.complete(SyncResult.FAIL)
+        future.complete(_FAIL)
 
     def surrender_tile(self, tile) -> list:
         """Drop all local fast-path state homed at a dead ``tile`` and
@@ -741,4 +773,4 @@ class SyncUnit:
                     aux=("fail_pending", {"home": tile, "count": len(victims)}),
                 )
         for future in victims:
-            future.complete(SyncResult.FAIL)
+            future.complete(_FAIL)

@@ -28,7 +28,7 @@ a performance cost, never a safety one.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import List, Tuple
 
 from repro.common.params import OMUParams
 from repro.common.stats import StatSet
@@ -45,18 +45,28 @@ class OverflowManagementUnit:
         self._counters: List[int] = [0] * params.n_counters
         self._saturated: List[bool] = [False] * params.n_counters
         self._line_shift = line_shift
+        self._n_counters = params.n_counters
+        # Bound on first update so an idle OMU registers no counter.
+        self._increments = None
+        self._decrements = None
 
-    def _indices(self, addr: Address) -> List[int]:
-        return [(addr >> self._line_shift) % self.params.n_counters]
+    def _indices(self, addr: Address) -> Tuple[int, ...]:
+        return ((addr >> self._line_shift) % self._n_counters,)
 
     def is_active(self, addr: Address) -> bool:
         """True when software-side synchronization may be active on this
         address (counter non-zero): the MSA must steer to software."""
-        return any(self._counters[i] > 0 for i in self._indices(addr))
+        index = (addr >> self._line_shift) % self._n_counters
+        return self._counters[index] > 0
 
     def increment(self, addr: Address, amount: int = 1) -> None:
         """A thread's operation on ``addr`` fell back to software."""
-        self.stats.counter("omu_increments").inc(amount)
+        increments = self._increments
+        if increments is None:
+            increments = self._increments = self.stats.counter(
+                "omu_increments"
+            )
+        increments.value += amount
         for i in self._indices(addr):
             if self._counters[i] + amount > self.params.counter_max:
                 # Increments are being lost: the counter can no longer
@@ -71,7 +81,12 @@ class OverflowManagementUnit:
 
     def decrement(self, addr: Address, amount: int = 1) -> None:
         """A software-side operation on ``addr`` completed."""
-        self.stats.counter("omu_decrements").inc(amount)
+        decrements = self._decrements
+        if decrements is None:
+            decrements = self._decrements = self.stats.counter(
+                "omu_decrements"
+            )
+        decrements.value += amount
         for i in self._indices(addr):
             if self._saturated[i]:
                 # Sticky: this counter under-counted at least once, so a

@@ -27,6 +27,7 @@ software fallback).
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heappush
 from typing import Dict, Optional
 
 from repro.common.errors import ProtocolError
@@ -38,6 +39,24 @@ from repro.msa.omu import make_omu
 from repro.noc.message import Message
 from repro.noc.network import Network
 from repro.sim.kernel import Simulator
+
+# Enum members as module globals: on Python 3.11 reading a member through
+# its class costs about four plain attribute reads (``EnumType`` defines
+# ``__getattr__``), and the sync path reads several per operation.
+_LOCK = SyncOp.LOCK
+_TRYLOCK = SyncOp.TRYLOCK
+_UNLOCK = SyncOp.UNLOCK
+_BARRIER = SyncOp.BARRIER
+_COND_WAIT = SyncOp.COND_WAIT
+_COND_SIGNAL = SyncOp.COND_SIGNAL
+_COND_BCAST = SyncOp.COND_BCAST
+_SUCCESS = SyncResult.SUCCESS
+_FAIL = SyncResult.FAIL
+_ABORT = SyncResult.ABORT
+_BUSY = SyncResult.BUSY
+_TYPE_LOCK = SyncType.LOCK
+_TYPE_BARRIER = SyncType.BARRIER
+_TYPE_CONDVAR = SyncType.CONDVAR
 
 
 class MSASlice:
@@ -101,8 +120,20 @@ class MSASlice:
         self._ops_sw = None
         self._ops_aborted = None
         self._lock_grants = None
+        self._entries_allocated = None
+        self._omu_steered_sw = None
+        self._alloc_full = None
+        self._alloc_deferred = None
+        self._reclaims_started = None
+        self._revokes_sent = None
+        self._silent_acquires = None
+        self._barrier_releases = None
         self._req_counts: dict = {}
+        self._drop_counts: dict = {}
         self._access_latency = params.msa_access_latency
+        # For the inline calendar push of responses (_respond).
+        self._buckets = sim._buckets
+        self._times = sim._times
 
         network.register(tile, "msa", self._on_message)
 
@@ -137,11 +168,11 @@ class MSASlice:
                 "msa_respond", addr=addr, aux=(result.value, {"core": core}),
                 tile=self.tile,
             )
-        if result is SyncResult.SUCCESS:
+        if result is _SUCCESS:
             ops = self._ops_hw
             if ops is None:
                 ops = self._ops_hw = self.stats.counter("ops_hw")
-        elif result is SyncResult.FAIL:
+        elif result is _FAIL:
             ops = self._ops_sw
             if ops is None:
                 ops = self._ops_sw = self.stats.counter("ops_sw")
@@ -155,11 +186,19 @@ class MSASlice:
             self._resp_cache[req_id] = (core, result, addr, grant_hwsync, rearm)
             while len(self._resp_cache) > self._fault_params.response_cache_size:
                 self._resp_cache.popitem(last=False)
-        self.sim.schedule(
-            self._access_latency,
+        # Simulator.schedule inlined (MSAParams validates the access
+        # latency >= 0).
+        when = self.sim.now + self._access_latency
+        entry = (
             self._send_response,
             (core, req_id, result, addr, grant_hwsync, rearm),
         )
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [entry]
+            heappush(self._times, when)
+        else:
+            bucket.append(entry)
 
     def _send_response(self, args: tuple) -> None:
         """Emit the ``msa_cpu.resp`` for a completed request.  ``args``
@@ -225,11 +264,7 @@ class MSASlice:
             )
         )
         op = p["op"]
-        if verdict == "abort" and op in (
-            SyncOp.LOCK,
-            SyncOp.TRYLOCK,
-            SyncOp.BARRIER,
-        ):
+        if verdict == "abort" and op in (_LOCK, _TRYLOCK, _BARRIER):
             # Flaky ABORT is only safe for acquire-type requests that
             # *missed* in the entry array (the injector guarantees the
             # miss): charging the OMU steers the rest of the episode to
@@ -237,7 +272,7 @@ class MSASlice:
             # COND_WAIT is exempt -- its ABORT contract assumes the
             # associated lock was already released by the MSA.
             self._omu_increment(p["addr"])
-            self._respond(p["core"], req_id, SyncResult.ABORT, p["addr"])
+            self._respond(p["core"], req_id, _ABORT, p["addr"])
             return False
         return True
 
@@ -265,22 +300,22 @@ class MSASlice:
         if self.probe is not None:
             self.probe.emit("msa_kill", tile=self.tile)
         for entry in list(self.entries.values()):
-            if entry.sync_type is not SyncType.CONDVAR:
+            if entry.sync_type is not _TYPE_CONDVAR:
                 continue
             # Parked waiters released their lock (UNLOCK&PIN or
             # unlock-on-behalf): ABORT = spurious wakeup, re-acquire.
             for wcore, wreq in list(entry.waiters.items()):
-                self._respond(wcore, wreq, SyncResult.ABORT, entry.addr)
+                self._respond(wcore, wreq, _ABORT, entry.addr)
             entry.waiters.clear()
             # Reservation-queued requests still hold their lock; FAIL
             # routes them to software, which releases it properly.
             for item in entry.reserve_queue:
                 if item[0] == "cond_wait":
                     _, cond_addr, _lock_addr, core, req_id = item
-                    self._respond(core, req_id, SyncResult.FAIL, cond_addr)
+                    self._respond(core, req_id, _FAIL, cond_addr)
                 else:
                     _, cond_addr, core, req_id, _bcast = item
-                    self._respond(core, req_id, SyncResult.FAIL, cond_addr)
+                    self._respond(core, req_id, _FAIL, cond_addr)
             entry.reserve_queue.clear()
 
     def _send_slice(self, dst: TileId, kind: str, **payload) -> None:
@@ -292,7 +327,10 @@ class MSASlice:
         )
 
     def _send_revoke(self, core: CoreId, addr: Address) -> None:
-        self.stats.counter("revokes_sent").inc()
+        sent = self._revokes_sent
+        if sent is None:
+            sent = self._revokes_sent = self.stats.counter("revokes_sent")
+        sent.value += 1
         self._send_slice(core, "msa_cpu.revoke", addr=addr)
 
     def _omu_increment(self, addr: Address, amount: int = 1) -> None:
@@ -339,7 +377,12 @@ class MSASlice:
         if not self.params.supports(sync_type):
             return None
         if self._omu_active(addr):
-            self.stats.counter("omu_steered_sw").inc()
+            steered = self._omu_steered_sw
+            if steered is None:
+                steered = self._omu_steered_sw = self.stats.counter(
+                    "omu_steered_sw"
+                )
+            steered.value += 1
             if self.probe is not None:
                 self.probe.emit(
                     "omu_steer", addr=addr, aux=sync_type.value,
@@ -349,11 +392,19 @@ class MSASlice:
         if self.full and not self._evict_one_evictable():
             if replay is not None and self._defer_on_reclaim(replay):
                 return self.DEFERRED
-            self.stats.counter("alloc_full").inc()
+            full = self._alloc_full
+            if full is None:
+                full = self._alloc_full = self.stats.counter("alloc_full")
+            full.value += 1
             return None
         entry = MSAEntry(addr=addr, sync_type=sync_type)
         self.entries[addr] = entry
-        self.stats.counter("entries_allocated").inc()
+        allocated = self._entries_allocated
+        if allocated is None:
+            allocated = self._entries_allocated = self.stats.counter(
+                "entries_allocated"
+            )
+        allocated.value += 1
         if self.probe is not None:
             self.probe.emit(
                 "msa_alloc",
@@ -369,18 +420,31 @@ class MSASlice:
         for entry in self.entries.values():
             if entry.reclaiming:
                 entry.reclaim_waiters.append(replay)
-                self.stats.counter("alloc_deferred").inc()
+                self._count_deferred()
                 return True
         for entry in self.entries.values():
             if entry.idle_cached():
                 entry.reclaiming = True
                 entry.revoking = True
                 entry.reclaim_waiters.append(replay)
-                self.stats.counter("reclaims_started").inc()
-                self.stats.counter("alloc_deferred").inc()
+                started = self._reclaims_started
+                if started is None:
+                    started = self._reclaims_started = self.stats.counter(
+                        "reclaims_started"
+                    )
+                started.value += 1
+                self._count_deferred()
                 self._send_revoke(entry.hwsync_core, entry.addr)
                 return True
         return False
+
+    def _count_deferred(self) -> None:
+        deferred = self._alloc_deferred
+        if deferred is None:
+            deferred = self._alloc_deferred = self.stats.counter(
+                "alloc_deferred"
+            )
+        deferred.value += 1
 
     def _drop_entry(
         self,
@@ -393,7 +457,12 @@ class MSASlice:
         balances allocations against these)."""
         del self.entries[addr]
         if counter is not None:
-            self.stats.counter(counter).inc()
+            handle = self._drop_counts.get(counter)
+            if handle is None:
+                handle = self._drop_counts[counter] = self.stats.counter(
+                    counter
+                )
+            handle.value += 1
         if self.probe is not None:
             self.probe.emit("msa_free", addr=addr, aux=reason, tile=self.tile)
 
@@ -405,7 +474,7 @@ class MSASlice:
             return
         if not entry.evictable():
             return
-        if entry.sync_type is SyncType.LOCK and self.params.hwsync_opt:
+        if entry.sync_type is _TYPE_LOCK and self.params.hwsync_opt:
             # Keep idle lock entries on probation (they carry the reuse
             # predictor); they cost nothing -- allocation evicts them
             # instantly on demand, no revoke needed.
@@ -496,19 +565,19 @@ class MSASlice:
         if count is None:
             count = counts[op] = self.stats.counter(f"req.{op.value}")
         count.value += 1
-        if op is SyncOp.LOCK:
+        if op is _LOCK:
             self._handle_lock(addr, core, req_id)
-        elif op is SyncOp.TRYLOCK:
+        elif op is _TRYLOCK:
             self._handle_trylock(addr, core, req_id)
-        elif op is SyncOp.UNLOCK:
+        elif op is _UNLOCK:
             self._handle_unlock(addr, core, req_id)
-        elif op is SyncOp.BARRIER:
+        elif op is _BARRIER:
             self._handle_barrier(addr, aux, core, req_id)
-        elif op is SyncOp.COND_WAIT:
+        elif op is _COND_WAIT:
             self._handle_cond_wait(addr, aux, core, req_id)
-        elif op is SyncOp.COND_SIGNAL:
+        elif op is _COND_SIGNAL:
             self._handle_cond_signal(addr, core, req_id, broadcast=False)
-        elif op is SyncOp.COND_BCAST:
+        elif op is _COND_BCAST:
             self._handle_cond_signal(addr, core, req_id, broadcast=True)
         else:
             raise ProtocolError(f"unexpected request op {op}")
@@ -528,18 +597,18 @@ class MSASlice:
     # Locks (section 4.1)
     # ------------------------------------------------------------------
     def _handle_lock(self, addr: Address, core: CoreId, req_id: int) -> None:
-        entry = self._typed_entry(addr, SyncType.LOCK)
+        entry = self._typed_entry(addr, _TYPE_LOCK)
         if entry is None:
             entry = self._try_allocate(
                 addr,
-                SyncType.LOCK,
+                _TYPE_LOCK,
                 replay=lambda: self._handle_lock(addr, core, req_id),
             )
             if entry is self.DEFERRED:
                 return
             if entry is None:
                 self._omu_increment(addr)
-                self._respond(core, req_id, SyncResult.FAIL, addr)
+                self._respond(core, req_id, _FAIL, addr)
                 return
         entry.waiters[core] = req_id
         self._try_grant(entry)
@@ -548,9 +617,9 @@ class MSASlice:
         """TRYLOCK extension: grant immediately when the lock is free
         and hardware-manageable, respond BUSY when it is hardware-owned,
         never enqueue and never wait (not even for a revoke)."""
-        entry = self._typed_entry(addr, SyncType.LOCK)
+        entry = self._typed_entry(addr, _TYPE_LOCK)
         if entry is None:
-            entry = self._try_allocate(addr, SyncType.LOCK)
+            entry = self._try_allocate(addr, _TYPE_LOCK)
             if entry is None or entry is self.DEFERRED:
                 # No entry and no instant allocation: steer to the
                 # software trylock.  (The runtime balances the OMU with
@@ -558,10 +627,10 @@ class MSASlice:
                 if entry is self.DEFERRED:
                     raise ProtocolError("trylock must not be deferred")
                 self._omu_increment(addr)
-                self._respond(core, req_id, SyncResult.FAIL, addr)
+                self._respond(core, req_id, _FAIL, addr)
                 return
         if entry.owner is not None or entry.waiters or entry.revoking:
-            self._respond(core, req_id, SyncResult.BUSY, addr)
+            self._respond(core, req_id, _BUSY, addr)
             self._maybe_free(entry)
             return
         if (
@@ -571,7 +640,7 @@ class MSASlice:
         ):
             # Another core may silently re-take the lock; a trylock
             # cannot wait out the revoke, so report BUSY conservatively.
-            self._respond(core, req_id, SyncResult.BUSY, addr)
+            self._respond(core, req_id, _BUSY, addr)
             return
         entry.waiters[core] = req_id
         self._complete_grant(entry, core)
@@ -612,14 +681,14 @@ class MSASlice:
             grants = self._lock_grants = self.stats.counter("lock_grants")
         grants.value += 1
         self._respond(
-            core, req_id, SyncResult.SUCCESS, entry.addr, grant_hwsync=grant_hwsync
+            core, req_id, _SUCCESS, entry.addr, grant_hwsync=grant_hwsync
         )
 
     def _handle_unlock(self, addr: Address, core: CoreId, req_id: int) -> None:
-        entry = self._typed_entry(addr, SyncType.LOCK)
+        entry = self._typed_entry(addr, _TYPE_LOCK)
         if entry is None:
             self._omu_decrement(addr)
-            self._respond(core, req_id, SyncResult.FAIL, addr)
+            self._respond(core, req_id, _FAIL, addr)
             return
         if entry.owner == core:
             entry.owner = None
@@ -637,13 +706,13 @@ class MSASlice:
                 # clear hwsync_core and must not race a fresh grant of
                 # the bit; and without observed same-core reuse the
                 # entry is more valuable evictable than pinned.
-                self._respond(core, req_id, SyncResult.SUCCESS, addr)
+                self._respond(core, req_id, _SUCCESS, addr)
                 self._try_grant(entry)
             else:
                 # Reused idle lock: re-arm the releaser so its next LOCK
                 # takes the silent fast path (section 5's target case).
                 entry.hwsync_core = self._core_of(core)
-                self._respond(core, req_id, SyncResult.SUCCESS, addr, rearm=True)
+                self._respond(core, req_id, _SUCCESS, addr, rearm=True)
             self._maybe_free(entry)
             return
         if entry.owner is None:
@@ -651,7 +720,7 @@ class MSASlice:
             # this releaser must hold the lock in *software*: behave
             # exactly like an entry miss (default-to-software).
             self._omu_decrement(addr)
-            self._respond(core, req_id, SyncResult.FAIL, addr)
+            self._respond(core, req_id, _FAIL, addr)
             return
         # UNLOCK from a core that does not own the lock: the owning
         # thread was migrated (section 4.1.2).  Hand the lock's waiters
@@ -678,7 +747,7 @@ class MSASlice:
         entry.owner = None
         entry.hwsync_core = None
         entry.reuse_mode = False
-        self._respond(core, req_id, SyncResult.SUCCESS, entry.addr)
+        self._respond(core, req_id, _SUCCESS, entry.addr)
         if entry.pin_count > 0 or not self.omu_params.enabled:
             # The entry must persist (condvar-pinned, or the no-OMU
             # model), so handing the waiters to software would let a
@@ -695,7 +764,7 @@ class MSASlice:
         aborted = list(entry.waiters.items())
         entry.waiters.clear()
         for wcore, wreq in aborted:
-            self._respond(wcore, wreq, SyncResult.ABORT, entry.addr)
+            self._respond(wcore, wreq, _ABORT, entry.addr)
         if aborted:
             self._omu_increment(entry.addr, len(aborted))
         self._drop_entry(entry.addr, "migrated_unlock")
@@ -716,8 +785,16 @@ class MSASlice:
                 f"by requester {entry.owner}"
             )
         entry.owner = core
-        self.stats.counter("silent_acquires").inc()
-        self.stats.counter("ops_hw").inc()
+        acquires = self._silent_acquires
+        if acquires is None:
+            acquires = self._silent_acquires = self.stats.counter(
+                "silent_acquires"
+            )
+        acquires.value += 1
+        ops = self._ops_hw
+        if ops is None:
+            ops = self._ops_hw = self.stats.counter("ops_hw")
+        ops.value += 1
 
     def _handle_revoke_ack(self, addr: Address) -> None:
         entry = self.entries.get(addr)
@@ -769,18 +846,18 @@ class MSASlice:
     def _handle_barrier(
         self, addr: Address, goal: int, core: CoreId, req_id: int
     ) -> None:
-        entry = self._typed_entry(addr, SyncType.BARRIER)
+        entry = self._typed_entry(addr, _TYPE_BARRIER)
         if entry is None:
             entry = self._try_allocate(
                 addr,
-                SyncType.BARRIER,
+                _TYPE_BARRIER,
                 replay=lambda: self._handle_barrier(addr, goal, core, req_id),
             )
             if entry is self.DEFERRED:
                 return
             if entry is None:
                 self._omu_increment(addr)
-                self._respond(core, req_id, SyncResult.FAIL, addr)
+                self._respond(core, req_id, _FAIL, addr)
                 return
             entry.barrier_goal = goal
         elif entry.barrier_goal == 0:
@@ -796,12 +873,17 @@ class MSASlice:
             self._release_barrier(entry)
 
     def _release_barrier(self, entry: MSAEntry) -> None:
-        self.stats.counter("barrier_releases").inc()
+        releases = self._barrier_releases
+        if releases is None:
+            releases = self._barrier_releases = self.stats.counter(
+                "barrier_releases"
+            )
+        releases.value += 1
         arrived = list(entry.waiters.items())
         entry.waiters.clear()
         entry.barrier_goal = 0
         for core, req_id in arrived:
-            self._respond(core, req_id, SyncResult.SUCCESS, entry.addr)
+            self._respond(core, req_id, _SUCCESS, entry.addr)
         self._maybe_free(entry)
 
     # ------------------------------------------------------------------
@@ -818,9 +900,9 @@ class MSASlice:
             # again), so fail to software *here*, at the condvar home,
             # which balances this OMU charge with the runtime's FINISH.
             self._omu_increment(cond_addr)
-            self._respond(core, req_id, SyncResult.FAIL, cond_addr)
+            self._respond(core, req_id, _FAIL, cond_addr)
             return
-        entry = self._typed_entry(cond_addr, SyncType.CONDVAR)
+        entry = self._typed_entry(cond_addr, _TYPE_CONDVAR)
         if entry is not None and entry.reserved:
             entry.reserve_queue.append(
                 ("cond_wait", cond_addr, lock_addr, core, req_id)
@@ -855,14 +937,14 @@ class MSASlice:
         # the UNLOCK&PIN round trip; locally we check OMU and capacity.
         allocated = self._try_allocate(
             cond_addr,
-            SyncType.CONDVAR,
+            _TYPE_CONDVAR,
             replay=lambda: self._handle_cond_wait(cond_addr, lock_addr, core, req_id),
         )
         if allocated is self.DEFERRED:
             return
         if allocated is None:
             self._omu_increment(cond_addr)
-            self._respond(core, req_id, SyncResult.FAIL, cond_addr)
+            self._respond(core, req_id, _FAIL, cond_addr)
             return
         allocated.reserved = True
         allocated.cond_lock_addr = lock_addr
@@ -881,7 +963,7 @@ class MSASlice:
         """UNLOCK&PIN from a condvar home: release ``waiter``'s lock and
         pin the lock's entry so it outlives empty HWQueues."""
         entry = self.entries.get(lock_addr)
-        ok = entry is not None and entry.sync_type is SyncType.LOCK
+        ok = entry is not None and entry.sync_type is _TYPE_LOCK
         if ok and entry.owner != waiter:
             raise ProtocolError(
                 f"UNLOCK&PIN: waiter core {waiter} does not own lock "
@@ -916,7 +998,7 @@ class MSASlice:
         self._drop_entry(cond_addr, "reserve_fail", counter="cond_reserve_failures")
         for core, req_id in failed:
             self._omu_increment(cond_addr)
-            self._respond(core, req_id, SyncResult.FAIL, cond_addr)
+            self._respond(core, req_id, _FAIL, cond_addr)
         for item in queued:
             self._replay_reserved(item)
 
@@ -945,19 +1027,19 @@ class MSASlice:
     def _handle_cond_signal(
         self, addr: Address, core: CoreId, req_id: int, broadcast: bool
     ) -> None:
-        entry = self._typed_entry(addr, SyncType.CONDVAR)
+        entry = self._typed_entry(addr, _TYPE_CONDVAR)
         if entry is not None and entry.reserved:
             entry.reserve_queue.append(("signal", addr, core, req_id, broadcast))
             return
         if entry is None:
-            self._respond(core, req_id, SyncResult.FAIL, addr)
+            self._respond(core, req_id, _FAIL, addr)
             return
         if not entry.waiters:
             # Persistent entry (no-OMU mode) with nobody waiting: the
             # signal is a hardware-handled no-op (POSIX semantics).
-            self._respond(core, req_id, SyncResult.SUCCESS, addr)
+            self._respond(core, req_id, _SUCCESS, addr)
             return
-        self._respond(core, req_id, SyncResult.SUCCESS, addr)
+        self._respond(core, req_id, _SUCCESS, addr)
         if broadcast:
             released = []
             while entry.waiters:
@@ -991,7 +1073,7 @@ class MSASlice:
         """LOCK (or LOCK&UNPIN) issued by a condvar home on behalf of a
         woken waiter; our response completes the waiter's COND_WAIT."""
         entry = self.entries.get(lock_addr)
-        if entry is None or entry.sync_type is not SyncType.LOCK:
+        if entry is None or entry.sync_type is not _TYPE_LOCK:
             raise ProtocolError(
                 f"lock-on-behalf for {lock_addr:#x}: pinned lock entry missing"
             )
@@ -1018,14 +1100,14 @@ class MSASlice:
         entry = self.entries.get(addr)
         if entry is None:
             return  # Raced with a release/grant already in flight.
-        if entry.sync_type is SyncType.LOCK:
+        if entry.sync_type is _TYPE_LOCK:
             # Dequeue the core; its LOCK was squashed core-side and will
             # re-execute after the thread resumes.
             if core in entry.waiters:
                 entry.waiters.pop(core)
                 self.stats.counter("lock_suspends").inc()
                 self._maybe_free(entry)
-        elif entry.sync_type is SyncType.BARRIER:
+        elif entry.sync_type is _TYPE_BARRIER:
             # Force the whole barrier episode to software.
             aborted = list(entry.waiters.items())
             if not aborted:
@@ -1034,7 +1116,7 @@ class MSASlice:
             entry.barrier_goal = 0
             self.stats.counter("barrier_suspends").inc()
             for wcore, wreq in aborted:
-                self._respond(wcore, wreq, SyncResult.ABORT, addr)
+                self._respond(wcore, wreq, _ABORT, addr)
             self._omu_increment(addr, len(aborted))
             self._maybe_free(entry)
         else:  # condvar
@@ -1042,7 +1124,7 @@ class MSASlice:
                 return  # Raced with a signal; wake-up response in flight.
             wreq = entry.waiters.pop(core)
             self.stats.counter("cond_suspends").inc()
-            self._respond(core, wreq, SyncResult.ABORT, addr)
+            self._respond(core, wreq, _ABORT, addr)
             self._omu_increment(addr)
             if (
                 not entry.waiters
@@ -1066,10 +1148,10 @@ class MSASlice:
         for entry in self.entries.values():
             if entry.pin_count < 0:
                 raise ProtocolError(f"negative pin count: {entry}")
-            if entry.sync_type is SyncType.LOCK and entry.barrier_goal:
+            if entry.sync_type is _TYPE_LOCK and entry.barrier_goal:
                 raise ProtocolError(f"lock entry with barrier goal: {entry}")
             if (
-                entry.sync_type is not SyncType.LOCK
+                entry.sync_type is not _TYPE_LOCK
                 and entry.owner is not None
             ):
                 raise ProtocolError(f"non-lock entry with owner: {entry}")

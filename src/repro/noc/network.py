@@ -26,7 +26,7 @@ from repro.common.types import TileId
 from repro.noc.message import Message
 from repro.noc.router import LinkFabric
 from repro.noc.topology import MeshTopology
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import HOP, Simulator
 
 Handler = Callable[[Message], None]
 
@@ -40,7 +40,6 @@ class Network:
         self.topology = MeshTopology(n_tiles)
         self.stats = StatSet("noc")
         self.fabric = LinkFabric(sim, self.params, self.stats)
-        self._cross = self.fabric._cross
         self._injection_latency = self.params.injection_latency
         self._buckets = sim._buckets
         self._times = sim._times
@@ -163,8 +162,8 @@ class Network:
             links = row[message.dst] = self.fabric.route(
                 self.topology.links_on_route(src, message.dst)
             )
-        # The message crosses ``links`` one hop event at a time (see
-        # LinkFabric._make_cross); a local message (no links) is
+        # The message crosses ``links`` one HOP event at a time (run by
+        # the simulator's drain loop); a local message (no links) is
         # delivered straight after the injection latency.  An armed
         # injector may stall the message at the NIC first.
         when = self.sim.now + self._injection_latency
@@ -175,7 +174,7 @@ class Network:
             # The hop state is a mutable list reused across the whole
             # traversal (only the index advances): exactly one in-flight
             # hop event holds it at a time.
-            entry = (self._cross, [links, 0, self._delivery, message])
+            entry = (HOP, [links, 0, self._delivery, message])
         else:
             entry = (self._delivery, message)
         # Simulator.schedule inlined (both delays are validated >= 0).

@@ -24,9 +24,12 @@ class MeshTopology:
         self.n_tiles = n_tiles
         self.side = side
 
-    def coord(self, tile: TileId) -> TileCoord:
+    def _check(self, tile: TileId) -> None:
         if not 0 <= tile < self.n_tiles:
             raise ConfigError(f"tile {tile} out of range 0..{self.n_tiles - 1}")
+
+    def coord(self, tile: TileId) -> TileCoord:
+        self._check(tile)
         return TileCoord(tile % self.side, tile // self.side)
 
     def tile_at(self, coord: TileCoord) -> TileId:
@@ -37,18 +40,17 @@ class MeshTopology:
         return self.coord(src).hops_to(self.coord(dst))
 
     def route(self, src: TileId, dst: TileId) -> List[TileId]:
-        """The XY path from ``src`` to ``dst``, inclusive of both ends."""
-        path = [src]
-        cur = self.coord(src)
-        goal = self.coord(dst)
-        while cur.x != goal.x:
-            step = 1 if goal.x > cur.x else -1
-            cur = TileCoord(cur.x + step, cur.y)
-            path.append(self.tile_at(cur))
-        while cur.y != goal.y:
-            step = 1 if goal.y > cur.y else -1
-            cur = TileCoord(cur.x, cur.y + step)
-            path.append(self.tile_at(cur))
+        """The XY path from ``src`` to ``dst``, inclusive of both ends:
+        along ``src``'s row to ``dst``'s column, then along that
+        column (tile ids step by 1 in x and by ``side`` in y)."""
+        self._check(src)
+        self._check(dst)
+        side = self.side
+        turn = src - src % side + dst % side  # src's row, dst's column
+        step = 1 if turn >= src else -1
+        path = list(range(src, turn + step, step))
+        step = side if dst >= turn else -side
+        path.extend(range(turn + step, dst + step, step))
         return path
 
     def links_on_route(self, src: TileId, dst: TileId) -> Iterator[Tuple[TileId, TileId]]:

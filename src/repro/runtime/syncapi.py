@@ -26,6 +26,22 @@ from repro.runtime.swsync.mutex import FutexMutex
 from repro.runtime.swsync.spinlock import SpinLock
 from repro.runtime.swsync.ticket import TicketLock
 
+# Enum members as module globals: on Python 3.11 reading a member through
+# its class costs about four plain attribute reads (``EnumType`` defines
+# ``__getattr__``), and the sync path reads several per operation.
+_LOCK = SyncOp.LOCK
+_TRYLOCK = SyncOp.TRYLOCK
+_UNLOCK = SyncOp.UNLOCK
+_BARRIER = SyncOp.BARRIER
+_COND_WAIT = SyncOp.COND_WAIT
+_COND_SIGNAL = SyncOp.COND_SIGNAL
+_COND_BCAST = SyncOp.COND_BCAST
+_FINISH = SyncOp.FINISH
+_SUCCESS = SyncResult.SUCCESS
+_FAIL = SyncResult.FAIL
+_ABORT = SyncResult.ABORT
+_BUSY = SyncResult.BUSY
+
 
 class SyncLibrary:
     """Interface both library families implement."""
@@ -112,14 +128,14 @@ class HybridLibrary(SyncLibrary):
 
     # -- Algorithm 1 ----------------------------------------------------
     def lock(self, th, addr: Address) -> Generator:
-        result = yield from th.sync(SyncOp.LOCK, addr)
-        if result in (SyncResult.FAIL, SyncResult.ABORT):
+        result = yield from th.sync(_LOCK, addr)
+        if result is _FAIL or result is _ABORT:
             yield from self._recovery_gate(th, addr)
             yield from self.fallback.lock(th, addr)
 
     def unlock(self, th, addr: Address) -> Generator:
-        result = yield from th.sync(SyncOp.UNLOCK, addr)
-        if result is SyncResult.FAIL:
+        result = yield from th.sync(_UNLOCK, addr)
+        if result is _FAIL:
             if self.plane is not None and self.plane.transfer_release(addr):
                 # We held the lock in (now-dead) hardware; the release
                 # completes through the plane, not the lock word.
@@ -130,15 +146,15 @@ class HybridLibrary(SyncLibrary):
         """TRYLOCK extension: non-blocking acquire.  Returns True when
         the lock was taken (in hardware or software), False when busy.
         Release with the regular :meth:`unlock` either way."""
-        result = yield from th.sync(SyncOp.TRYLOCK, addr)
-        if result is SyncResult.SUCCESS:
+        result = yield from th.sync(_TRYLOCK, addr)
+        if result is _SUCCESS:
             return True
-        if result is SyncResult.BUSY:
+        if result is _BUSY:
             return False
         if self.plane is not None and self.plane.recovery_held(addr):
             # Orphaned hardware owner: busy, and the lock word is not
             # authoritative -- do not even attempt the CAS.
-            yield from th.sync(SyncOp.FINISH, addr)
+            yield from th.sync(_FINISH, addr)
             return False
         # FAIL (or flaky-window ABORT): software trylock (one CAS
         # attempt).  The failed-FAIL case must notify the OMU (no
@@ -147,27 +163,27 @@ class HybridLibrary(SyncLibrary):
         old = yield from th.compare_and_swap(addr, 0, 1)
         if old == 0:
             return True
-        yield from th.sync(SyncOp.FINISH, addr)
+        yield from th.sync(_FINISH, addr)
         return False
 
     # -- Algorithm 2 ----------------------------------------------------
     def barrier(self, th, addr: Address, goal: int) -> Generator:
-        result = yield from th.sync(SyncOp.BARRIER, addr, aux=goal)
-        if result in (SyncResult.FAIL, SyncResult.ABORT):
+        result = yield from th.sync(_BARRIER, addr, aux=goal)
+        if result is _FAIL or result is _ABORT:
             yield from self.fallback.barrier(th, addr, goal)
-            yield from th.sync(SyncOp.FINISH, addr)
+            yield from th.sync(_FINISH, addr)
 
     # -- Algorithm 3 ----------------------------------------------------
     def cond_wait(self, th, cond: Address, lock: Address) -> Generator:
-        result = yield from th.sync(SyncOp.COND_WAIT, cond, aux=lock)
-        if result is SyncResult.FAIL:
+        result = yield from th.sync(_COND_WAIT, cond, aux=lock)
+        if result is _FAIL:
             yield from self._sw_cond_wait(th, cond, lock)
-            yield from th.sync(SyncOp.FINISH, cond)
-        elif result is SyncResult.ABORT:
+            yield from th.sync(_FINISH, cond)
+        elif result is _ABORT:
             # Suspension fallback: re-acquire the lock (a spurious
             # wakeup, allowed by POSIX) and tell the OMU we left.
             yield from self.lock(th, lock)
-            yield from th.sync(SyncOp.FINISH, cond)
+            yield from th.sync(_FINISH, cond)
 
     def _sw_cond_wait(self, th, cond: Address, lock: Address) -> Generator:
         def hybrid_lock(inner_th, addr):
@@ -179,13 +195,13 @@ class HybridLibrary(SyncLibrary):
         yield from self._condvar.wait(th, cond, lock, hybrid_lock, hybrid_unlock)
 
     def cond_signal(self, th, cond: Address) -> Generator:
-        result = yield from th.sync(SyncOp.COND_SIGNAL, cond)
-        if result is SyncResult.FAIL:
+        result = yield from th.sync(_COND_SIGNAL, cond)
+        if result is _FAIL:
             yield from self._condvar.signal(th, cond)
 
     def cond_broadcast(self, th, cond: Address) -> Generator:
-        result = yield from th.sync(SyncOp.COND_BCAST, cond)
-        if result is SyncResult.FAIL:
+        result = yield from th.sync(_COND_BCAST, cond)
+        if result is _FAIL:
             yield from self._condvar.broadcast(th, cond)
 
     # -- No-spurious-wakeup variant (paper section 4.3.2) ---------------
@@ -212,18 +228,18 @@ class HybridLibrary(SyncLibrary):
         holding it.  Pair with the ``*_no_spurious`` notify calls."""
         seq0 = yield from th.load(self._wake_seq_addr(cond))
         while True:
-            result = yield from th.sync(SyncOp.COND_WAIT, cond, aux=lock)
-            if result is SyncResult.SUCCESS:
+            result = yield from th.sync(_COND_WAIT, cond, aux=lock)
+            if result is _SUCCESS:
                 return
-            if result is SyncResult.FAIL:
+            if result is _FAIL:
                 # The software fallback already has no-spurious
                 # semantics (futex waiters re-check the seq word).
                 yield from self._sw_cond_wait(th, cond, lock)
-                yield from th.sync(SyncOp.FINISH, cond)
+                yield from th.sync(_FINISH, cond)
                 return
             # ABORT: re-acquire the lock, then consult the timestamp.
             yield from self.lock(th, lock)
-            yield from th.sync(SyncOp.FINISH, cond)
+            yield from th.sync(_FINISH, cond)
             seq = yield from th.load(self._wake_seq_addr(cond))
             if seq != seq0:
                 return  # a wake-up did occur since we began waiting

@@ -4,8 +4,9 @@ Design notes
 ------------
 The machine model mixes two styles:
 
-* *Callback-driven* hardware components (routers, caches, MSA slices)
-  schedule plain callbacks with :meth:`Simulator.schedule`.
+* *Callback-driven* hardware components (caches, MSA slices) schedule
+  plain callbacks with :meth:`Simulator.schedule`.  A NoC hop is a
+  kernel event kind instead (:data:`HOP`, below).
 * *Coroutine* processes (simulated threads, workload kernels) are Python
   generators that ``yield`` either an ``int``/:class:`Delay` (advance the
   clock) or a :class:`Future` (block until some hardware event fulfils
@@ -28,6 +29,13 @@ docs/PERF.md for the measured effect and the determinism contract):
 * Live processes are tracked in a dict keyed by ``id`` so releasing a
   finished process is O(1); releasing one twice is a kernel bug and
   raises instead of being swallowed.
+* A NoC link traversal is a kernel event kind, not a callback: an
+  event whose callback is the :data:`HOP` sentinel carries a message's
+  hop state, and :meth:`Simulator._drain` reserves the link and pushes
+  the next hop (or the delivery) inline.  Hops are 65-72% of the
+  events on the headline workloads, so each one saves a Python call.
+  The link fabric (:mod:`repro.noc.router`) registers its timing with
+  :meth:`Simulator.attach_links`; one simulator carries one fabric.
 """
 
 from __future__ import annotations
@@ -45,6 +53,13 @@ from repro.common.errors import SimulationError
 NO_ARG = object()
 
 _NO_ARG = NO_ARG
+
+#: Callback sentinel of a link-traversal event.  Its argument is the
+#: mutable hop state ``[links, index, deliver, deliver_arg]``: the drain
+#: loop reserves ``links[index]`` and then either queues the next hop
+#: (same state, index advanced) or ``deliver(deliver_arg)`` after the
+#: last link.  See :meth:`Simulator.attach_links`.
+HOP = object()
 
 
 @dataclass(frozen=True)
@@ -244,6 +259,30 @@ class Simulator:
         self._times: List[int] = []
         self._events_processed = 0
         self._processes: Dict[int, Process] = {}
+        # Link-traversal timing, set by attach_links (a simulator
+        # without a network never sees a HOP event).
+        self._link_stats = None
+        self._link_occupancy = 0
+        self._router_latency = 0
+        self._link_stall = None
+        """The ``link_stall_cycles`` counter, registered on the first
+        stall so an uncontended run's counter set has no such entry."""
+
+    def attach_links(self, occupancy: int, router_latency: int, stats) -> None:
+        """Register the link fabric whose :data:`HOP` events this
+        simulator runs: every link holds a message for ``occupancy``
+        cycles, each hop adds ``router_latency``, and stalls count into
+        ``stats``' ``link_stall_cycles``.  One fabric per simulator."""
+        if self._link_stats is not None:
+            raise SimulationError("a simulator carries one link fabric")
+        if occupancy < 1 or router_latency < 0:
+            raise SimulationError(
+                f"bad link timing: occupancy {occupancy}, "
+                f"router latency {router_latency}"
+            )
+        self._link_stats = stats
+        self._link_occupancy = occupancy
+        self._router_latency = router_latency
 
     def schedule(
         self, delay: int, callback: Callable, arg: Any = _NO_ARG
@@ -293,12 +332,22 @@ class Simulator:
         has its tail requeued before the prefix runs.  A callback that
         raises leaves the unexecuted rest of its bucket queued, in
         order, so a later drain resumes exactly where this one
-        stopped."""
+        stopped.
+
+        A :data:`HOP` event runs inline: reserve the link (a busy link
+        delays the message to when it frees, counted as stall cycles),
+        then queue the next hop or the delivery ``occupancy +
+        router_latency`` cycles after the reservation starts."""
         buckets = self._buckets
         times = self._times
         pop_time = heappop
+        push_time = heappush
         pop_bucket = buckets.pop
         no_arg = _NO_ARG
+        hop = HOP
+        occupancy = self._link_occupancy
+        router_latency = self._router_latency
+        stall = self._link_stall
         count = 0
         try:
             while times and count < budget:
@@ -314,7 +363,38 @@ class Simulator:
                 events = iter(bucket)
                 try:
                     for callback, arg in events:
-                        if arg is no_arg:
+                        if callback is hop:
+                            links, index, deliver, deliver_arg = arg
+                            link = links[index]
+                            start = link._free_at
+                            if start > when:
+                                if stall is None:
+                                    stall = self._link_stall = (
+                                        self._link_stats.counter(
+                                            "link_stall_cycles"
+                                        )
+                                    )
+                                stall.value += start - when
+                            else:
+                                start = when
+                            finish = start + occupancy
+                            link._free_at = finish
+                            index += 1
+                            if index < len(links):
+                                arg[1] = index
+                                entry = (hop, arg)
+                            else:
+                                entry = (deliver, deliver_arg)
+                            # schedule() inlined; the next event is at
+                            # least one cycle out (occupancy >= 1).
+                            at = finish + router_latency
+                            pending = buckets.get(at)
+                            if pending is None:
+                                buckets[at] = [entry]
+                                push_time(times, at)
+                            else:
+                                pending.append(entry)
+                        elif arg is no_arg:
                             callback()
                         else:
                             callback(arg)

@@ -1,6 +1,7 @@
 """Smoke tests: every example script runs to completion and validates
 its own output (examples assert functional correctness internally)."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -20,12 +21,16 @@ def test_examples_exist():
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    # Temporary files an example leaves (observability.py keeps its
+    # report directory for the reader) land in tmp_path, which pytest
+    # cleans up, not in the system temp dir.
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()

@@ -186,3 +186,28 @@ class TestSliceStats:
         counters = m.msa_counters()
         assert counters.get("req.lock", 0) >= 1
         assert counters.get("req.barrier", 0) == 2
+
+
+class TestLazyCounters:
+    """A slice binds its counter handles on first use, so its counter
+    *set* (part of the determinism contract) only names what ran."""
+
+    LAZY = (
+        "omu_steered_sw", "alloc_full", "entries_allocated",
+        "alloc_deferred", "reclaims_started", "revokes_sent",
+        "entries_freed", "entries_evicted", "cond_reserve_failures",
+        "silent_acquires", "ops_hw", "barrier_releases",
+        "omu_increments", "omu_decrements",
+    )
+
+    def test_idle_slice_registers_no_counters(self, machine16):
+        for tile in range(16):
+            counters = machine16.msa_slice(tile).stats.counters
+            assert not set(self.LAZY) & set(counters)
+
+    def test_one_allocation_registers_only_entries_allocated(self, machine16):
+        s = machine16.msa_slice(0)
+        entry = s._try_allocate(0x1000, SyncType.LOCK)
+        assert entry is s.entries[0x1000]
+        assert s.stats.counters == {"entries_allocated": 1}
+

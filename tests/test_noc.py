@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.params import NocParams
+from repro.common.types import TileCoord
 from repro.noc.message import Message
 from repro.noc.network import Network
 from repro.noc.topology import MeshTopology
@@ -50,6 +51,32 @@ class TestTopology:
         assert sorted(mesh.neighbors(0)) == [1, 4]
         assert sorted(mesh.neighbors(1)) == [0, 2, 5]
         assert sorted(mesh.neighbors(5)) == [1, 4, 6, 9]
+
+    @pytest.mark.parametrize("n_tiles", [16, 64])
+    def test_integer_route_matches_coordinate_walk(self, n_tiles):
+        """``route`` steps tile ids; it must equal the XY walk over
+        TileCoords for every (src, dst) pair."""
+        mesh = MeshTopology(n_tiles)
+
+        def walk(src, dst):
+            path = [src]
+            cur, goal = mesh.coord(src), mesh.coord(dst)
+            while cur.x != goal.x:
+                cur = TileCoord(cur.x + (1 if goal.x > cur.x else -1), cur.y)
+                path.append(mesh.tile_at(cur))
+            while cur.y != goal.y:
+                cur = TileCoord(cur.x, cur.y + (1 if goal.y > cur.y else -1))
+                path.append(mesh.tile_at(cur))
+            return path
+
+        for src in range(n_tiles):
+            for dst in range(n_tiles):
+                assert mesh.route(src, dst) == walk(src, dst)
+
+    @pytest.mark.parametrize("src, dst", [(-1, 3), (3, 16), (16, 0), (0, -1)])
+    def test_route_out_of_range_raises(self, src, dst):
+        with pytest.raises(ConfigError):
+            MeshTopology(16).route(src, dst)
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_route_hops_symmetric_count(self, src, dst):
@@ -151,6 +178,59 @@ class TestNetworkDelivery:
         sim2.run()
         assert max(arrivals) > done["quiet"]
         assert busy.stats.counter("link_stall_cycles").value > 0
+
+
+def _hotspot(sim, net):
+    """Every other tile sends twice to tile 0 at cycle 0: the links into
+    tile 0 queue.  Returns the delivery log, filled as the run goes."""
+    got = []
+    net.register(0, "t", lambda m: got.append((sim.now, m.payload["seq"])))
+    for seq, src in enumerate(list(range(1, 16)) * 2):
+        net.send(Message(src=src, dst=0, kind="t.x", payload={"seq": seq}))
+    return got
+
+
+class TestKernelHop:
+    """A hop is a kernel event kind (``HOP``) the simulator's drain loop
+    runs inline, with the timing the link fabric registered."""
+
+    def test_uncontended_network_registers_no_stall_counter(self):
+        sim, net = _make_network()
+        net.register(3, "t", lambda m: None)
+        net.send(Message(src=12, dst=3, kind="t.x"))
+        sim.run()
+        assert "link_stall_cycles" not in net.stats.counters
+
+    def test_contended_network_counts_stall_cycles(self):
+        sim, net = _make_network()
+        got = _hotspot(sim, net)
+        sim.run()
+        # Pinned: stall total, event count and delivery order belong to
+        # the determinism contract (values from the per-hop callback
+        # this kernel event kind replaced).
+        assert net.stats.counters["link_stall_cycles"] == 121
+        assert sim.events_processed == 126
+        assert got[:3] == [(4, 0), (4, 3), (5, 15)]
+        assert got[-1] == (28, 29)
+
+    def test_single_event_chunks_match_run(self):
+        """Drained one event at a time, a multi-hop program delivers at
+        the same cycles and in the same order as one ``run()``."""
+        sim, net = _make_network()
+        whole = _hotspot(sim, net)
+        sim.run()
+        sim, net = _make_network()
+        chunked = _hotspot(sim, net)
+        steps = 0
+        while sim.run_chunk(1):
+            steps += 1
+        assert chunked == whole
+        assert steps == sim.events_processed == 126
+
+    def test_second_network_on_one_simulator_raises(self):
+        sim, _net = _make_network()
+        with pytest.raises(SimulationError):
+            Network(sim, 16)
 
 
 class TestNetworkStats:
