@@ -1,17 +1,22 @@
 """Lightweight statistics primitives used by every hardware model.
 
 Each component owns a :class:`StatSet`; the harness aggregates them into
-experiment reports.  Keeping these tiny (plain ints/lists) matters: they
-sit on the hot path of the event simulation.  Hot components bind the
-:class:`Counter`/:class:`Histogram` objects they touch per event to
-attributes at construction (``self._hits = stats.counter("hits")``) so
-the per-event cost is one attribute increment, not a registry lookup.
+experiment reports.  Keeping these tiny (plain ints and dicts) matters:
+they sit on the hot path of the event simulation.  Hot components bind
+what they touch per event to attributes at construction, so the
+per-event cost is one inline update, not a registry lookup or a call:
+
+* a counter: ``self._hits = stats.counter("hits")``, then
+  ``self._hits.value += 1``;
+* a histogram's value counts:
+  ``self._lat = stats.histogram("latency").counts``, then
+  ``lat[v] = lat.get(v, 0) + 1`` (``lat = self._lat``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 class Counter:
@@ -41,122 +46,69 @@ class Counter:
 
 
 class Histogram:
-    """Records samples; reports count/mean/min/max/percentiles.
+    """Records samples as value counts; reports count/mean/min/max and
+    nearest-rank percentiles.
 
-    The moments (count, total, min, max -- and therefore the mean) are
-    maintained incrementally on :meth:`add` and are always exact.
-    Percentiles come from the retained samples, whose sorted view is
-    cached between adds (report loops call :meth:`percentile` per
-    percentile point; re-sorting each call was quadratic in practice).
+    ``counts`` maps each distinct sampled value to how many times it
+    was seen, so memory is bounded by the number of distinct values,
+    not by the run's length.  Every read is derived from ``counts`` when
+    it is made; for integer-valued samples (every histogram the machine
+    records: NoC and L1 latencies, span durations, request sojourns)
+    each read is exactly what a list of the samples would give.
 
-    By default every sample is retained exactly.  For unbounded runs,
-    ``sample_limit`` caps retention: once the limit is reached the
-    retained set is thinned to every other sample and the stride
-    doubles, deterministically -- percentiles become approximations
-    over a uniform subsample while the moments stay exact.  No machine
-    model sets a limit (results stay bit-for-bit exact); long-lived
-    monitoring is the intended user.
+    ``counts`` is public on purpose, like :attr:`Counter.value`: hot
+    paths bind it once and count inline,
+    ``counts[v] = counts.get(v, 0) + 1``, saving the :meth:`add` call
+    per sample.  :meth:`reset` clears it in place, so a bound ``counts``
+    stays live.
     """
 
-    __slots__ = (
-        "name",
-        "samples",
-        "sample_limit",
-        "_count",
-        "_total",
-        "_min",
-        "_max",
-        "_stride",
-        "_phase",
-        "_sorted",
-    )
+    __slots__ = ("name", "counts")
 
-    def __init__(self, name: str, sample_limit: Optional[int] = None):
-        if sample_limit is not None and sample_limit < 2:
-            raise ValueError(f"sample_limit must be >= 2, got {sample_limit}")
+    def __init__(self, name: str):
         self.name = name
-        self.samples: List[float] = []
-        self.sample_limit = sample_limit
-        self._count = 0
-        self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._stride = 1
-        self._phase = 0
-        self._sorted: Optional[List[float]] = None
+        self.counts: Dict[float, int] = {}
 
     def add(self, value: float) -> None:
-        self._count += 1
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if self._stride == 1:
-            self.samples.append(value)
-        else:
-            # Bounded mode after a thin: keep every _stride-th sample.
-            self._phase += 1
-            if self._phase == self._stride:
-                self._phase = 0
-                self.samples.append(value)
-            else:
-                return  # retained set unchanged; keep the sorted cache
-        self._sorted = None
-        limit = self.sample_limit
-        if limit is not None and len(self.samples) >= limit:
-            del self.samples[::2]
-            self._stride *= 2
-            self._phase = 0
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
 
     def reset(self) -> None:
-        self.samples.clear()
-        self._count = 0
-        self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._stride = 1
-        self._phase = 0
-        self._sorted = None
+        self.counts.clear()
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(self.counts.values())
 
     @property
     def total(self) -> float:
-        return self._total
+        return float(sum(v * n for v, n in self.counts.items()))
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     @property
     def maximum(self) -> float:
-        return self._max if self._count else 0.0
+        return max(self.counts) if self.counts else 0.0
 
     @property
     def minimum(self) -> float:
-        return self._min if self._count else 0.0
+        return min(self.counts) if self.counts else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100] (over the retained
-        samples; exact unless ``sample_limit`` forced thinning)."""
-        ordered = self._sorted
-        if ordered is None:
-            if not self.samples:
-                return 0.0
-            ordered = self._sorted = sorted(self.samples)
-        rank = max(0, math.ceil(p / 100.0 * len(ordered)) - 1)
-        return ordered[rank]
+        """Nearest-rank percentile, ``p`` in [0, 100]."""
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        return self._ranked([p / 100.0])[0]
 
     def quantiles(self, qs: Iterable[float]) -> List[float]:
         """Nearest-rank values for a batch of quantiles, each in [0, 1].
 
-        One sort serves the whole batch (and primes the cache used by
-        :meth:`percentile`), so SLO reporting asks for
-        ``quantiles([0.5, 0.99, 0.999])`` instead of three independent
-        percentile calls.
+        One walk of the sorted distinct values serves the whole batch,
+        so SLO reporting asks for ``quantiles([0.5, 0.99, 0.999])``
+        instead of three independent percentile calls.
 
         >>> h = Histogram("lat")
         >>> for v in range(1, 101):
@@ -168,13 +120,28 @@ class Histogram:
         for q in qs:
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = self._sorted
-        if ordered is None:
-            if not self.samples:
-                return [0.0 for _ in qs]
-            ordered = self._sorted = sorted(self.samples)
-        n = len(ordered)
-        return [ordered[max(0, math.ceil(q * n) - 1)] for q in qs]
+        return self._ranked(qs)
+
+    def _ranked(self, qs: List[float]) -> List[float]:
+        """The sample at nearest rank ``ceil(q * count)`` for each ``q``:
+        walk the distinct values in order, accumulating their counts,
+        until the running count passes the (zero-based) rank."""
+        counts = self.counts
+        if not counts:
+            return [0.0 for _ in qs]
+        n = sum(counts.values())
+        order = sorted(range(len(qs)), key=qs.__getitem__)
+        out: List[float] = [0.0] * len(qs)
+        values = iter(sorted(counts))
+        value = next(values)
+        seen = counts[value]
+        for i in order:
+            rank = max(0, math.ceil(qs[i] * n) - 1)
+            while seen <= rank:
+                value = next(values)
+                seen += counts[value]
+            out[i] = value
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -204,14 +171,10 @@ class StatSet:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def histogram(
-        self, name: str, sample_limit: Optional[int] = None
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         hist = self._histograms.get(name)
         if hist is None:
-            hist = self._histograms[name] = Histogram(
-                name, sample_limit=sample_limit
-            )
+            hist = self._histograms[name] = Histogram(name)
         return hist
 
     def __getitem__(self, name: str):

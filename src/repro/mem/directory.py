@@ -90,7 +90,9 @@ class DirectorySlice:
     # Message handling & per-line serialization
     # ------------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
-        line = msg.payload["line"]
+        # Coherence messages carry the line as their payload; a request
+        # comes from its requester's tile (``src``).
+        line = msg.payload
         if msg.kind in ("coh.inv_ack", "coh.fwd_ack"):
             self._on_ack(line)
             return
@@ -104,8 +106,8 @@ class DirectorySlice:
         self._process(msg)
 
     def _process(self, msg: Message) -> None:
-        line = msg.payload["line"]
-        core = msg.payload["core"]
+        line = msg.payload
+        core = msg.src
         if msg.kind == "coh.gets":
             self._do_gets(line, core)
         elif msg.kind == "coh.getm":
@@ -150,7 +152,7 @@ class DirectorySlice:
         self._unblock(line)
 
     def _fwd(self, core: CoreId, kind: str, line: int) -> None:
-        self.network.send(Message(self.tile, core, kind, {"line": line}))
+        self.network.send(Message(self.tile, core, kind, line))
 
     # ------------------------------------------------------------------
     # Request state machines

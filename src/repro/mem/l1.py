@@ -89,17 +89,17 @@ class L1Cache:
         self._times = sim._times
         self._complete_cb = self._complete_if_valid
         # Every access touches two of these; bind them once (see
-        # common/stats.py on hot-path counter binding).
+        # common/stats.py on hot-path counter and histogram binding).
         self._loads = self.stats.counter("loads")
         self._stores = self.stats.counter("stores")
         self._rmws = self.stats.counter("rmws")
-        self._load_latency = self.stats.histogram("load_latency")
-        # Indexed by op kind.
+        # Latency histograms' value counts, indexed by op kind.
         self._op_latency = (
-            self._load_latency,
-            self.stats.histogram("store_latency"),
-            self.stats.histogram("rmw_latency"),
+            self.stats.histogram("load_latency").counts,
+            self.stats.histogram("store_latency").counts,
+            self.stats.histogram("rmw_latency").counts,
         )
+        self._load_latency = self._op_latency[_LOAD]
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._hit_replays = self.stats.counter("hit_replays")
@@ -205,7 +205,9 @@ class L1Cache:
         state = _INVALID if bucket is None else bucket.get(line, _INVALID)
         if op.kind is _LOAD:
             if state is not _INVALID:
-                self._load_latency.add(self.sim.now - op.issued_at)
+                latency = self.sim.now - op.issued_at
+                counts = self._load_latency
+                counts[latency] = counts.get(latency, 0) + 1
                 op.future.complete(self.backing_store.get(op.addr, 0))
                 return
         elif state is _MODIFIED or state is _EXCLUSIVE:
@@ -220,7 +222,9 @@ class L1Cache:
     def _perform(self, op: _Op) -> None:
         """Apply the operation to the backing store and resolve it."""
         kind = op.kind
-        self._op_latency[kind].add(self.sim.now - op.issued_at)
+        latency = self.sim.now - op.issued_at
+        counts = self._op_latency[kind]
+        counts[latency] = counts.get(latency, 0) + 1
         if kind is _LOAD:
             op.future.complete(self.backing_store.get(op.addr, 0))
         elif kind is _STORE:
@@ -248,16 +252,16 @@ class L1Cache:
         self._send_home(line, kind)
 
     def _send_home(self, line: int, kind: str) -> None:
-        core = self.core_id
+        # The payload is the line; the home reads the requester as src.
         self.network.send(
-            Message(core, self.home_of_line(line), kind, {"line": line, "core": core})
+            Message(self.core_id, self.home_of_line(line), kind, line)
         )
 
     # ------------------------------------------------------------------
     # Directory-facing message handling
     # ------------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
-        line = msg.payload["line"]
+        line = msg.payload
         kind = msg.kind
         if kind == "coh_l1.data_s":
             self._fill(line, _SHARED)

@@ -2,8 +2,9 @@
 
 One message class serves both the coherence protocol and the MSA: the
 ``kind`` string namespaces the protocol ("coh.*" vs "msa.*") and the
-``payload`` dict carries protocol-specific fields.  Keeping this generic
-lets the network layer stay protocol-agnostic.
+``payload`` carries protocol-specific fields: the line number alone for
+coherence traffic (the requester is ``src``), a dict for the MSA.
+Keeping this generic lets the network layer stay protocol-agnostic.
 
 The routing prefix (the part of ``kind`` before the first dot) is
 computed once at construction and memoized per kind string: the network
@@ -14,13 +15,10 @@ orders of magnitude.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from typing import Any, Dict, Optional
 
 from repro.common.types import TileId
-
-_msg_ids = itertools.count()
 
 #: kind -> interned prefix; kinds form a small closed set, so this stays
 #: tiny and makes prefix lookup a single dict hit per construction.
@@ -46,7 +44,6 @@ class Message:
         "payload",
         "injected_at",
         "rel_seq",
-        "msg_id",
         "prefix",
     )
 
@@ -55,14 +52,14 @@ class Message:
         src: TileId,
         dst: TileId,
         kind: str,
-        payload: Optional[Dict[str, Any]] = None,
+        payload: Any = None,
         injected_at: int = -1,
         rel_seq: Optional[int] = None,
     ):
         self.src = src
         self.dst = dst
         self.kind = kind
-        #: Protocol-specific fields.
+        #: Protocol-specific fields (``None`` becomes an empty dict).
         self.payload = {} if payload is None else payload
         #: Cycle the message entered the network (set by the Network).
         self.injected_at = injected_at
@@ -70,7 +67,6 @@ class Message:
         #: traffic outside the transport (coherence, acks, fault-free
         #: machines).
         self.rel_seq = rel_seq
-        self.msg_id = next(_msg_ids)
         kp = _prefix_of.get(kind)
         if kp is None:
             kp = _prefix_of[kind] = sys.intern(kind.partition(".")[0])
@@ -79,6 +75,6 @@ class Message:
 
     def __repr__(self) -> str:
         return (
-            f"Message#{self.msg_id}({self.kind} {self.src}->{self.dst} "
+            f"Message({self.kind} {self.src}->{self.dst} "
             f"{self.payload})"
         )

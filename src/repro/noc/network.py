@@ -55,7 +55,9 @@ class Network:
         ]
         self._messages_sent = self.stats.counter("messages_sent")
         self._messages_delivered = self.stats.counter("messages_delivered")
-        self._latency = self.stats.histogram("latency")
+        # The latency histogram's value counts, updated inline per
+        # delivery (see common/stats.py).
+        self._latency = self.stats.histogram("latency").counts
         self._sent_by_prefix: Dict[str, Counter] = {}
 
         self._injector = None
@@ -172,9 +174,10 @@ class Network:
             when += injector.send_delay(message)
         if links:
             # The hop state is a mutable list reused across the whole
-            # traversal (only the index advances): exactly one in-flight
-            # hop event holds it at a time.
-            entry = (HOP, [links, 0, self._delivery, message])
+            # traversal (only the index advances, from -len(links) to
+            # 0; see kernel.HOP): exactly one in-flight hop event holds
+            # it at a time.
+            entry = (HOP, [links, -len(links), self._delivery, message])
         else:
             entry = (self._delivery, message)
         # Simulator.schedule inlined (both delays are validated >= 0).
@@ -212,7 +215,8 @@ class Network:
             )
         self._messages_delivered.value += 1
         latency = self.sim.now - message.injected_at
-        self._latency.add(latency)
+        counts = self._latency
+        counts[latency] = counts.get(latency, 0) + 1
         if self.probe is not None:
             self.probe.emit(
                 "noc_deliver",

@@ -221,9 +221,7 @@ class Collector:
         span.close(now)
         hist = self._durations.get(span.name)
         if hist is None:
-            hist = self._durations[span.name] = Histogram(
-                span.name, sample_limit=4096
-            )
+            hist = self._durations[span.name] = Histogram(span.name)
         hist.add(span.duration)
         self._retain(span)
 

@@ -83,8 +83,7 @@ class Metric:
 
 def summarize_histogram(hist: Histogram) -> Dict[str, float]:
     """Collapse a :class:`~repro.common.stats.Histogram` into the
-    registry's summary form (moments exact; percentiles over the
-    retained samples)."""
+    registry's summary form (moments and percentiles exact)."""
     return {
         "count": hist.count,
         "sum": hist.total,

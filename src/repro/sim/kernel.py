@@ -58,7 +58,11 @@ _NO_ARG = NO_ARG
 #: mutable hop state ``[links, index, deliver, deliver_arg]``: the drain
 #: loop reserves ``links[index]`` and then either queues the next hop
 #: (same state, index advanced) or ``deliver(deliver_arg)`` after the
-#: last link.  See :meth:`Simulator.attach_links`.
+#: last link.  ``index`` counts up from ``-len(links)``, so the loop
+#: knows the last link by ``index`` reaching 0, without a ``len`` call
+#: per hop, and the ``(HOP, state)`` entry itself is queued again for
+#: the next hop: one state, one entry per traversal.  See
+#: :meth:`Simulator.attach_links`.
 HOP = object()
 
 
@@ -337,7 +341,14 @@ class Simulator:
         A :data:`HOP` event runs inline: reserve the link (a busy link
         delays the message to when it frees, counted as stall cycles),
         then queue the next hop or the delivery ``occupancy +
-        router_latency`` cycles after the reservation starts."""
+        router_latency`` cycles after the reservation starts.  Every
+        uncontended hop of one cycle lands on the same later cycle, so
+        the loop remembers the last bucket a hop of the current bucket
+        appended to (``hop_at``, ``hop_bucket``) and appends there again
+        while the target cycle repeats.  The memo stays valid: a later
+        cycle's bucket is only ever appended to until its own turn, and
+        events scheduled there by callbacks in between land on the same
+        list, so the order is unchanged."""
         buckets = self._buckets
         times = self._times
         pop_time = heappop
@@ -361,8 +372,11 @@ class Simulator:
                     self._requeue(when, bucket[room:])
                     del bucket[room:]
                 events = iter(bucket)
+                hop_at = -1
+                hop_bucket = None
                 try:
-                    for callback, arg in events:
+                    for entry in events:
+                        callback, arg = entry
                         if callback is hop:
                             links, index, deliver, deliver_arg = arg
                             link = links[index]
@@ -380,20 +394,24 @@ class Simulator:
                             finish = start + occupancy
                             link._free_at = finish
                             index += 1
-                            if index < len(links):
+                            if index:
+                                # The same (HOP, state) entry moves on.
                                 arg[1] = index
-                                entry = (hop, arg)
                             else:
                                 entry = (deliver, deliver_arg)
                             # schedule() inlined; the next event is at
                             # least one cycle out (occupancy >= 1).
                             at = finish + router_latency
-                            pending = buckets.get(at)
-                            if pending is None:
-                                buckets[at] = [entry]
-                                push_time(times, at)
+                            if at == hop_at:
+                                hop_bucket.append(entry)
                             else:
-                                pending.append(entry)
+                                hop_bucket = buckets.get(at)
+                                if hop_bucket is None:
+                                    hop_bucket = buckets[at] = [entry]
+                                    push_time(times, at)
+                                else:
+                                    hop_bucket.append(entry)
+                                hop_at = at
                         elif arg is no_arg:
                             callback()
                         else:

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.params import NocParams
+from repro.common.stats import StatSet
 from repro.common.types import TileCoord
 from repro.noc.message import Message
 from repro.noc.network import Network
+from repro.noc.router import Link
 from repro.noc.topology import MeshTopology
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import HOP, Simulator
 
 
 class TestTopology:
@@ -151,15 +153,18 @@ class TestNetworkDelivery:
         sim, net = _make_network(n_tiles=16)
         received = []
         for tile in range(16):
-            net.register(tile, "t", lambda m: received.append(m.msg_id))
+            net.register(tile, "t", received.append)
         sent = []
         for src in range(16):
             for dst in range(16):
                 msg = Message(src=src, dst=dst, kind="t.x")
-                sent.append(msg.msg_id)
+                sent.append(msg)
                 net.send(msg)
         sim.run()
-        assert sorted(received) == sorted(sent)
+        # Messages compare by identity; every one is kept alive in
+        # ``sent``, so their ids are distinct.
+        assert len(received) == len(sent)
+        assert {id(m) for m in received} == {id(m) for m in sent}
 
     def test_contention_delays_hotspot_traffic(self):
         """Many senders to one destination must see queuing delay."""
@@ -227,6 +232,45 @@ class TestKernelHop:
         assert chunked == whole
         assert steps == sim.events_processed == 126
 
+    @staticmethod
+    def _same_cycle_program(sim, preexisting):
+        """Hop A, a plain callback and hop C, all in cycle 0, each
+        queueing an event for cycle 3 (occupancy 2 + router latency 1,
+        on two free links); ``preexisting`` first queues an event there
+        from outside the bucket.  Returns the delivery log."""
+        sim.attach_links(2, 1, StatSet("noc"))
+        log = []
+
+        def deliver(name):
+            log.append((sim.now, name))
+
+        if preexisting:
+            sim.schedule(3, deliver, "pre")
+        sim.schedule(0, HOP, [[Link()], -1, deliver, "A'"])
+        sim.schedule(0, lambda: sim.schedule(3, deliver, "callback'"))
+        sim.schedule(0, HOP, [[Link()], -1, deliver, "C'"])
+        return log
+
+    @pytest.mark.parametrize("preexisting", [False, True])
+    def test_hops_into_one_cycle_keep_scheduling_order(self, preexisting):
+        """The drain loop reuses the bucket a hop of the current cycle
+        last appended to; a callback scheduling into that bucket between
+        two such hops must still land between their events."""
+        sim = Simulator()
+        log = self._same_cycle_program(sim, preexisting)
+        sim.run()
+        expected = [(3, "A'"), (3, "callback'"), (3, "C'")]
+        if preexisting:
+            expected.insert(0, (3, "pre"))
+        assert log == expected
+        whole_events = sim.events_processed
+        sim = Simulator()
+        chunked = self._same_cycle_program(sim, preexisting)
+        while sim.run_chunk(1):
+            pass
+        assert chunked == log
+        assert sim.events_processed == whole_events
+
     def test_second_network_on_one_simulator_raises(self):
         sim, _net = _make_network()
         with pytest.raises(SimulationError):
@@ -266,13 +310,14 @@ def test_property_all_messages_delivered_exactly_once(pairs):
     net = Network(sim, 16)
     delivered = []
     for tile in range(16):
-        net.register(tile, "t", lambda m: delivered.append(m.msg_id))
-    ids = []
+        net.register(tile, "t", delivered.append)
+    sent = []
     for src, dst, when in pairs:
         def send(s=src, d=dst):
             msg = Message(src=s, dst=d, kind="t.x")
-            ids.append(msg.msg_id)
+            sent.append(msg)
             net.send(msg)
         sim.schedule(when, send)
     sim.run()
-    assert sorted(delivered) == sorted(ids)
+    assert len(delivered) == len(sent)
+    assert {id(m) for m in delivered} == {id(m) for m in sent}

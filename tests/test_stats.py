@@ -1,5 +1,7 @@
 """Unit tests for the statistics primitives."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +54,69 @@ class TestHistogram:
         assert h.percentile(50) == 50
         assert h.percentile(99) == 99
         assert h.percentile(100) == 100
+
+    @given(
+        st.lists(
+            st.integers(-10**6, 10**6)
+            | st.integers(-10**6, 10**6).map(float),
+            max_size=300,
+        )
+    )
+    def test_property_matches_sorted_list(self, samples):
+        """Every read equals what the sorted list of samples gives.
+        A test sample is all ints or all integral floats, as the
+        machine's histograms are (``3`` and ``3.0`` share a dict key)."""
+        if any(type(v) is float for v in samples):
+            samples = [float(v) for v in samples]
+        h = Histogram("x")
+        for v in samples:
+            h.add(v)
+        ordered = sorted(samples)
+        n = len(ordered)
+
+        def rank(q):
+            return ordered[max(0, math.ceil(q * n) - 1)] if n else 0.0
+
+        assert h.count == n
+        assert type(h.total) is float
+        assert h.total == float(sum(samples))
+        assert h.mean == (float(sum(samples)) / n if n else 0.0)
+        assert h.minimum == (ordered[0] if n else 0.0)
+        assert h.maximum == (ordered[-1] if n else 0.0)
+        for p in (0, 50, 90, 99, 100):
+            assert h.percentile(p) == rank(p / 100.0)
+        qs = [0.999, 0.0, 0.5, 0.99, 0.5, 1.0]
+        assert h.quantiles(qs) == [rank(q) for q in qs]
+
+    def test_memory_bounded_by_distinct_values(self):
+        h = Histogram("lat")
+        for i in range(1_000_000):
+            h.add(i % 10)
+        assert len(h.counts) == 10
+        assert h.count == 1_000_000
+        assert h.total == 4_500_000.0
+        assert h.percentile(50) == 4
+
+    def test_inline_counts_idiom_and_reset(self):
+        """Hot paths count into a bound ``counts``; ``reset`` clears it
+        in place, so the binding stays live."""
+        h = Histogram("lat")
+        counts = h.counts
+        for v in (5, 7, 5):
+            counts[v] = counts.get(v, 0) + 1
+        assert (h.count, h.total, h.percentile(50)) == (3, 17.0, 5)
+        h.reset()
+        assert h.count == 0 and h.counts is counts
+        counts[9] = counts.get(9, 0) + 1
+        assert h.maximum == 9
+
+    def test_percentile_out_of_range_raises(self):
+        h = Histogram("lat")
+        h.add(1)
+        with pytest.raises(ValueError):
+            h.percentile(100.5)
+        with pytest.raises(ValueError):
+            h.percentile(-1)
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=200))
     def test_property_percentile_bounds(self, samples):
