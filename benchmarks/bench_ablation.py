@@ -3,36 +3,48 @@
 Not figures from the paper -- these sweep the knobs the paper fixes
 (entry count, OMU counter count, simple counters vs counting Bloom
 filter, HWSync on/off) and check that each mechanism earns its place.
+The entry-count, OMU-counter and Bloom sweeps print each point's
+storage bits (:func:`repro.msa.storage.storage_bits`) beside its
+cycles, coverage or steering: the paper's case is performance per bit.
 """
 
 import pytest
 
 from repro.common.params import MSAParams, OMUParams
 from repro.harness.jobs import JobSpec, execute_spec
+from repro.msa.storage import storage_bits
 from repro.workloads.kernels import KERNELS
 
 assert KERNELS  # kernels registry backs the specs' workload names
 
 
-def run_with(msa=None, omu=None, app="radiosity", n_cores=16, scale=0.4, seed=2015):
-    """One ablation point through the engine's spec/executor path:
-    parameter overrides ride in ``JobSpec.params`` so the same spec is
-    poolable and content-hashable for caching."""
+def ablation_spec(msa=None, omu=None, app="radiosity", n_cores=16, scale=0.4, seed=2015):
+    """One ablation point as an engine spec: parameter overrides ride in
+    ``JobSpec.params`` so the same spec is poolable and content-hashable
+    for caching."""
     overrides = {}
     if msa is not None:
         overrides["msa"] = msa
     if omu is not None:
         overrides["omu"] = omu
-    return execute_spec(
-        JobSpec(
-            config="msa-omu-2",
-            workload=app,
-            cores=n_cores,
-            scale=scale,
-            seed=seed,
-            params=overrides,
-        )
+    return JobSpec(
+        config="msa-omu-2",
+        workload=app,
+        cores=n_cores,
+        scale=scale,
+        seed=seed,
+        params=overrides,
     )
+
+
+def run_with(**kwargs):
+    """Run one ablation point through the engine's spec/executor path."""
+    return execute_spec(ablation_spec(**kwargs))
+
+
+def bits_with(**kwargs):
+    """Storage bits of the machine one ablation point runs on."""
+    return storage_bits(ablation_spec(**kwargs).resolved_params()[0])
 
 
 class TestEntryCountSweep:
@@ -52,9 +64,10 @@ class TestEntryCountSweep:
         label = lambda e: "inf" if e is None else str(e)
         print("\nAblation: MSA entries per tile (radiosity, 16 cores)")
         for e, r in results.items():
+            bits = bits_with(msa=MSAParams(entries_per_tile=e))["total"]
             print(
                 f"  entries={label(e):>3}: cycles={r.cycles:>8} "
-                f"coverage={100 * r.msa_coverage:.1f}%"
+                f"coverage={100 * r.msa_coverage:.1f}% bits={bits}"
             )
         return results
 
@@ -97,9 +110,10 @@ class TestOmuCounterSweep:
         print("\nAblation: OMU counters per slice (radiosity, 16 cores)")
         for n, r in results.items():
             steered = r.msa_counters.get("omu_steered_sw", 0)
+            bits = bits_with(omu=OMUParams(n_counters=n))["omu_bits"]
             print(
                 f"  counters={n:>2}: cycles={r.cycles:>8} "
-                f"aliasing-steered={steered}"
+                f"aliasing-steered={steered} omu_bits={bits}"
             )
         return results
 
@@ -124,21 +138,23 @@ class TestOmuCounterSweep:
 
 class TestBloomVsSimple:
     def test_bloom_reduces_steering(self, benchmark, bench_scale):
+        simple_omu = OMUParams(n_counters=8)
+        bloom_omu = OMUParams(n_counters=8, use_bloom=True, bloom_hashes=2)
         simple = benchmark.pedantic(
-            lambda: run_with(
-                omu=OMUParams(n_counters=8), app="radiosity", scale=bench_scale
-            ),
+            lambda: run_with(omu=simple_omu, app="radiosity", scale=bench_scale),
             rounds=1,
             iterations=1,
         )
-        bloom = run_with(
-            omu=OMUParams(n_counters=8, use_bloom=True, bloom_hashes=2),
-            app="radiosity",
-            scale=bench_scale,
-        )
+        bloom = run_with(omu=bloom_omu, app="radiosity", scale=bench_scale)
         s = simple.msa_counters.get("omu_steered_sw", 0)
         b = bloom.msa_counters.get("omu_steered_sw", 0)
-        print(f"\nAblation: OMU steering simple={s} bloom={b}")
+        s_bits = bits_with(omu=simple_omu)["omu_bits"]
+        b_bits = bits_with(omu=bloom_omu)["omu_bits"]
+        print(
+            f"\nAblation: OMU steering simple={s} omu_bits={s_bits} "
+            f"bloom={b} omu_bits={b_bits}"
+        )
+        assert b_bits == s_bits  # one counter array either way: equal size
         assert b <= s + 5  # Bloom never much worse, usually better
 
 

@@ -13,9 +13,6 @@ the parallel engine::
     python -m repro traffic --scenario bursty --config msa-omu-2 --scale 2
     python -m repro traffic --sweep --loads 0.5 1 2 4 \\
         --csv load.csv --html load.html --cache-dir ~/.cache/repro
-    python -m repro dse --axis msa.entries_per_tile=1,2,4 \\
-        --axis omu.n_counters=2,4 --strategy halving --rungs 3 \\
-        --cache-dir ~/.cache/repro --csv dse.csv
     python -m repro describe
     python -m repro obs --config msa-omu-2 --workload streamcluster \\
         --trace trace.json --metrics metrics.prom --html run.html
@@ -54,7 +51,7 @@ from repro.harness import experiments
 
 FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9")
 COMMANDS = ("table1",) + FIGURES + (
-    "headline", "chaos", "run", "verify", "sweep", "traffic", "dse",
+    "headline", "chaos", "run", "verify", "sweep", "traffic",
     "describe", "obs", "report", "fsck", "chaos-harness", "serve",
     "submit", "status", "fetch", "all",
 )
@@ -399,87 +396,6 @@ def _run_traffic(args) -> int:
             )
         print(f"wrote HTML sweep report to {args.html}")
     print(f"engine: {stats.describe()}", file=sys.stderr)
-    return 0
-
-
-def _parse_axis_value(text: str):
-    """One axis value from the CLI: JSON scalars with bare-word
-    booleans/null accepted (``true``, ``False``, ``null``, ``none``)."""
-    import json as _json
-
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("null", "none"):
-        return None
-    try:
-        return _json.loads(text)
-    except _json.JSONDecodeError:
-        return text
-
-
-def _run_dse(args) -> int:
-    import json as _json
-
-    from repro import api
-    from repro.common.errors import ConfigError
-    from repro.dse import SpaceSpec
-
-    if args.space:
-        if args.axis:
-            raise ConfigError(
-                "--space and --axis are mutually exclusive: the space "
-                "file already declares its axes"
-            )
-        with open(args.space) as f:
-            spec = SpaceSpec.from_dict(_json.load(f))
-    else:
-        if not args.axis:
-            raise ConfigError(
-                "declare the space with --axis name=v1,v2,... (repeatable) "
-                "or --space FILE"
-            )
-        axes = []
-        for text in args.axis:
-            name, sep, values = text.partition("=")
-            if not sep or not values:
-                raise ConfigError(
-                    f"--axis {text!r}: expected name=v1,v2,..."
-                )
-            axes.append(
-                (name, [_parse_axis_value(v) for v in values.split(",")])
-            )
-        spec = SpaceSpec.make(
-            axes,
-            config=args.config,
-            workloads=args.workloads,
-            cores=args.cores,
-            scale=args.scale,
-            seed=args.seed,
-        )
-    strategy_kwargs = {}
-    if args.strategy == "random":
-        strategy_kwargs = {"n": args.samples, "seed": args.seed}
-    elif args.strategy == "halving":
-        strategy_kwargs = {"eta": args.eta, "rungs": args.rungs}
-    result = api.dse(
-        spec,
-        strategy=args.strategy,
-        baseline=args.baseline,
-        chaos_rate=args.chaos,
-        chaos_seed=args.seed,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        server=args.server,
-        progress=args.progress,
-        **strategy_kwargs,
-    )
-    print(result.describe())
-    if result.path:
-        print(f"wrote DSE document to {result.path}")
-    if args.csv:
-        result.to_csv(path=args.csv)
-        print(f"wrote {args.csv} ({len(result.records)} designs)")
     return 0
 
 
@@ -861,85 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--html", default=None, help="write the HTML report (run or sweep) here"
     )
 
-    p = sub.add_parser(
-        "dse",
-        help="design-space exploration: search machine-parameter axes "
-        "through the cached sweep stack and print the Pareto front "
-        "(speedup vs hardware cost vs chaos tail); see docs/DSE.md",
-    )
-    add_common(p, cores_default=[16])
-    p.add_argument(
-        "--axis",
-        action="append",
-        default=None,
-        metavar="NAME=V1,V2,...",
-        help="one design axis: a MachineParams field or dotted path "
-        "with its values (repeatable), e.g. msa.entries_per_tile=1,2,4",
-    )
-    p.add_argument(
-        "--space",
-        default=None,
-        metavar="FILE.json",
-        help="load the whole space from a JSON space file instead "
-        "(SpaceSpec.to_dict format)",
-    )
-    p.add_argument(
-        "--config",
-        default="msa-omu-2",
-        help="base configuration the axes override",
-    )
-    p.add_argument(
-        "--workloads",
-        nargs="+",
-        default=["streamcluster"],
-        help="workloads every design is scored on",
-    )
-    p.add_argument("--seed", type=int, default=2015)
-    p.add_argument(
-        "--strategy",
-        choices=("grid", "random", "halving"),
-        default="grid",
-        help="search strategy (default: grid = exhaustive)",
-    )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=8,
-        metavar="N",
-        help="designs sampled by --strategy random",
-    )
-    p.add_argument(
-        "--eta",
-        type=int,
-        default=2,
-        help="halving reduction factor (survivor fraction 1/eta)",
-    )
-    p.add_argument(
-        "--rungs",
-        type=int,
-        default=3,
-        help="halving rung count (first rung runs at scale/eta^(rungs-1))",
-    )
-    p.add_argument(
-        "--baseline",
-        default="pthread",
-        help="config speedups are measured against",
-    )
-    p.add_argument(
-        "--chaos",
-        type=float,
-        default=0.02,
-        metavar="RATE",
-        help="message-drop rate for the resilience objective "
-        "(0 skips the chaos pass; required with --server)",
-    )
-    p.add_argument(
-        "--server",
-        default=None,
-        help="run the sweeps on this service URL (default: REPRO_SERVER)",
-    )
-    p.add_argument("--csv", default=None, help="write per-design CSV here")
-
     sub.add_parser(
         "describe",
         help="list machine configurations, workload registries, and "
@@ -1058,11 +895,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_fsck(args)
     if args.command == "chaos-harness":
         return _run_chaos_harness(args)
-    if args.command in ("dse", "serve", "submit", "status", "fetch"):
+    if args.command in ("serve", "submit", "status", "fetch"):
         from repro.common.errors import ReproError
 
         handler = {
-            "dse": _run_dse,
             "serve": _run_serve,
             "submit": _run_submit,
             "status": _run_status,

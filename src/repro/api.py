@@ -45,7 +45,6 @@ __all__ = [
     "run",
     "sweep",
     "traffic",
-    "dse",
     "observe",
     "report",
     "fsck",
@@ -252,51 +251,6 @@ def report(cache_dir, out, baseline: Optional[str] = None, title=None):
     return report_from_cache(cache_dir, out, baseline=baseline, title=title)
 
 
-def dse(
-    space,
-    strategy="grid",
-    baseline: str = "pthread",
-    **kwargs,
-):
-    """Explore a machine-parameter design space and return the Pareto
-    front as a :class:`repro.dse.DseResult`.
-
-    ``space`` is a :class:`repro.dse.SpaceSpec`, a space dict (the
-    ``to_dict`` / space-file format), or a mapping of axes
-    (``{"msa.entries_per_tile": [1, 2, 4]}``; grid keywords --
-    ``config``, ``workloads``, ``cores``, ``scale``, ``seed``,
-    ``name`` -- then shape the space, everything else defaults).  ``strategy`` is ``"grid"``, ``"random"``, or
-    ``"halving"`` (or a :class:`repro.dse.Strategy`); remaining keyword
-    arguments go to :func:`repro.dse.explore` (``cache_dir``,
-    ``workers``, ``server``, ``chaos_rate``, strategy knobs...).  Every
-    design point is an ordinary cached sweep point, so re-running the
-    same space resumes from the cache.  See docs/DSE.md; the CLI form
-    is ``python -m repro dse``."""
-    from repro.dse import SpaceSpec, explore
-
-    if isinstance(space, SpaceSpec):
-        spec = space
-    elif isinstance(space, dict) and "axes" in space:
-        spec = SpaceSpec.from_dict(space)
-    elif isinstance(space, dict):
-        # Bare axes mapping: grid keywords (config/workloads/cores/...)
-        # belong to the space, not to explore().
-        make_kwargs = {
-            k: kwargs.pop(k)
-            for k in ("config", "workloads", "cores", "scale", "seed", "name")
-            if k in kwargs
-        }
-        spec = SpaceSpec.make(space, **make_kwargs)
-    else:
-        from repro.common.errors import ConfigError
-
-        raise ConfigError(
-            "space must be a SpaceSpec, a space document dict, or an "
-            f"axes mapping, got {type(space).__name__}"
-        )
-    return explore(spec, strategy=strategy, baseline=baseline, **kwargs)
-
-
 def fsck(cache_dir, repair: bool = True):
     """Scan (and by default repair) a result cache and its job store:
     torn writes, checksum mismatches, schema drift, expired leases.  Corrupt entries are evicted (a
@@ -462,9 +416,8 @@ def sweep(
 
     ``params`` applies machine-parameter overrides to every point of
     the grid -- top-level :class:`MachineParams` fields or dotted
-    scalar paths like ``{"msa.entries_per_tile": 4}`` (this is how
-    :mod:`repro.dse` evaluates design points); ``fault_plan`` runs the
-    grid under fault injection.  Both fold into each point's cache key.
+    scalar paths like ``{"msa.entries_per_tile": 4}``; ``fault_plan``
+    runs the grid under fault injection.  Both fold into each point's cache key.
 
     With ``server`` (a ``repro serve`` URL), the grid is submitted to
     that service instead of running locally -- the call blocks until the

@@ -297,8 +297,8 @@ class MachineParams:
         into a parameter group (``"msa.entries_per_tile"``,
         ``"omu.counter_bits"``, ``"noc.link_latency"``) whose values are
         plain scalars.  Dotted overrides are what makes a design point
-        pure JSON: they survive the result cache, the service wire
-        format, and :mod:`repro.dse` space files unchanged.
+        pure JSON: they survive the result cache and the service wire
+        format unchanged.
 
         Unknown fields, dotted paths into an absent group (``msa`` is
         ``None`` on software-only configurations), and a group named

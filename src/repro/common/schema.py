@@ -39,9 +39,6 @@ JOBSPEC_SCHEMA = "repro.jobspec/1"
 #: Envelope of every ``repro serve`` HTTP body (requests and responses).
 SERVE_SCHEMA = "repro.serve/1"
 
-#: :class:`repro.dse.DseResult` documents (``<cache_dir>/dse/*.json``).
-DSE_SCHEMA = "repro.dse/1"
-
 
 def parse_stamp(stamp: str) -> Tuple[str, int]:
     """Split a ``family/major`` stamp; raises :class:`SchemaError` on

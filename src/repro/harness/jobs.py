@@ -194,8 +194,7 @@ class JobSpec:
         ``params`` entries may be top-level :class:`MachineParams`
         fields (dataclass values) or dotted scalar paths like
         ``"msa.entries_per_tile"`` -- the dotted form is pure JSON, so
-        such specs cross the service wire and cache cleanly (this is
-        what :mod:`repro.dse` design points use).
+        such specs cross the service wire and cache cleanly.
         """
         params, library = machine_params(
             self.config, n_cores=self.cores, seed=self.seed

@@ -270,6 +270,39 @@ class Machine:
         total = hw + sw
         return hw / total if total else None
 
+    def noc_ledger(self) -> Dict[str, int]:
+        """Where every wire copy of a NoC message went::
+
+            sent + duplicated == delivered + dropped + suppressed
+                               + stuck + in_flight
+
+        ``dropped``/``duplicated`` are the fault injector's, ``suppressed``
+        the transport's discarded duplicates, and ``stuck`` the messages
+        parked behind an abandoned sequence number in a reorder buffer.
+        ``in_flight`` is what is left: 0 once a run has drained."""
+        noc = self.network.stats
+        sent = noc["messages_sent"].value
+        delivered = noc["messages_delivered"].value
+        dropped = duplicated = suppressed = stuck = 0
+        if self.fault_injector is not None:
+            dropped = self.fault_injector.stats["msgs_dropped"].value
+            duplicated = self.fault_injector.stats["msgs_duplicated"].value
+        if self.transport is not None:
+            suppressed = self.transport.stats["dup_suppressed"].value
+            stuck = sum(
+                len(state.buffer) for state in self.transport._recv.values()
+            )
+        return {
+            "sent": sent,
+            "duplicated": duplicated,
+            "delivered": delivered,
+            "dropped": dropped,
+            "suppressed": suppressed,
+            "stuck": stuck,
+            "in_flight": sent + duplicated - delivered - dropped
+            - suppressed - stuck,
+        }
+
     def fault_counters(self) -> Dict[str, int]:
         """Merged injector + transport + plane + recovery counters."""
         sets = []

@@ -16,7 +16,7 @@ orders of magnitude.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.common.types import TileId
 
@@ -53,8 +53,6 @@ class Message:
         dst: TileId,
         kind: str,
         payload: Any = None,
-        injected_at: int = -1,
-        rel_seq: Optional[int] = None,
     ):
         self.src = src
         self.dst = dst
@@ -62,11 +60,11 @@ class Message:
         #: Protocol-specific fields (``None`` becomes an empty dict).
         self.payload = {} if payload is None else payload
         #: Cycle the message entered the network (set by the Network).
-        self.injected_at = injected_at
+        self.injected_at = -1
         #: Reliable-transport channel sequence number; ``None`` for
         #: traffic outside the transport (coherence, acks, fault-free
         #: machines).
-        self.rel_seq = rel_seq
+        self.rel_seq = None
         kp = _prefix_of.get(kind)
         if kp is None:
             kp = _prefix_of[kind] = sys.intern(kind.partition(".")[0])

@@ -416,200 +416,6 @@ def _omu_timeline_svg(
 
 
 # ---------------------------------------------------------------------------
-# DSE section (Pareto scatter + heatmap)
-# ---------------------------------------------------------------------------
-def _pareto_scatter_svg(records) -> str:
-    """Inline SVG: hardware cost (x) vs speedup (y) for the full-scale
-    designs; Pareto-front members highlighted red and labeled."""
-    finals = [r for r in records if r.final]
-    if not finals:
-        return ""
-    width, height, pad = 560, 260, 46
-    x_min = min(r.cost for r in finals)
-    x_max = max(r.cost for r in finals)
-    y_min = min(r.speedup for r in finals)
-    y_max = max(r.speedup for r in finals)
-    x_span = (x_max - x_min) or 1.0
-    y_span = (y_max - y_min) or 1.0
-
-    def sx(x):
-        return round(pad + (x - x_min) / x_span * (width - 2 * pad), 1)
-
-    def sy(y):
-        return round(height - pad - (y - y_min) / y_span * (height - 2 * pad), 1)
-
-    parts = [
-        f"<rect x='{pad}' y='{pad - 14}' width='{width - 2 * pad}' "
-        f"height='{height - 2 * pad + 14}' fill='none' stroke='#ccd'/>"
-    ]
-    for frac in (0.0, 0.5, 1.0):
-        x_val = x_min + frac * x_span
-        y_val = y_min + frac * y_span
-        parts.append(
-            f"<text x='{sx(x_val)}' y='{height - pad + 14}' font-size='10' "
-            f"text-anchor='middle'>{x_val:,.0f}</text>"
-        )
-        parts.append(
-            f"<text x='{pad - 6}' y='{sy(y_val) + 3}' font-size='10' "
-            f"text-anchor='end'>{y_val:.2f}</text>"
-        )
-    parts.append(
-        f"<text x='{width / 2}' y='{height - 6}' font-size='11' "
-        f"text-anchor='middle'>hardware cost (storage bits)</text>"
-    )
-    parts.append(
-        f"<text x='12' y='{height / 2}' font-size='11' text-anchor='middle' "
-        f"transform='rotate(-90 12 {height / 2})'>speedup (geomean)</text>"
-    )
-    front = sorted(
-        (r for r in finals if r.pareto), key=lambda r: r.cost
-    )
-    if len(front) > 1:
-        path = " ".join(f"{sx(r.cost)},{sy(r.speedup)}" for r in front)
-        parts.append(
-            f"<polyline points='{path}' fill='none' stroke='#cc3b3b' "
-            f"stroke-width='1' stroke-dasharray='4 3'/>"
-        )
-    for r in finals:
-        if r.pareto:
-            continue
-        parts.append(
-            f"<circle cx='{sx(r.cost)}' cy='{sy(r.speedup)}' r='4' "
-            f"fill='#3b4cca' opacity='0.55'><title>{_esc(r.label())}: "
-            f"speedup {r.speedup:.3f}, cost {r.cost:,.0f}</title></circle>"
-        )
-    for r in front:
-        parts.append(
-            f"<circle cx='{sx(r.cost)}' cy='{sy(r.speedup)}' r='5' "
-            f"fill='#cc3b3b'><title>{_esc(r.label())}: speedup "
-            f"{r.speedup:.3f}, cost {r.cost:,.0f}</title></circle>"
-        )
-        parts.append(
-            f"<text x='{sx(r.cost) + 7}' y='{sy(r.speedup) - 6}' "
-            f"font-size='9'>{_esc(r.label())}</text>"
-        )
-    return (
-        f"<svg width='{width}' height='{height}'>" + "".join(parts)
-        + "</svg><p class='note'>Full-scale designs; red = Pareto front "
-        "(no other design is faster *and* cheaper; chaos objective "
-        "included in dominance when present). Hover points for the "
-        "axis values.</p>"
-    )
-
-
-def _dse_heatmap_html(result) -> str:
-    """Speedup heatmap over the first two axes (cells take the best
-    speedup across any remaining axes; single-axis spaces get a bar
-    table instead)."""
-    axes = list(result.space.axes)
-    finals = [r for r in result.records if r.final]
-    if not finals:
-        return ""
-    max_speedup = max(r.speedup for r in finals) or 1.0
-    if len(axes) == 1:
-        name, values = axes[0]
-        rows = []
-        for value in values:
-            rs = [r for r in finals if r.design.get(name) == value]
-            if not rs:
-                rows.append([str(value), "-", ""])
-                continue
-            best = max(r.speedup for r in rs)
-            rows.append(
-                [
-                    str(value),
-                    f"{best:.3f}",
-                    _SafeHtml(_hbar(best / max_speedup)),
-                ]
-            )
-        return _table((name, "speedup", ""), rows)
-    (x_name, x_values), (y_name, y_values) = axes[0], axes[1]
-    rows = []
-    for y in y_values:
-        row: List = [f"{y_name}={y}"]
-        for x in x_values:
-            rs = [
-                r
-                for r in finals
-                if r.design.get(x_name) == x and r.design.get(y_name) == y
-            ]
-            if not rs:
-                row.append("-")
-                continue
-            best = max(rs, key=lambda r: r.speedup)
-            # Green intensity scales with speedup; Pareto cells bold via
-            # the existing .best class.
-            row.append(
-                (f"{best.speedup:.3f}", "best")
-                if best.pareto
-                else f"{best.speedup:.3f}"
-            )
-        rows.append(row)
-    table = _table([""] + [f"{x_name}={x}" for x in x_values], rows)
-    extra = ""
-    if len(axes) > 2:
-        others = ", ".join(name for name, _ in axes[2:])
-        extra = (
-            f"<p class='note'>Cells take the best speedup across the "
-            f"remaining axes ({_esc(others)}).</p>"
-        )
-    return table + extra
-
-
-def _dse_section_html(dse_results) -> str:
-    """One sub-section per DSE document: KPIs, Pareto scatter, heatmap,
-    and the front as a table."""
-    parts: List[str] = []
-    for result in dse_results:
-        space = result.space
-        finals = [r for r in result.records if r.final]
-        parts.append(f"<h2>Design space: {_esc(space.describe())}</h2>")
-        parts.append("<div>")
-        parts.append(_kpi("strategy", result.strategy))
-        parts.append(_kpi("designs", str(len(result.records))))
-        parts.append(_kpi("full scale", str(len(finals))))
-        parts.append(_kpi("pareto", str(len(result.pareto_records))))
-        if result.chaos_rate:
-            parts.append(_kpi("chaos rate", f"{result.chaos_rate:g}"))
-        parts.append("</div>")
-        parts.append(_pareto_scatter_svg(result.records))
-        heatmap = _dse_heatmap_html(result)
-        if heatmap:
-            parts.append("<h3>Speedup heatmap</h3>")
-            parts.append(heatmap)
-        front = sorted(result.pareto_records, key=lambda r: -r.speedup)
-        if front:
-            rows = []
-            for r in front:
-                chaos = f"{r.chaos:.3f}" if r.chaos is not None else "-"
-                rows.append(
-                    [
-                        r.label(),
-                        f"{r.speedup:.3f}",
-                        f"{r.cost:,.0f}",
-                        f"{r.cost_breakdown.get('msa_bits', 0):,.0f}",
-                        f"{r.cost_breakdown.get('omu_bits', 0):,.0f}",
-                        chaos,
-                    ]
-                )
-            parts.append("<h3>Pareto front</h3>")
-            parts.append(
-                _table(
-                    (
-                        "design",
-                        "speedup",
-                        "cost (bits)",
-                        "MSA bits",
-                        "OMU bits",
-                        "chaos",
-                    ),
-                    rows,
-                )
-            )
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # Cross-sweep report
 # ---------------------------------------------------------------------------
 def render_sweep_report(
@@ -617,7 +423,6 @@ def render_sweep_report(
     baseline: Optional[str] = None,
     title: str = "repro sweep report",
     resilience: Optional[Dict[str, int]] = None,
-    dse_results: Optional[Sequence] = None,
 ) -> str:
     """Render a list of :class:`~repro.harness.sweep.SweepPoint` (e.g.
     loaded from the result cache) as a self-contained HTML page.
@@ -625,10 +430,7 @@ def render_sweep_report(
     With ``baseline`` (a config name present in the points), each cell
     also shows the speedup over the same (workload, cores) baseline
     run.  ``resilience`` (the job store's lifetime counters -- leases,
-    retries, quarantines) appends the harness-resilience section;
-    ``dse_results`` (loaded :class:`repro.dse.DseResult` documents)
-    appends one design-space section each -- Pareto scatter, speedup
-    heatmap, and the front.
+    retries, quarantines) appends the harness-resilience section.
     """
     points = list(points)
     configs = sorted({p.config for p in points})
@@ -676,9 +478,6 @@ def render_sweep_report(
     if traffic:
         body.append("<h2>Tail latency under offered load (repro.traffic)</h2>")
         body.append(traffic)
-
-    if dse_results:
-        body.append(_dse_section_html(dse_results))
 
     body.append("<h2>MSA coverage</h2>")
     cov_configs = [

@@ -60,31 +60,6 @@ def load_store_counters(cache_dir) -> Optional[dict]:
         return None
 
 
-def load_dse_documents(cache_dir) -> List:
-    """Load every readable DSE document under ``<cache_dir>/dse/``
-    (:class:`repro.dse.DseResult`, path-sorted).  Corrupt or
-    incompatible documents are skipped with a warning -- the report
-    renders what it can, same contract as corrupt cache entries."""
-    import warnings
-
-    from repro.dse import DseResult
-
-    dse_dir = Path(cache_dir) / "dse"
-    if not dse_dir.is_dir():
-        return []
-    results = []
-    for path in sorted(dse_dir.glob("*.json")):
-        try:
-            results.append(DseResult.load(path))
-        except Exception as exc:
-            warnings.warn(
-                f"skipping unreadable DSE document {path}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return results
-
-
 def report_from_cache(
     cache_dir,
     out,
@@ -96,8 +71,7 @@ def report_from_cache(
     ``cache_dir`` is the engine's cache root (``REPRO_CACHE_DIR`` /
     ``--cache``); ``out`` the HTML file to write.  With ``baseline`` (a
     config name present in the cache, e.g. ``pthread``), speedup
-    columns are added.  DSE documents under ``<cache_dir>/dse/`` render
-    as Pareto-scatter/heatmap sections.  Raises :class:`ConfigError` on
+    columns are added.  Raises :class:`ConfigError` on
     an empty cache -- a report of nothing is a usage error, not a blank
     page.
     """
@@ -119,7 +93,6 @@ def report_from_cache(
         baseline=baseline,
         title=title or f"repro sweep report ({len(points)} cached points)",
         resilience=load_store_counters(cache_dir),
-        dse_results=load_dse_documents(cache_dir),
     )
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)

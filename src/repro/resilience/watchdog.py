@@ -47,7 +47,9 @@ def triage_dump(machine) -> Dict[str, Any]:
 
     Pure introspection (no simulation side effects): thread sets split
     runnable/suspended with what each blocked thread waits on, NoC
-    in-flight message accounting, and per-tile MSA entry occupancy.
+    in-flight and dropped messages (:meth:`Machine.noc_ledger
+    <repro.machine.Machine.noc_ledger>`), and per-tile MSA entry
+    occupancy.
     Everything is plain data, safe to JSON-serialize into error
     reports and quarantine artifacts.
     """
@@ -71,9 +73,7 @@ def triage_dump(machine) -> Dict[str, Any]:
             ),
         }
         (suspended if thread.suspended else runnable).append(info)
-    noc = machine.network.stats.counters
-    sent = noc.get("messages_sent", 0)
-    delivered = noc.get("messages_delivered", 0)
+    ledger = machine.noc_ledger()
     msa = []
     for sl in machine.msa_slices:
         if sl.dead or not sl.entries:
@@ -105,9 +105,10 @@ def triage_dump(machine) -> Dict[str, Any]:
             "suspended": suspended,
         },
         "noc": {
-            "messages_sent": sent,
-            "messages_delivered": delivered,
-            "in_flight": sent - delivered,
+            "messages_sent": ledger["sent"],
+            "messages_delivered": ledger["delivered"],
+            "dropped": ledger["dropped"],
+            "in_flight": ledger["in_flight"],
         },
         "msa": msa,
         "degraded_tiles": sorted(machine.degraded_tiles()),
@@ -126,7 +127,8 @@ def format_triage(triage: Dict[str, Any], limit: int = 4) -> str:
             f" finished, {len(threads.get('runnable', ()))} runnable,"
             f" {len(threads.get('suspended', ()))} suspended"
         ),
-        f"NoC in-flight {noc.get('in_flight', 0)}",
+        f"NoC in-flight {noc.get('in_flight', 0)}, "
+        f"dropped {noc.get('dropped', 0)}",
     ]
     occupancy = [
         f"tile{slice_info['tile']}:{slice_info['entries']}"

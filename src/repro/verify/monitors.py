@@ -396,14 +396,12 @@ class NocConservationMonitor(Monitor):
     Online, reliably-carried traffic must dispatch with strictly
     contiguous per-channel sequence numbers (the transport's
     exactly-once, in-order contract).  At end of run, every wire copy
-    must be accounted for::
-
-        sent + authorized_dups == delivered + authorized_drops
-                                + transport_dup_suppressed + stuck
-
-    where ``stuck`` counts messages parked forever behind an abandoned
-    sequence number in a reorder buffer (an authorized give-up, visible
-    in the transport's ``abandoned`` counter).
+    must be accounted for: :meth:`Machine.noc_ledger
+    <repro.machine.Machine.noc_ledger>` leaves nothing in flight once
+    drops and duplicates the plan authorized, duplicates the transport
+    suppressed, and messages stuck behind an abandoned sequence number
+    (an authorized give-up, visible in the transport's ``abandoned``
+    counter) are counted.
     """
 
     name = "noc-conservation"
@@ -428,29 +426,13 @@ class NocConservationMonitor(Monitor):
         self.delivered_seq[chan] = rel_seq
 
     def finalize(self) -> None:
-        machine = self.machine
-        noc = machine.network.stats
-        sent = noc.counter("messages_sent").value
-        delivered = noc.counter("messages_delivered").value
-        dropped = dup = suppressed = stuck = 0
-        if machine.fault_injector is not None:
-            inj = machine.fault_injector.stats
-            dropped = inj.counter("msgs_dropped").value
-            dup = inj.counter("msgs_duplicated").value
-        if machine.transport is not None:
-            suppressed = machine.transport.stats.counter(
-                "dup_suppressed"
-            ).value
-            stuck = sum(
-                len(state.buffer)
-                for state in machine.transport._recv.values()
-            )
-        if sent + dup != delivered + dropped + suppressed + stuck:
+        n = self.machine.noc_ledger()
+        if n["in_flight"] != 0:
             self.violation(
-                f"message conservation broken: sent={sent} + dups={dup} "
-                f"!= delivered={delivered} + dropped={dropped} + "
-                f"suppressed={suppressed} + stuck={stuck} "
-                f"(unauthorized loss or duplication)",
+                f"message conservation broken: sent={n['sent']} + "
+                f"dups={n['duplicated']} != delivered={n['delivered']} + "
+                f"dropped={n['dropped']} + suppressed={n['suppressed']} + "
+                f"stuck={n['stuck']} (unauthorized loss or duplication)",
             )
 
     def stats(self) -> Dict[str, int]:

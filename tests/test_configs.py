@@ -12,6 +12,7 @@ from repro.common.params import (
 )
 from repro.harness.configs import CONFIG_NAMES, build_machine, machine_params
 from repro.msa.isa import MODE_ALWAYS_FAIL, MODE_HW, MODE_IDEAL
+from repro.msa.storage import storage_bits
 
 
 class TestParamValidation:
@@ -133,3 +134,42 @@ class TestMachineAssembly:
             m = build_machine("msa-omu-2", n_cores=16, seed=seed)
             result = run_workload(m, KERNELS["cholesky"](16, 0.3))
             assert result.cycles > 0
+
+
+class TestStorageBits:
+    def test_msa_omu_2_matches_hand_arithmetic(self):
+        params, _ = machine_params("msa-omu-2", 16)
+        bits = storage_bits(params)
+        # Entry = 46 tag + 4 FSM + 16x1 HWQueue bits + 8 aux = 74 bits;
+        # 16 tiles x 2 entries; OMU = 16 x 4 counters x 8 bits.
+        assert bits["entry_bits"] == 74
+        assert bits["msa_bits"] == 16 * 2 * 74
+        assert bits["omu_bits"] == 16 * 4 * 8
+        assert bits["total"] == bits["msa_bits"] + bits["omu_bits"]
+
+    def test_software_configs_cost_nothing(self):
+        for config in ("pthread", "mcs-tour"):
+            params, _ = machine_params(config, 16)
+            bits = storage_bits(params)
+            assert (bits["msa_bits"], bits["omu_bits"], bits["total"]) == (0, 0, 0)
+
+    def test_msa_inf_is_charged_the_upper_bound(self):
+        params, _ = machine_params("msa-inf", 16)
+        assert params.msa.entries_per_tile is None
+        assert storage_bits(params)["msa_bits"] == 16 * 64 * 74
+
+    def test_queue_bits_grow_with_core_count(self):
+        small, _ = machine_params("msa-omu-2", 16)
+        large, _ = machine_params("msa-omu-2", 64)
+        assert storage_bits(large)["entry_bits"] > storage_bits(small)["entry_bits"]
+
+    def test_bloom_omu_costs_its_one_counter_array(self):
+        # Every hash of the counting-Bloom OMU indexes the same
+        # n_counters array, so it is no bigger than the simple OMU.
+        params, _ = machine_params("msa-omu-2", 16)
+        simple = params.with_(omu=OMUParams(n_counters=8))
+        bloom = params.with_(
+            omu=OMUParams(n_counters=8, use_bloom=True, bloom_hashes=3)
+        )
+        assert storage_bits(bloom) == storage_bits(simple)
+        assert storage_bits(bloom)["omu_bits"] == 16 * 8 * 8

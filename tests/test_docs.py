@@ -100,7 +100,7 @@ class TestCheckerCatchesProblems:
 
     def test_live_verbs_come_from_the_parser(self, tmp_path):
         verbs = check_docs.live_verbs()
-        for verb in ("run", "sweep", "dse", "report", "serve"):
+        for verb in ("run", "sweep", "report", "serve"):
             assert verb in verbs
         # A doc mentioning only live verbs produces no errors.
         doc = tmp_path / "ok.md"

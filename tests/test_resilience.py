@@ -604,6 +604,18 @@ class TestWatchdog:
         assert json.dumps(triage)  # plain data, JSON-safe
         assert "cycle" in format_triage(triage)
 
+    def test_triage_does_not_count_drops_as_in_flight(self):
+        """A drained run under message drops has nothing in flight: the
+        triage reads the same ledger as the NoC conservation monitor."""
+        from repro.faults import drop_plan
+        from tests.test_faults import _lock_run
+
+        m, _ = _lock_run(drop_plan(0.1))
+        triage = triage_dump(m)
+        assert triage["noc"]["dropped"] > 0
+        assert triage["noc"]["in_flight"] == 0
+        assert "NoC in-flight 0, dropped" in format_triage(triage)
+
 
 class TestDeadlockTriage:
     def test_deadlock_error_carries_triage_dump(self):
