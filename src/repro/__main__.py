@@ -403,11 +403,11 @@ def _run_describe(args) -> int:
     from repro.harness.configs import CONFIG_NAMES
     from repro.traffic import ARRIVALS, TRAFFIC
     from repro.workloads import microbench
-    from repro.workloads.kernels import KERNELS
+    from repro.workloads.kernels import KERNEL_NAMES
 
     sections = (
         ("machine configurations", CONFIG_NAMES),
-        ("kernels", sorted(KERNELS)),
+        ("kernels", sorted(KERNEL_NAMES)),
         ("microbenches", sorted(microbench.MICROBENCHES)),
         ("traffic scenarios", sorted(TRAFFIC)),
         ("arrival processes", sorted(ARRIVALS)),

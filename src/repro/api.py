@@ -24,7 +24,16 @@ extension points; this module only composes them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.harness.configs import CONFIG_NAMES, build_machine
 from repro.harness.jobs import (
@@ -37,8 +46,10 @@ from repro.harness.jobs import (
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.sweep import SweepPoint, add_speedups, to_csv
 from repro.harness.sweep import sweep as _sweep_impl
-from repro.machine import Machine
-from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
+    from repro.workloads.base import Workload
 
 __all__ = [
     "build",
@@ -67,6 +78,16 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 2015
+
+
+def __getattr__(name):
+    # ``Machine`` is re-exported on first access: a facade call that
+    # never simulates (a served sweep, a cache read) loads no simulator.
+    if name == "Machine":
+        from repro.machine import Machine
+
+        return Machine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build(
@@ -113,6 +134,9 @@ def run(
     :class:`~repro.common.errors.InvariantViolation` unless
     ``raise_violations`` is false.
     """
+    from repro.machine import Machine
+    from repro.workloads.base import Workload
+
     if isinstance(machine_or_config, Machine):
         machine = machine_or_config
         config = machine.library_name
@@ -219,6 +243,7 @@ def observe(
     >>> sorted(obs.attribution())[:2]
     ['barrier.wait', 'lock.acquire']
     """
+    from repro.machine import Machine
     from repro.obs import DEFAULT_SPAN_LIMIT, Collector
 
     if isinstance(machine_or_config, Machine):

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams, MSAParams, OMUParams
-from repro.machine import Machine
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
 CONFIG_NAMES = (
     "pthread",
@@ -107,6 +109,8 @@ def build_machine(
     MSA-bearing configuration.  Extra keyword arguments replace
     top-level :class:`MachineParams` fields after the configuration is
     resolved (e.g. ``core=CoreParams(hw_threads=2)``)."""
+    from repro.machine import Machine
+
     params, library = machine_params(config, n_cores=n_cores, seed=seed)
     if overrides:
         params = params.with_(**overrides)

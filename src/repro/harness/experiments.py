@@ -25,8 +25,7 @@ from repro.harness.jobs import Engine
 from repro.harness.report import render_table
 from repro.harness.runner import RunResult
 from repro.harness.sweep import grid_specs, run_specs
-from repro.workloads import microbench
-from repro.workloads.kernels import FIGURE_APPS, KERNELS
+from repro.workloads.kernels import FIGURE_APPS, KERNEL_NAMES
 
 DEFAULT_CORES = (16, 64)
 
@@ -96,6 +95,8 @@ def fig5(
     progress=False,
 ) -> Dict:
     """Raw latency (cycles) per probe, config, and core count."""
+    from repro.workloads import microbench
+
     probes = list(microbench.MICROBENCHES)
     runs = _grid(
         configs,
@@ -171,7 +172,7 @@ def fig6(
     cache_dir=None,
     progress=False,
 ) -> SpeedupGrid:
-    apps = list(apps or KERNELS.keys())
+    apps = list(apps or KERNEL_NAMES)
     grid = SpeedupGrid(apps=apps, cores=list(cores), configs=list(configs))
     all_configs = _dedupe(["pthread"] + list(configs))
     runs = _grid(
@@ -239,7 +240,7 @@ def fig7(
 ) -> Dict:
     """Percentage of sync operations serviced by the MSA, averaged over
     the suite, with the OMU vs the never-deallocate baseline."""
-    apps = list(apps or KERNELS.keys())
+    apps = list(apps or KERNEL_NAMES)
     cells = [
         (e, n, with_omu)
         for n in cores
@@ -349,7 +350,7 @@ def fig9(
     cache_dir=None,
     progress=False,
 ) -> Dict:
-    apps = list(apps or KERNELS.keys())
+    apps = list(apps or KERNEL_NAMES)
     runs = _grid(
         _dedupe(["pthread"] + list(FIG9_CONFIGS)),
         apps,
@@ -503,7 +504,7 @@ def headline(
     """The paper's summary claims: coverage of MSA-2 with OMU, mean
     speedup over pthreads, and the distance from ideal of both MSA-2
     with OMU and MSA-inf."""
-    apps = list(KERNELS.keys())
+    apps = list(KERNEL_NAMES)
     runs = _grid(
         ("pthread", "msa-omu-2", "msa-inf", "ideal"),
         apps,

@@ -298,20 +298,24 @@ def _factory_fingerprint(factory: Optional[Callable]) -> Optional[str]:
 
 def resolve_factory(name: str) -> Callable:
     """Look a workload name up in the kernel, microbench, and traffic
-    registries."""
-    from repro.workloads.kernels import KERNELS
+    registries, importing only what the lookup reaches: a kernel's own
+    module, and the other two registries only for a name that is not a
+    kernel."""
+    from repro.workloads.kernels import KERNEL_NAMES, kernel_factory
+
+    factory = kernel_factory(name)
+    if factory is not None:
+        return factory
     from repro.workloads import microbench
     from repro.traffic.workload import TRAFFIC
 
-    if name in KERNELS:
-        return KERNELS[name]
     if name in microbench.MICROBENCHES:
         return microbench.MICROBENCHES[name]
     if name in TRAFFIC:
         return TRAFFIC[name]
     raise ConfigError(
         f"unknown workload {name!r}; expected one of "
-        f"{sorted(KERNELS) + sorted(microbench.MICROBENCHES) + sorted(TRAFFIC)}"
+        f"{sorted(KERNEL_NAMES) + sorted(microbench.MICROBENCHES) + sorted(TRAFFIC)}"
     )
 
 
@@ -744,7 +748,11 @@ class Engine:
                 chaos=self.chaos,
                 on_terminal=on_terminal,
             )
-            pool.run(remote)
+            pool.run(remote, workloads={
+                specs_by_key[key].workload
+                for key in remote
+                if specs_by_key[key].factory is None
+            })
             self.pool_stats = {
                 "kills": pool.kills,
                 "restarts": pool.restarts,

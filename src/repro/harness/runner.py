@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.schema import RESULT_SCHEMA, check_schema
-from repro.machine import Machine
-from repro.workloads.base import Workload, WorkloadEnv
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
+    from repro.workloads.base import Workload
 
 
 @dataclass
@@ -154,6 +156,8 @@ def run_workload(
     report is attached to the propagating exception, so the invariant
     evidence that explains a hang is never lost.
     """
+    from repro.workloads.base import WorkloadEnv
+
     suite = None
     if checkers is True or checkers:
         if machine.checker_suite is not None:

@@ -11,15 +11,13 @@ events are queued or ordered.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams
 from repro.common.stats import merge_counters
-from repro.faults import FaultInjector, FaultPlane, ReliableTransport
 from repro.mem.address import AddressAllocator
 from repro.mem.memsys import MemoryFabric
-from repro.msa.ideal import IdealSyncOracle
 from repro.msa.isa import MODE_ALWAYS_FAIL, MODE_HW, MODE_IDEAL, SyncUnit
 from repro.msa.slice import MSASlice
 from repro.noc.network import Network
@@ -29,6 +27,10 @@ from repro.runtime.swsync.registry import SwStateRegistry
 from repro.runtime.syncapi import make_library
 from repro.sim.kernel import Simulator
 from repro.sim.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.faults import FaultInjector, FaultPlane, ReliableTransport
+    from repro.msa.ideal import IdealSyncOracle
 
 
 class Machine:
@@ -69,6 +71,12 @@ class Machine:
                     "fault plans target the MSA message protocol; build "
                     "the machine with an MSA (not ideal_sync/software-only)"
                 )
+            from repro.faults import (
+                FaultInjector,
+                FaultPlane,
+                ReliableTransport,
+            )
+
             fault_plan.validate(n_tiles=params.n_cores)
             self.fault_injector = FaultInjector(
                 self.sim, fault_plan, params.seed
@@ -90,6 +98,8 @@ class Machine:
         self.msa_slices: List[MSASlice] = []
 
         if params.ideal_sync:
+            from repro.msa.ideal import IdealSyncOracle
+
             mode = MODE_IDEAL
             self.ideal_oracle = IdealSyncOracle(self.sim)
         elif params.msa is None:

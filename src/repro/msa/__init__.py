@@ -13,21 +13,8 @@ Cores talk to the accelerator through the per-core
 extension (LOCK/UNLOCK/BARRIER/COND_WAIT/COND_SIGNAL/COND_BCAST plus
 FINISH and SUSPEND) with SUCCESS/FAIL/ABORT results, the MSA-0
 always-fail mode, and the HWSync-bit silent re-acquire optimization.
+
+The package re-exports nothing: import from the submodule that defines
+a name, so loading one part of the model does not load the rest (the
+ideal-synchronization oracle, say).
 """
-
-from repro.msa.entry import MSAEntry
-from repro.msa.omu import OverflowManagementUnit, CountingBloomOmu, make_omu
-from repro.msa.slice import MSASlice
-from repro.msa.isa import SyncUnit, SQUASHED
-from repro.msa.ideal import IdealSyncOracle
-
-__all__ = [
-    "MSAEntry",
-    "OverflowManagementUnit",
-    "CountingBloomOmu",
-    "make_omu",
-    "MSASlice",
-    "SyncUnit",
-    "SQUASHED",
-    "IdealSyncOracle",
-]

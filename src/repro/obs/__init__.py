@@ -36,7 +36,7 @@ Quickstart (see also ``examples/observability.py`` and
 
     machine = build_machine("msa-omu-2", n_cores=4)
     collector = Collector.attach(machine)     # before threads spawn
-    result = run_workload(machine, KERNELS["histogram"](4, scale=0.1),
+    result = run_workload(machine, KERNELS["streamcluster"](4, scale=0.1),
                           config="msa-omu-2")
     obs = collector.finalize()
     print(obs.describe())

@@ -28,30 +28,44 @@ See docs/HARNESS.md ("Crash safety and self-healing") for the operator
 view.
 """
 
-from repro.resilience.chaos import (
-    ChaosHarnessResult,
-    chaos_harness,
-    default_chaos_specs,
-)
+# ``fsck`` is bound here, not on first access: the name is also a
+# submodule's, and importing that submodule after the package would
+# otherwise leave ``repro.resilience.fsck`` naming the module.
 from repro.resilience.fsck import FsckIssue, FsckReport, fsck
-from repro.resilience.store import (
-    Claim,
-    JobRow,
-    JobStore,
-    default_store_path,
-)
-from repro.resilience.supervise import (
-    ChaosPlan,
-    WorkerLoop,
-    WorkerPool,
-    backoff_delay,
-)
-from repro.resilience.watchdog import (
-    Watchdog,
-    WatchdogWarning,
-    format_triage,
-    triage_dump,
-)
+
+#: Re-exported name -> the submodule that defines it, imported on first
+#: access (the supervisor pulls in ``multiprocessing``, which a process
+#: that only opens a job store never needs).
+_EXPORTS = {
+    "ChaosHarnessResult": "chaos",
+    "chaos_harness": "chaos",
+    "default_chaos_specs": "chaos",
+    "Claim": "store",
+    "JobRow": "store",
+    "JobStore": "store",
+    "default_store_path": "store",
+    "ChaosPlan": "supervise",
+    "WorkerLoop": "supervise",
+    "WorkerPool": "supervise",
+    "backoff_delay": "supervise",
+    "Watchdog": "watchdog",
+    "WatchdogWarning": "watchdog",
+    "format_triage": "watchdog",
+    "triage_dump": "watchdog",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
 
 
 def resilience_registry(counters, registry=None):

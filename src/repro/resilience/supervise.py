@@ -38,7 +38,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.resilience.store import (
     TERMINAL,
@@ -394,6 +394,21 @@ def worker_main(
         store.close()
 
 
+def import_execution_stack(workloads: Iterable[str]) -> None:
+    """Import what executing a point needs: the simulator, the workload
+    framework, and the module of each named registry workload."""
+    from repro.common.errors import ConfigError
+    from repro.harness.jobs import resolve_factory
+    import repro.machine
+    import repro.workloads.base
+
+    for name in workloads:
+        try:
+            resolve_factory(name)
+        except ConfigError:
+            pass  # the worker fails the point and names it
+
+
 class WorkerPool:
     """Parent-side supervisor for a fleet of worker processes.
 
@@ -482,12 +497,19 @@ class WorkerPool:
         proc.start()
         return owner, proc
 
-    def run(self, keys: Sequence[str]) -> None:
+    def run(self, keys: Sequence[str], workloads: Iterable[str] = ()) -> None:
         """Supervise until every key is terminal.  When the restart
         budget is exhausted with no live workers, this process finishes
-        whatever remains itself, so points are never stranded."""
+        whatever remains itself, so points are never stranded.
+
+        ``workloads`` names the registry workloads the batch resolves by
+        name.  Before forking, this process imports them with the
+        simulator, so forked workers inherit the execution stack instead
+        of each importing it; a spawned worker imports what it runs."""
         from repro.harness.jobs import ResultCache
 
+        if self._context().get_start_method() == "fork":
+            import_execution_stack(workloads)
         keys = list(keys)
         cache = ResultCache(self.cache_dir)
         budget = (

@@ -18,7 +18,7 @@ back), which makes runs bit-for-bit deterministic for a given seed and
 configuration.
 
 Hot-path conventions (this module carries every simulated cycle; see
-docs/PERF.md for the measured effect and the determinism contract):
+docs/PERF.md for the determinism contract and where the time goes):
 
 * :meth:`Simulator.schedule` takes an optional ``arg`` so call sites
   can pass a bound method plus its argument instead of allocating a

@@ -11,11 +11,13 @@ episode integrity, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.common.errors import WorkloadError
-from repro.machine import Machine
 from repro.sim.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
 
 class WorkloadEnv:

@@ -20,46 +20,56 @@ substitution rationale; headline shapes to reproduce:
   the paper's 26-application suite)
 """
 
-from repro.workloads.kernels import (
-    barnes,
-    bodytrack,
-    canneal,
-    cholesky,
-    dedup,
-    ferret,
-    fluidanimate,
-    fmm,
-    lu,
-    ocean,
-    ocean_nc,
-    radiosity,
-    raytrace,
-    streamcluster,
-    swaptions,
-    volrend,
-    water_sp,
+from importlib import import_module
+
+#: Every kernel name, in registry order.  Kernel ``water-sp`` is module
+#: ``water_sp`` of this package, and that module's ``make`` is its
+#: factory (``factory(n_threads, scale=1.0) -> Workload``).  Code that
+#: needs only the names reads this table; a kernel's module is imported
+#: when its factory is first asked for.
+KERNEL_NAMES = (
+    "radiosity",
+    "raytrace",
+    "water-sp",
+    "ocean",
+    "ocean-nc",
+    "cholesky",
+    "fluidanimate",
+    "streamcluster",
+    "barnes",
+    "lu",
+    "fmm",
+    "volrend",
+    "bodytrack",
+    "dedup",
+    "ferret",
+    "canneal",
+    "swaptions",
 )
 
-#: name -> factory(n_threads, scale=1.0) -> Workload
-KERNELS = {
-    "radiosity": radiosity.make,
-    "raytrace": raytrace.make,
-    "water-sp": water_sp.make,
-    "ocean": ocean.make,
-    "ocean-nc": ocean_nc.make,
-    "cholesky": cholesky.make,
-    "fluidanimate": fluidanimate.make,
-    "streamcluster": streamcluster.make,
-    "barnes": barnes.make,
-    "lu": lu.make,
-    "fmm": fmm.make,
-    "volrend": volrend.make,
-    "bodytrack": bodytrack.make,
-    "dedup": dedup.make,
-    "ferret": ferret.make,
-    "canneal": canneal.make,
-    "swaptions": swaptions.make,
-}
+
+def kernel_factory(name: str):
+    """The factory of kernel ``name`` (its module's ``make``), importing
+    only that module; ``None`` when ``name`` is not a kernel.  Once
+    :data:`KERNELS` is loaded it is the registry, entries added to it
+    included."""
+    loaded = globals().get("KERNELS")
+    if loaded is not None:
+        return loaded.get(name)
+    if name not in KERNEL_NAMES:
+        return None
+    return import_module(f"{__name__}.{name.replace('-', '_')}").make
+
+
+def __getattr__(name):
+    # ``KERNELS`` (name -> factory) imports every kernel, so it is built
+    # on first access and kept: later accesses return the same dict.
+    if name == "KERNELS":
+        kernels = {kernel: kernel_factory(kernel) for kernel in KERNEL_NAMES}
+        globals()["KERNELS"] = kernels
+        return kernels
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The applications shown individually in Figures 6 and 9 (the rest of
 #: the suite still contributes to the GeoMean, like the paper's
@@ -75,4 +85,4 @@ FIGURE_APPS = (
     "streamcluster",
 )
 
-__all__ = ["KERNELS", "FIGURE_APPS"]
+__all__ = ["KERNELS", "KERNEL_NAMES", "FIGURE_APPS", "kernel_factory"]

@@ -31,6 +31,9 @@ class TestRepoDocsAreClean:
     def test_no_knob_drift(self):
         assert check_docs.check_knobs() == []
 
+    def test_kernel_lookups_name_registered_kernels(self):
+        assert check_docs.check_kernel_names() == []
+
     def test_index_lists_every_doc(self):
         index = (check_docs.REPO / "docs" / "INDEX.md").read_text()
         for doc in (check_docs.REPO / "docs").glob("*.md"):
@@ -97,6 +100,16 @@ class TestCheckerCatchesProblems:
         errors = check_docs.check_cli_verbs([doc])
         assert len(errors) == 1
         assert "frobnicate" in errors[0]
+
+    def test_unregistered_kernel_lookup_detected(self, tmp_path):
+        doc = tmp_path / "bad.py"
+        doc.write_text(
+            'KERNELS["histogram"](4)\n'
+            "KERNELS['canneal'](4)\n"
+        )
+        errors = check_docs.check_kernel_names([doc])
+        assert len(errors) == 1
+        assert "histogram" in errors[0]
 
     def test_live_verbs_come_from_the_parser(self, tmp_path):
         verbs = check_docs.live_verbs()

@@ -2,7 +2,7 @@
 """Documentation hygiene checker (run by the CI docs job and
 tests/test_docs.py).
 
-Five passes over README.md and docs/*.md:
+Six passes, the first five over README.md and docs/*.md:
 
 1. **Links** -- every relative markdown link target must exist on disk
    (anchors are stripped; external http(s)/mailto links are skipped).
@@ -18,6 +18,9 @@ Five passes over README.md and docs/*.md:
 5. **REPRO_ knobs** -- every ``REPRO_*`` variable the docs mention
    must exist in ``repro.common.config.KNOBS``, and every knob must
    appear in docs/SERVICE.md's knob table.
+6. **Kernel names** -- every ``KERNELS["name"]`` in the docs, in
+   ``examples/`` and in ``src/`` (docstrings included) must name a
+   registered kernel, so a copied snippet does not raise ``KeyError``.
 
 With --doctest (the default), fenced ```python blocks that contain
 doctest prompts (>>>) are additionally executed with `doctest`, so the
@@ -200,6 +203,35 @@ def check_knobs(files=None) -> List[str]:
     return errors
 
 
+#: A lookup in the kernel registry: ``KERNELS["name"]``.
+_KERNEL_RE = re.compile(r"""\bKERNELS\[["']([^"']+)["']\]""")
+
+
+def kernel_lookup_files() -> List[Path]:
+    """The docs plus every example and ``src/`` module."""
+    return (
+        doc_files()
+        + sorted((REPO / "examples").glob("*.py"))
+        + sorted((REPO / "src").rglob("*.py"))
+    )
+
+
+def check_kernel_names(files=None) -> List[str]:
+    """Every ``KERNELS["name"]`` must name a registered kernel."""
+    _import_repro()
+    from repro.workloads.kernels import KERNEL_NAMES
+
+    errors = []
+    for doc in files or kernel_lookup_files():
+        for name in sorted(set(_KERNEL_RE.findall(doc.read_text()))):
+            if name not in KERNEL_NAMES:
+                errors.append(
+                    f"{_rel(doc)}: looks up KERNELS[{name!r}], which is not "
+                    f"a registered kernel (have: {', '.join(KERNEL_NAMES)})"
+                )
+    return errors
+
+
 def doctest_blocks(files=None) -> Iterator[Tuple[Path, int, str]]:
     """Yield (doc, block_index, source) for python fences with >>> lines."""
     for doc in files or doc_files():
@@ -241,6 +273,7 @@ def main(argv=None) -> int:
         + check_orphans()
         + check_cli_verbs()
         + check_knobs()
+        + check_kernel_names()
     )
     if not args.no_doctest:
         errors += run_doctests(verbose=args.verbose)
