@@ -378,15 +378,52 @@ def entry_checksum(data: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _is_whole(data, key: str) -> bool:
-    """Whether decoded entry ``data`` is a current-version entry for
-    ``key`` whose checksum matches its payload."""
-    return (
-        isinstance(data, dict)
-        and data.get("v") == CACHE_VERSION
-        and data.get("key") == key
-        and entry_checksum(data) == data.get("sha256")
-    )
+def verify_entry(
+    raw: bytes, key: str
+) -> Tuple[Optional[Dict[str, Any]], Optional[str], str]:
+    """Judge the stored bytes of the entry filed under ``key``: the one
+    check the cache's reads and ``repro fsck`` share.
+
+    Returns ``(data, None, "")`` for a whole entry, else ``(None, kind,
+    detail)`` with ``kind`` one of :data:`repro.resilience.fsck.ISSUE_KINDS`.
+
+    :meth:`ResultCache.put` writes the compact sorted dump that
+    :func:`entry_checksum` hashes with ``,"sha256":"<digest>"`` spliced
+    in, so a written entry is checked by hashing the bytes read with
+    that span removed.  JSON escapes every quote inside a string, so
+    only the structural field can match the span, and a span that is
+    found decides: bytes changed but still parsing to the same values
+    (an exponent's ``e`` as ``E``) do not hash to the digest.  An entry
+    without the span (the spaced layout of older writers) is checked by
+    re-encoding its payload with :func:`entry_checksum`.
+    """
+    try:
+        data = json.loads(raw.decode())
+    except ValueError as exc:  # UnicodeDecodeError included
+        return None, "torn-json", str(exc)[:120]
+    if not isinstance(data, dict):
+        return None, "torn-json", "entry is not a JSON object"
+    if "sha256" not in data or "v" not in data:
+        return None, "schema-drift", "missing checksum/version fields"
+    if data["v"] != CACHE_VERSION:
+        return None, "stale-version", f"entry v{data['v']} != v{CACHE_VERSION}"
+    digest = data["sha256"]
+    at = -1
+    if isinstance(digest, str):
+        span = b',"sha256":"%s"' % digest.encode("ascii", "replace")
+        at = raw.rfind(span)
+    if at >= 0:
+        body = hashlib.sha256(raw[:at])
+        body.update(raw[at + len(span):])
+        whole = body.hexdigest() == digest
+    else:
+        whole = entry_checksum(data) == digest
+    if not whole:
+        return None, "checksum-mismatch", "payload does not match its sha256"
+    if data.get("key") != key:
+        found = str(data.get("key"))[:12]
+        return None, "key-mismatch", f"entry key {found}..."
+    return data, None, ""
 
 
 class ResultCache:
@@ -394,11 +431,12 @@ class ResultCache:
 
     Layout: ``<root>/<key[:2]>/<key>.json`` holding the spec summary
     (for humans), the result, the cache version, and a sha256 of the
-    whole payload.  Writes are atomic (temp file + rename) so a killed
-    sweep never leaves a torn entry behind; reads verify the checksum
-    and the key, so *any* corruption -- truncation, byte flips, a file
-    renamed to the wrong key -- is a cache miss (counted in
-    :attr:`corrupt`), never an exception and never a wrong result.
+    whole payload, written as the checksum's own bytes (see
+    :func:`verify_entry`).  Writes are atomic (temp file + rename) so a
+    killed sweep never leaves a torn entry behind; reads verify the
+    checksum and the key, so *any* corruption -- truncation, byte
+    flips, a file renamed to the wrong key -- is a cache miss (counted
+    in :attr:`corrupt`), never an exception and never a wrong result.
     """
 
     def __init__(self, root):
@@ -424,13 +462,12 @@ class ResultCache:
         try:
             with open(os.path.join(self._root, key[:2], key + ".json"),
                       "rb") as f:
-                data = json.loads(f.read())
+                raw = f.read()
         except OSError:
             self.misses += 1
             return None
-        except ValueError:
-            data = None
-        if _is_whole(data, key):
+        data = verify_entry(raw, key)[0]
+        if data is not None:
             return data
         self.misses += 1
         self.corrupt += 1
@@ -466,7 +503,6 @@ class ResultCache:
     def put(self, key: str, spec: JobSpec, result: RunResult) -> None:
         if self.put_hook is not None:
             self.put_hook()
-        path = self.path(key)
         payload = {
             "key": key,
             "v": CACHE_VERSION,
@@ -480,7 +516,7 @@ class ResultCache:
             "result": result.to_dict(),
         }
         payload["sha256"] = entry_checksum(payload)
-        _atomic_write_json(path, payload)
+        _atomic_write(self.path(key), _CHECKSUM_JSON.encode(payload).encode())
 
     def entries(self):
         """Iterate every healthy cache entry as ``(spec_summary,
@@ -496,8 +532,8 @@ class ResultCache:
         """
         for path in sorted(self.root.glob("*/*.json")):
             try:
-                data = json.loads(path.read_text())
-                if not _is_whole(data, path.stem):
+                data = verify_entry(path.read_bytes(), path.stem)[0]
+                if data is None:
                     continue
                 spec = data["spec"]
                 result = RunResult.from_dict(data["result"])
@@ -506,12 +542,12 @@ class ResultCache:
             yield spec, result
 
 
-def _atomic_write_json(path: Path, payload) -> None:
+def _atomic_write(path: Path, blob: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(payload, sort_keys=True))
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
         os.replace(tmp, str(path))
     except BaseException:
         try:

@@ -44,7 +44,7 @@ class RunResult:
         """Plain-dict form (JSON-ready; a ``schema`` stamp followed by
         the fields in field order)."""
         out = {"schema": RESULT_SCHEMA}
-        out.update({f.name: getattr(self, f.name) for f in fields(self)})
+        out.update({name: getattr(self, name) for name in _FIELDS})
         return out
 
     def to_json(self) -> str:
@@ -64,9 +64,10 @@ class RunResult:
         which still load).  Unknown keys are otherwise ignored so old
         caches survive additive schema changes.
         """
-        check_schema(data.get("schema"), RESULT_SCHEMA, what="result")
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        stamp = data.get("schema")
+        if stamp != RESULT_SCHEMA:
+            check_schema(stamp, RESULT_SCHEMA, what="result")
+        return cls(**{k: v for k, v in data.items() if k in _FIELD_SET})
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":
@@ -121,6 +122,11 @@ class RunResult:
         for key, value in sorted(self.workload_metrics.items()):
             lines.append(f"  {key:<21}: {value:,.1f}")
         return "\n".join(lines)
+
+
+#: :class:`RunResult` field names in field order, derived once.
+_FIELDS = tuple(f.name for f in fields(RunResult))
+_FIELD_SET = frozenset(_FIELDS)
 
 
 def run_workload(

@@ -19,7 +19,6 @@ safe -- the next engine run simply re-executes that point.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,9 +106,6 @@ def fsck(cache_dir, repair: bool = True) -> FsckReport:
 # Cache entries
 # ---------------------------------------------------------------------------
 def _scan_cache(root: Path, report: FsckReport, repair: bool) -> None:
-    from repro.harness.jobs import CACHE_VERSION, entry_checksum
-    from repro.harness.runner import RunResult
-
     if not root.is_dir():
         return
     for tmp in sorted(root.glob("*/*.tmp")):
@@ -120,9 +116,7 @@ def _scan_cache(root: Path, report: FsckReport, repair: bool) -> None:
         report.issues.append(issue)
     for path in sorted(root.glob("*/*.json")):
         report.scanned_entries += 1
-        kind, detail = _classify_entry(
-            path, CACHE_VERSION, entry_checksum, RunResult
-        )
+        kind, detail = _classify_entry(path)
         if kind is None:
             report.healthy_entries += 1
             continue
@@ -136,25 +130,22 @@ def _scan_cache(root: Path, report: FsckReport, repair: bool) -> None:
         report.issues.append(issue)
 
 
-def _classify_entry(path: Path, version, checksum_fn, result_cls):
+def _classify_entry(path: Path):
     """Return ``(issue_kind, detail)`` for one entry file, or
-    ``(None, "")`` when the entry is healthy."""
+    ``(None, "")`` when the entry is healthy: the cache's own verdict
+    (:func:`repro.harness.jobs.verify_entry`), then a full decode."""
+    from repro.harness.jobs import verify_entry
+    from repro.harness.runner import RunResult
+
     try:
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict):
-            raise ValueError("entry is not a JSON object")
-    except (OSError, ValueError) as exc:
+        raw = path.read_bytes()
+    except OSError as exc:
         return "torn-json", str(exc)[:120]
-    if "sha256" not in data or "v" not in data:
-        return "schema-drift", "missing checksum/version fields"
-    if data.get("v") != version:
-        return "stale-version", f"entry v{data.get('v')} != v{version}"
-    if checksum_fn(data) != data["sha256"]:
-        return "checksum-mismatch", "payload does not match its sha256"
-    if data.get("key") != path.stem:
-        return "key-mismatch", f"entry key {str(data.get('key'))[:12]}..."
+    data, kind, detail = verify_entry(raw, path.stem)
+    if kind is not None:
+        return kind, detail
     try:
-        result_cls.from_dict(data["result"])
+        RunResult.from_dict(data["result"])
     except Exception as exc:
         return "schema-drift", f"{type(exc).__name__}: {exc}"[:120]
     return None, ""

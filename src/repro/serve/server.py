@@ -80,7 +80,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.common import config as repro_config
 from repro.common.errors import ConfigError, SchemaError, ServiceError
 from repro.common.schema import SERVE_SCHEMA, check_schema
-from repro.harness.jobs import ResultCache, _atomic_write_json
+from repro.harness.jobs import ResultCache, _atomic_write
 from repro.resilience.store import JobStore, default_store_path
 from repro.resilience.supervise import DEFAULT_POLL_S, WorkerLoop, WorkerPool
 from repro.serve import wire
@@ -299,15 +299,18 @@ class Server:
         server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         self._started_at = time.time()
-        _atomic_write_json(
+        _atomic_write(
             self.discovery_path,
-            {
-                "schema": SERVE_SCHEMA,
-                "url": self.url,
-                "host": self.host,
-                "port": self.port,
-                "pid": os.getpid(),
-            },
+            json.dumps(
+                {
+                    "schema": SERVE_SCHEMA,
+                    "url": self.url,
+                    "host": self.host,
+                    "port": self.port,
+                    "pid": os.getpid(),
+                },
+                sort_keys=True,
+            ).encode(),
         )
         self._exec_thread = threading.Thread(
             target=self._executor_main, name="repro-serve-exec", daemon=True
@@ -613,41 +616,58 @@ class Server:
         specs = wire.expand_sweep_request(data)
         store, cache = self._front, self._front_cache
         keys = [spec.key() for spec in specs]
-        prior = {row.key: row.status for row in store.rows(keys)}
+        rows = {row.key: row for row in store.rows(keys)}
         # The done rows' results, read once here and served inline.
         results: Dict[str, Dict] = {}
+        # Each key's (status, attempts, error) as this request leaves
+        # it, so the answer needs no second read of the rows.
+        states: Dict[str, Tuple] = {}
+        seen = set()
+        enqueue = []
         created_jobs = 0
-        wake = False
-        for key in keys:
-            status = prior.get(key)
-            # A key repeated within the submission dedups against its
-            # first occurrence.
-            prior[key] = "repeat"
+        for key, spec in zip(keys, specs):
+            if key in seen:
+                # A key repeated within the submission dedups against
+                # its first occurrence.
+                self.counters["jobs_deduped"] += 1
+                continue
+            seen.add(key)
+            row = rows.get(key)
+            status = row.status if row is not None else None
             result = cache.read(key) if status == "done" else None
             if result is not None:
+                # A dedup hit: no spec to pickle, no row to touch.
                 results[key] = result
+                self.counters["jobs_deduped"] += 1
+                states[key] = (status, row.attempts, row.error)
+                continue
             if status is None:
                 created_jobs += 1
                 self.counters["jobs_enqueued"] += 1
-                wake = True
-            elif status == "done" and result is None:
+            elif status == "done":
                 # The row claims completion but the cached bytes are
                 # gone (fsck eviction after corruption): resubmission
                 # is an explicit request for the result, so re-run.
                 store.requeue(key)
                 created_jobs += 1
                 self.counters["jobs_requeued"] += 1
-                wake = True
             else:
                 self.counters["jobs_deduped"] += 1
-                # enqueue_many below re-pends a quarantined row.
-                wake = wake or status == "quarantined"
-        store.enqueue_many(
-            [
-                (key, spec.describe(), _spec_blob(spec))
-                for key, spec in zip(keys, specs)
-            ]
-        )
+            enqueue.append((key, spec.describe(), _spec_blob(spec)))
+        wake = False
+        if enqueue:
+            statuses = store.enqueue_many(enqueue)
+            for (key, _, _), status in zip(enqueue, statuses):
+                row = rows.get(key)
+                if row is None or (
+                    status == "pending" and row.status != "pending"
+                ):
+                    # Created, requeued, or re-pended by this request:
+                    # a fresh attempt budget.
+                    states[key] = (status, 0, None)
+                    wake = wake or status == "pending"
+                else:
+                    states[key] = (status, row.attempts, row.error)
         if wake:
             self._wake.set()
         sid = wire.sweep_id(keys)
@@ -656,9 +676,9 @@ class Server:
         if path.exists():
             self.counters["sweeps_deduped"] += 1
         else:
-            _atomic_write_json(path, record)
+            _atomic_write(path, json.dumps(record, sort_keys=True).encode())
             self.counters["sweeps_submitted"] += 1
-        doc = self._with_results(self._sweep_status(record), results)
+        doc = self._with_results(self._sweep_status(record, states), results)
         doc["created_jobs"] = created_jobs
         doc["deduped_jobs"] = len(keys) - created_jobs
         return 202, doc
@@ -677,20 +697,23 @@ class Server:
                 raise _NotFound(f"unknown sweep {sid!r}") from None
         return record
 
-    def _sweep_status(self, record: Dict) -> Dict:
+    def _sweep_status(self, record: Dict, states=None) -> Dict:
         """A sweep's status document.  Keeps the record in memory while
         the sweep is open and drops it once every job is terminal; the
-        record on disk stays, and :meth:`_load_record` rereads it."""
+        record on disk stays, and :meth:`_load_record` rereads it.
+        ``states`` maps keys to ``(status, attempts, error)`` the caller
+        already knows; without it the sweep's rows are read here."""
         jobs_in = record["jobs"]
-        rows = {
-            r.key: r
-            for r in self._front.rows([j["key"] for j in jobs_in])
-        }
+        if states is None:
+            states = {
+                r.key: (r.status, r.attempts, r.error)
+                for r in self._front.rows([j["key"] for j in jobs_in])
+            }
         jobs, counts = [], {}
         for entry in jobs_in:
-            row = rows.get(entry["key"])
-            if row is not None:
-                status, attempts, error = row.status, row.attempts, row.error
+            state = states.get(entry["key"])
+            if state is not None:
+                status, attempts, error = state
             elif self._front_cache.read(entry["key"]) is not None:
                 # Store rebuilt (corruption) but the result survives.
                 status, attempts, error = "done", 0, None

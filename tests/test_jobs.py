@@ -3,18 +3,28 @@ spec hashing, the result cache, determinism of parallel vs serial
 execution, retry handling, resume from the cache directory, and
 cleanup of the throwaway store a cache-less run uses."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.params import MachineParams, OMUParams
+from repro.faults import drop_plan
+from repro.harness import jobs
 from repro.harness.jobs import (
+    _CHECKSUM_JSON,
     Engine,
     JobSpec,
     ResultCache,
+    entry_checksum,
     execute_spec,
     resolve_factory,
 )
 from repro.harness.runner import RunResult
+from repro.resilience.fsck import fsck
 from repro.resilience.store import JobStore, default_store_path
 from repro.workloads.kernels import KERNELS
 
@@ -29,6 +39,45 @@ def spec(**over):
 # the pool's failure path too).
 def _always_fail(n, scale=1.0):
     raise RuntimeError("synthetic workload failure")
+
+
+def _key_or_error(point):
+    try:
+        return point.key()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# Values that JSON-encode apart but compare equal in Python (2, 2.0 and
+# True), so a memo keyed on anything looser would hand one the other's key.
+_SPECS = st.builds(
+    JobSpec,
+    config=st.sampled_from(["pthread", "msa-omu-2"]),
+    workload=st.sampled_from(["canneal", "streamcluster"]),
+    cores=st.sampled_from([1, 1.0, True, 4, 4.0, 16]),
+    scale=st.sampled_from([1, 1.0, True, 0.25]),
+    seed=st.sampled_from([1, 1.0, True, 7]),
+    params=st.one_of(
+        st.just({}),
+        st.fixed_dictionaries({
+            "msa.entries_per_tile": st.sampled_from([1, 1.0, True, 4]),
+        }),
+        st.fixed_dictionaries({
+            "omu.n_counters": st.sampled_from([2, 2.0, 4]),
+        }),
+    ),
+    max_events=st.sampled_from([None, 1000, 1000.0]),
+    check=st.sampled_from([True, False, 1, 0]),
+    checkers=st.sampled_from([(), ("mutex",), ("mutex", "barrier")]),
+    fault_plan=st.one_of(
+        st.none(),
+        st.builds(
+            drop_plan,
+            st.sampled_from([0.01, 0.05]),
+            seed=st.sampled_from([0, 1]),
+        ),
+    ),
+)
 
 
 class TestJobSpec:
@@ -129,11 +178,26 @@ class TestJobSpec:
         assert point.key() != tweaked
 
     def test_key_memo_is_bounded(self):
-        from repro.harness import jobs
-
         for seed in range(jobs.MACHINE_MEMO_SIZE + 5):
             spec(seed=seed).key()
         assert 0 < len(jobs._MACHINE_MEMO) <= jobs.MACHINE_MEMO_SIZE
+
+    @given(points=st.lists(_SPECS, min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_machine_memoised_key_matches_a_key_from_scratch(self, points):
+        """Keys taken with a warm machine memo -- values that differ
+        only as 2, 2.0 and True keyed side by side -- equal the keys
+        computed with the memo emptied, and a spec mutated after its
+        first key() gets the key of its new value."""
+        warm = [_key_or_error(point) for point in points]
+        mutated = dataclasses.replace(points[0])
+        _key_or_error(mutated)
+        for f in dataclasses.fields(JobSpec):
+            setattr(mutated, f.name, getattr(points[-1], f.name))
+        warm.append(_key_or_error(mutated))
+        jobs._MACHINE_MEMO.clear()
+        cold = [_key_or_error(point) for point in points]
+        assert warm == cold + [cold[-1]]
 
     def test_resolve_factory_kernels_and_microbenches(self):
         assert resolve_factory("canneal") is KERNELS["canneal"]
@@ -189,6 +253,60 @@ class TestResultCache:
         cache.put(key, spec(), execute_spec(spec()))
         cache.path(key).write_text("{torn write")
         assert cache.get(key) is None
+
+    def test_entry_is_its_checksum_bytes(self, tmp_path):
+        """An entry is written in the compact sorted encoding its
+        checksum hashes, with the digest in place."""
+        cache = ResultCache(tmp_path)
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        cache.put(key, point, execute_spec(point))
+        raw = cache.path(key).read_bytes()
+        payload = json.loads(raw)
+        assert raw == _CHECKSUM_JSON.encode(payload).encode()
+        assert payload["sha256"] == entry_checksum(payload)
+
+    def test_spaced_layout_entry_still_verifies(self, tmp_path):
+        """Entries written in the older spaced layout stay hits."""
+        cache = ResultCache(tmp_path)
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        result = execute_spec(point)
+        cache.put(key, point, result)
+        payload = json.loads(cache.path(key).read_bytes())
+        cache.path(key).write_text(json.dumps(payload, sort_keys=True))
+        hit = cache.get(key)
+        assert hit == result and hit.to_json() == result.to_json()
+        assert (cache.hits, cache.misses, cache.corrupt) == (1, 0, 0)
+        report = fsck(tmp_path, repair=False)
+        assert report.issues == [] and report.healthy_entries == 1
+
+    def test_every_single_byte_change_is_a_corrupt_miss(self, tmp_path):
+        """Changing any one byte of an entry -- a digit to another
+        digit, an exponent's case -- is a miss counted as corrupt, and
+        fsck flags that entry."""
+        cache = ResultCache(tmp_path)
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        result = execute_spec(point)
+        result.workload_metrics["tiny"] = 2.5e-05  # an exponent to flip
+        cache.put(key, point, result)
+        path = cache.path(key)
+        pristine = path.read_bytes()
+        changes = 0
+        for at in range(len(pristine)):
+            for flip in (0x01, 0x20):
+                raw = bytearray(pristine)
+                raw[at] ^= flip
+                path.write_bytes(bytes(raw))
+                corrupt = cache.corrupt
+                assert cache.get(key) is None, (at, bytes(raw[at:at + 1]))
+                assert cache.corrupt == corrupt + 1
+                issues = fsck(tmp_path, repair=False).issues
+                assert [i.path for i in issues] == [str(path)], at
+                changes += 1
+        assert changes == 2 * len(pristine)
+        assert cache.hits == 0
 
 
 class TestEngineSerial:

@@ -13,6 +13,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -131,10 +132,19 @@ class TestEndpoints:
             _get(server.url, "/v1/jobs/" + "0" * 64)
         assert exc.value.code == 404
 
-    def test_resubmission_dedups_entirely(self, server, finished_sweep):
+    def test_resubmission_dedups_entirely(
+        self, server, finished_sweep, monkeypatch
+    ):
         """The >=90% cache-hit acceptance bar: resubmitting a finished
-        sweep creates zero new executions (a 100% hit rate)."""
+        sweep creates zero new executions (a 100% hit rate).  It neither
+        pickles a spec nor touches the store, and its answer reads as
+        the sweep's status does."""
+        from repro.serve import server as server_module
+
         sid, _ = finished_sweep
+        touched = []
+        monkeypatch.setattr(server_module, "_spec_blob", touched.append)
+        monkeypatch.setattr(server._front, "enqueue_many", touched.append)
         status, doc = _post(
             server.url, "/v1/sweeps", dict(POINT, schema=SERVE_SCHEMA)
         )
@@ -142,6 +152,9 @@ class TestEndpoints:
         assert doc["id"] == sid
         assert doc["created_jobs"] == 0
         assert doc["deduped_jobs"] == 1
+        assert touched == []
+        _, body = _get(server.url, f"/v1/sweeps/{sid}")
+        assert json.loads(body)["jobs"] == doc["jobs"]
 
     def test_sweep_list(self, server, finished_sweep):
         sid, _ = finished_sweep
@@ -587,7 +600,7 @@ class TestSweepRecords:
             cache = ResultCache(tmp_path)
             path = cache.path(key)
             data = bytearray(path.read_bytes())
-            at = data.index(b'"cycles": ') + len(b'"cycles": ')
+            at = re.search(rb'"cycles": ?', data).end()
             data[at] = ord("9") if data[at] != ord("9") else ord("8")
             path.write_bytes(bytes(data))
             assert cache.read(key) is None
@@ -598,6 +611,37 @@ class TestSweepRecords:
             _, raw = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
             assert json.loads(raw)["ok"]
             assert cache.read(key) is not None
+        finally:
+            srv.stop()
+
+    def test_resubmitted_quarantined_point_answers_pending(self, tmp_path):
+        """Resubmission re-pends a quarantined row with a fresh attempt
+        budget, and the submit answer says so without rereading it."""
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            body = dict(POINT, schema=SERVE_SCHEMA)
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+            key = doc["jobs"][0]["key"]
+            store = JobStore(default_store_path(tmp_path))
+            try:
+                with store._transaction() as db:
+                    db.execute(
+                        "UPDATE jobs SET status='quarantined', attempts=3,"
+                        " error='boom' WHERE key=?",
+                        (key,),
+                    )
+            finally:
+                store.close()
+
+            _, doc = _post(srv.url, "/v1/sweeps", body)
+            job = doc["jobs"][0]
+            assert (job["status"], job["attempts"], job["error"]) == (
+                "pending", 0, None
+            )
+            assert (doc["created_jobs"], doc["deduped_jobs"]) == (0, 1)
+            _, raw = _get(srv.url, f"/v1/sweeps/{doc['id']}?wait=60")
+            assert json.loads(raw)["ok"]
         finally:
             srv.stop()
 
