@@ -26,8 +26,9 @@ substrate they now share:
   failing is quarantined with its traceback instead of starving the
   sweep.  With a cache directory the store lives beside the cache, so a
   killed sweep resumes by rerunning it: cached points are skipped and
-  quarantined ones requeued.  Without one, each run uses a throwaway
-  store and cache in a temporary directory.
+  every other point, quarantined or evicted from the cache, runs again.
+  Without one, each run uses a throwaway store and cache in a
+  temporary directory.
 
 Environment defaults come from :mod:`repro.common.config`:
 ``REPRO_WORKERS`` (worker count when ``workers`` is not given; unset
@@ -624,6 +625,12 @@ class Engine:
     directory the store lives at ``<cache_dir>/jobs.sqlite3``, so a
     rerun skips every cached point and several engines -- across
     processes or hosts sharing the directory -- can split one grid.
+    The cache alone says a point is done: every point whose entry does
+    not read is enqueued, which re-pends its row with a fresh attempt
+    budget (:meth:`JobStore.enqueue_many`), and runs through the
+    workers like any other.  Another engine can finish a point between
+    this run's cache read and its enqueue; the point then runs twice,
+    to the same bytes by the determinism contract.
     Without one (or when that store cannot open), each run uses a
     throwaway store and cache in a temporary directory that is removed
     when the run ends.  ``chaos`` (a
@@ -731,22 +738,25 @@ class Engine:
         """Enqueue every pending point, claim by lease (in-process, or
         via a supervised worker pool), then collect outcomes from store
         + cache.  Crash-safe at every step: a worker dying mid-point
-        just stops heartbeating and the point is reclaimed; a torn cache
-        entry re-runs in the parent."""
+        just stops heartbeating and the point is reclaimed.  A point
+        whose entry does not read after that (corrupted after it
+        landed) is enqueued again and drained once more by an
+        in-process :class:`WorkerLoop`, under the same lease, watchdog
+        and retry budget as every other run of a point."""
         from repro.resilience.store import TERMINAL
         from repro.resilience.supervise import WorkerLoop, WorkerPool
 
         specs_by_key = {key: specs[idx[0]] for key, idx in pending.items()}
         keys = list(pending)
-        remote, local, rows = [], [], []
+        remote, local, jobs = [], [], {}
         for key, spec in specs_by_key.items():
             try:
                 blob = pickle.dumps(spec)
             except Exception:
                 blob = None  # closure/lambda factory: runs in-process
             (local if blob is None else remote).append(key)
-            rows.append((key, spec.describe(), blob))
-        store.enqueue_many(rows)
+            jobs[key] = (key, spec.describe(), blob)
+        store.enqueue_many(jobs.values())
         before = store.counters()
         reported = set()
 
@@ -760,18 +770,21 @@ class Engine:
             if status in TERMINAL and key not in reported:
                 report(key, failed=status != "done")
 
-        pooled = self.workers > 1 and len(remote) > 1
-        in_process = local if pooled else keys
-        if in_process:
+        def drain(batch):
             WorkerLoop(
                 store,
                 cache,
-                keys=in_process,
+                keys=batch,
                 specs_by_key=specs_by_key,
                 seed=self.seed,
                 point_timeout_s=self.point_timeout_s,
                 on_complete=on_terminal,
             ).drain()
+
+        pooled = self.workers > 1 and len(remote) > 1
+        in_process = local if pooled else keys
+        if in_process:
+            drain(in_process)
         if pooled:
             pool = WorkerPool(
                 store,
@@ -795,30 +808,31 @@ class Engine:
                 "corruptions": pool.corruptions,
             }
 
+        # Turn store rows + cache entries into ordered JobResults.  A
+        # point that is done by its row, or has no row, but whose entry
+        # does not read runs once more through the store.
+        rows = {row.key: row for row in store.rows(keys)}
+        found = {key: cache.get(key) for key in keys}
+        again = [
+            key for key in keys
+            if found[key] is None
+            and (key not in rows or rows[key].status == "done")
+        ]
+        if again:
+            store.enqueue_many(jobs[key] for key in again)
+            drain(again)
+            rows.update((row.key, row) for row in store.rows(again))
+            found.update((key, cache.get(key)) for key in again)
         after = store.counters()
         self.stats.retried += sum(
             after[name] - before[name]
             for name in ("retries", "leases_expired", "leases_released")
         )
-        # Turn store rows + cache entries into ordered JobResults.  A row
-        # marked done whose cache entry is unreadable (corruption after
-        # completion) deterministically re-runs here, in-parent.
-        rows = {row.key: row for row in store.rows(keys)}
         for key, indices in pending.items():
             row = rows.get(key)
-            error = row.error if row is not None else None
-            result = cache.get(key)
-            if result is None and (row is None or row.status == "done"):
-                spec = specs_by_key[key]
-                try:
-                    result = execute_spec(spec)
-                    cache.put(key, spec, result)
-                    store.mark_done(key)
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
+            result = found[key]
             if result is not None:
                 self.stats.executed += 1
-                error = None
             else:
                 self.stats.failed += 1
             if key not in reported:
@@ -829,9 +843,12 @@ class Engine:
                     key=key,
                     result=result,
                     attempts=row.attempts if row is not None else 0,
-                    error=error,
+                    error=(
+                        row.error if row is not None and result is None
+                        else None
+                    ),
                 )
-        self.store_counters = store.counters()
+        self.store_counters = after
 
     # -- progress -------------------------------------------------------
     def _reporter(self, total: int):

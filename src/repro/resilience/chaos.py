@@ -13,9 +13,9 @@ runs a small sweep twice:
    errors on their first cache writes.
 
 The engine's resilience machinery (leases + heartbeats, seeded backoff,
-quarantine, checksummed cache entries, in-parent fallback) must absorb
-all of it: the harness asserts every point converges to a result
-**byte-identical** to the serial baseline, that every planned
+quarantine, checksummed cache entries, re-running unreadable ones)
+must absorb all of it: the harness asserts every point converges to a
+result **byte-identical** to the serial baseline, that every planned
 injection fired, then runs :func:`repro.resilience.fsck.fsck` over the
 battered cache as a final health check.
 ``python -m repro chaos-harness`` is the CLI entry point and CI gate.

@@ -22,9 +22,10 @@ expiring leases:
   the row is quarantined with a captured traceback artifact so one
   poison point cannot starve the sweep.
 
-Statuses: ``pending`` -> ``leased`` -> ``done`` | ``quarantined``
-(quarantined rows are reset to ``pending`` when a new engine run
-explicitly re-enqueues them).  All transitions bump the store's
+Statuses: ``pending`` -> ``leased`` -> ``done`` | ``quarantined``; a
+terminal row goes back to ``pending`` when it is enqueued again, which
+callers do only for a point whose cache entry they cannot read (see
+:meth:`JobStore.enqueue_many`).  All transitions bump the store's
 lifetime counters (:meth:`JobStore.counters`), which the harness
 exports through :class:`repro.obs.MetricsRegistry`.
 
@@ -239,25 +240,26 @@ class JobStore:
         key: str,
         describe: str = "",
         spec_blob: Optional[bytes] = None,
-        requeue_failed: bool = True,
     ) -> str:
-        """Insert a job row if absent; returns the row's status after.
-
-        ``requeue_failed`` resets an existing ``quarantined`` row back to
-        ``pending`` (an engine run that *asks* for a quarantined point is
-        an explicit request to try it again).  ``done`` and in-flight
-        rows are left untouched.
-        """
-        return self.enqueue_many([(key, describe, spec_blob)], requeue_failed)[0]
+        """:meth:`enqueue_many` for one job; returns its status after."""
+        return self.enqueue_many([(key, describe, spec_blob)])[0]
 
     def enqueue_many(
-        self,
-        jobs: Iterable[Tuple[str, str, Optional[bytes]]],
-        requeue_failed: bool = True,
+        self, jobs: Iterable[Tuple[str, str, Optional[bytes]]]
     ) -> List[str]:
-        """:meth:`enqueue` for ``(key, describe, spec_blob)`` triples in
-        one transaction (one commit for a whole grid); returns their
-        statuses in order.  Claims take rows in enqueue order."""
+        """Make each ``(key, describe, spec_blob)`` job runnable, in one
+        transaction (one commit for a whole grid); returns the rows'
+        statuses after, in order.  Claims take rows in enqueue order.
+
+        Callers enqueue exactly the keys whose cache entry they could
+        not read: the cache, not the row, says a point is done.  So a
+        new key is inserted ``pending``, and a terminal row (``done``
+        whose entry was evicted or torn, or ``quarantined``) goes back
+        to ``pending`` with a fresh attempt budget and no lease, error
+        or backoff; its lifetime history stays in the counters
+        (``requeued``).  A ``pending`` or ``leased`` row is already on
+        its way and is left as it is, bar a changed ``spec_blob``.
+        """
         now = self.clock()
         statuses = []
         with self._transaction() as db:
@@ -273,22 +275,20 @@ class JobStore:
                     )
                     self._bump("enqueued")
                     status = "pending"
+                elif row[0] in TERMINAL:
+                    db.execute(
+                        "UPDATE jobs SET status='pending', attempts=0,"
+                        " error=NULL, not_before=0, lease_owner=NULL,"
+                        " lease_expires=NULL,"
+                        " spec_blob=COALESCE(?, spec_blob),"
+                        " updated=? WHERE key=?",
+                        (spec_blob, now, key),
+                    )
+                    self._bump("requeued")
+                    status = "pending"
                 else:
                     status = row[0]
-                    if status == "quarantined" and requeue_failed:
-                        # A fresh retry budget comes with the explicit
-                        # re-enqueue; lifetime attempt history stays in
-                        # the counters.
-                        db.execute(
-                            "UPDATE jobs SET status='pending', not_before=0,"
-                            " attempts=0, error=NULL,"
-                            " spec_blob=COALESCE(?, spec_blob),"
-                            " updated=? WHERE key=?",
-                            (spec_blob, now, key),
-                        )
-                        self._bump("requeued")
-                        status = "pending"
-                    elif spec_blob is not None:
+                    if spec_blob is not None:
                         # A dedup hit re-sends the same blob: leave the
                         # row alone so the commit has nothing to write.
                         db.execute(
@@ -298,24 +298,6 @@ class JobStore:
                         )
                 statuses.append(status)
         return statuses
-
-    def requeue(self, key: str) -> bool:
-        """Force a terminal row (``done`` or ``quarantined``) back to
-        ``pending`` with a fresh attempt budget.  The service uses this
-        when a row says done but its cached result has been evicted
-        (e.g. by ``fsck`` after corruption) -- the row's claim of
-        completion is only as good as the bytes backing it."""
-        now = self.clock()
-        with self._transaction() as db:
-            cur = db.execute(
-                "UPDATE jobs SET status='pending', attempts=0, error=NULL,"
-                " not_before=0, lease_owner=NULL, lease_expires=NULL,"
-                " updated=? WHERE key=? AND status IN ('done', 'quarantined')",
-                (now, key),
-            )
-            if cur.rowcount:
-                self._bump("requeued")
-        return bool(cur.rowcount)
 
     # ------------------------------------------------------------------
     # Claiming
@@ -596,9 +578,6 @@ class JobStore:
             )
         found.sort(key=lambda row: (row[0], row[1]))
         return [JobRow(*row[2:]) for row in found]
-
-    def statuses(self, keys: Optional[Sequence[str]] = None) -> Dict[str, str]:
-        return {row.key: row.status for row in self.rows(keys)}
 
     def open_keys(self, limit: Optional[int] = None) -> List[str]:
         """Keys of open (pending or leased) jobs in enqueue order, at

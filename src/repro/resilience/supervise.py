@@ -168,8 +168,6 @@ class WorkerLoop:
         keys: Optional[Sequence[str]] = None,
         owner: Optional[str] = None,
         specs_by_key: Optional[Dict[str, object]] = None,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         seed: int = 0,
         point_timeout_s: Optional[float] = None,
         heartbeats: bool = True,
@@ -180,8 +178,6 @@ class WorkerLoop:
         self.keys = list(keys) if keys is not None else None
         self.owner = owner or f"worker-{os.getpid()}-{id(self):x}"
         self.specs_by_key = specs_by_key
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.seed = seed
         self.point_timeout_s = point_timeout_s
         self.heartbeats = heartbeats
@@ -246,13 +242,7 @@ class WorkerLoop:
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             traceback_text = traceback.format_exc()
-            backoff_s = backoff_delay(
-                claim.key,
-                claim.attempt,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                seed=self.seed,
-            )
+            backoff_s = backoff_delay(claim.key, claim.attempt, seed=self.seed)
         else:
             self.executed += 1
         finally:
@@ -331,7 +321,7 @@ class WorkerLoop:
             if store is not None:
                 store.close()
 
-    def drain(self, poll_s: float = DEFAULT_POLL_S) -> int:
+    def drain(self) -> int:
         """Run until every tracked job is terminal; returns how many
         points this loop executed.  When nothing is claimable but open
         jobs remain (leased to someone else), polls until their leases
@@ -341,7 +331,7 @@ class WorkerLoop:
                 if self.run_one() is None:
                     if self.store.open_jobs(self.keys) == 0:
                         return self.executed
-                    time.sleep(poll_s)
+                    time.sleep(DEFAULT_POLL_S)
         finally:
             self.release()
 
@@ -353,8 +343,6 @@ def worker_main(
     owner: str,
     lease_s: float,
     quarantine_after: int,
-    backoff_base: float,
-    backoff_cap: float,
     seed: int,
     point_timeout_s: Optional[float],
     diskfull_puts: int = 0,
@@ -385,8 +373,6 @@ def worker_main(
             cache,
             keys=keys,
             owner=owner,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
             seed=seed,
             point_timeout_s=point_timeout_s,
         ).drain()
@@ -429,28 +415,22 @@ class WorkerPool:
         workers: int,
         lease_s: float,
         quarantine_after: int,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         seed: int = 0,
         point_timeout_s: Optional[float] = None,
         chaos: Optional[ChaosPlan] = None,
         on_terminal: Optional[Callable[[str, object], None]] = None,
         max_restarts: Optional[int] = None,
-        poll_s: float = DEFAULT_POLL_S,
     ):
         self.store = store
         self.cache_dir = cache_dir
         self.workers = workers
         self.lease_s = lease_s
         self.quarantine_after = quarantine_after
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.seed = seed
         self.point_timeout_s = point_timeout_s
         self.chaos = chaos or ChaosPlan()
         self.on_terminal = on_terminal
         self.max_restarts = max_restarts
-        self.poll_s = poll_s
         self.restarts = 0
         self.kills = 0
         self.corruptions = 0
@@ -485,8 +465,6 @@ class WorkerPool:
                 owner,
                 self.lease_s,
                 self.quarantine_after,
-                self.backoff_base,
-                self.backoff_cap,
                 self.seed,
                 self.point_timeout_s,
                 self.chaos.diskfull_puts,
@@ -580,9 +558,9 @@ class WorkerPool:
                         if victim.pid:
                             os.kill(victim.pid, signal.SIGKILL)
                             self.kills += 1
-                time.sleep(self.poll_s)
+                time.sleep(DEFAULT_POLL_S)
         finally:
-            deadline = time.monotonic() + max(2.0, 4 * self.poll_s)
+            deadline = time.monotonic() + 2.0
             for _, proc in fleet:
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
             for _, proc in fleet:
@@ -599,8 +577,6 @@ class WorkerPool:
             self.store,
             cache,
             keys=keys,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
             seed=self.seed,
             point_timeout_s=self.point_timeout_s,
             on_complete=report,

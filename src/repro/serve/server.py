@@ -32,9 +32,11 @@ Endpoints (all JSON unless noted; see docs/SERVICE.md):
 
 Dedup is structural: a job's identity is its content hash
 (:meth:`JobSpec.key`), a sweep's identity is a hash over its job keys,
-and :meth:`JobStore.enqueue` is idempotent -- two clients submitting
-the same sweep concurrently create each row exactly once and each
-point executes exactly once.  Crash-safety is inherited from the
+and enqueueing a point that is already pending or leased changes
+nothing -- two clients submitting the same sweep concurrently create
+each row exactly once and each point executes once (twice, to the same
+bytes, only if it finishes between one submission's read of its row
+and that submission's enqueue).  Crash-safety is inherited from the
 store/cache contracts: SIGKILL the server mid-sweep, restart it on the
 same cache directory, and the sweep converges (expired leases are
 reclaimed, finished points are already durable).
@@ -646,9 +648,8 @@ class Server:
                 self.counters["jobs_enqueued"] += 1
             elif status == "done":
                 # The row claims completion but the cached bytes are
-                # gone (fsck eviction after corruption): resubmission
-                # is an explicit request for the result, so re-run.
-                store.requeue(key)
+                # gone (fsck eviction after corruption): the enqueue
+                # re-pends it, so the point runs again.
                 created_jobs += 1
                 self.counters["jobs_requeued"] += 1
             else:
@@ -659,13 +660,11 @@ class Server:
             statuses = store.enqueue_many(enqueue)
             for (key, _, _), status in zip(enqueue, statuses):
                 row = rows.get(key)
-                if row is None or (
-                    status == "pending" and row.status != "pending"
-                ):
-                    # Created, requeued, or re-pended by this request:
-                    # a fresh attempt budget.
+                if row is None or row.terminal:
+                    # Created or re-pended by this request: a fresh
+                    # attempt budget.
                     states[key] = (status, 0, None)
-                    wake = wake or status == "pending"
+                    wake = True
                 else:
                     states[key] = (status, row.attempts, row.error)
         if wake:

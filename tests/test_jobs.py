@@ -427,7 +427,7 @@ class TestManifestResume:
         Engine(workers=1, cache_dir=cache).run([spec(), bad])
         store = JobStore(default_store_path(cache))
         try:
-            assert store.statuses() == {
+            assert {r.key: r.status for r in store.rows()} == {
                 spec().key(): "done",
                 bad.key(): "quarantined",
             }
@@ -452,7 +452,9 @@ class TestManifestResume:
         assert [j.cached for j in jobs] == [True, True, False, False]
         store = JobStore(default_store_path(cache))
         try:
-            assert sorted(store.statuses().values()) == ["done"] * 4
+            assert sorted(
+                {r.key: r.status for r in store.rows()}.values()
+            ) == ["done"] * 4
         finally:
             store.close()
 
@@ -479,6 +481,36 @@ class TestManifestResume:
             assert store.counters()["requeued"] == 1
         finally:
             store.close()
+
+    def test_evicted_entries_rerun_through_the_workers(self, tmp_path):
+        """Entries gone from the cache (as ``fsck`` evicts a corrupt
+        one) re-pend their done rows, and the points run again through
+        the worker pool under leases, not in the parent."""
+        cache_dir = tmp_path / "cache"
+        grid = [
+            JobSpec(config=c, workload=w, cores=4, scale=0.05, seed=7)
+            for w in ("canneal", "swaptions")
+            for c in ("pthread", "msa-omu-2")
+        ]
+        first = Engine(workers=2, cache_dir=cache_dir).run(grid)
+        cache = ResultCache(cache_dir)
+        for job in first[:2]:
+            cache.path(job.key).unlink()
+        store = JobStore(default_store_path(cache_dir))
+        try:
+            before = store.counters()
+        finally:
+            store.close()
+
+        engine = Engine(workers=2, cache_dir=cache_dir, point_timeout_s=60)
+        again = engine.run(grid)
+        assert "2 cached, 2 ran" in engine.stats.describe()
+        after = engine.store_counters
+        assert after["leases_granted"] - before["leases_granted"] == 2
+        assert after["requeued"] - before["requeued"] == 2
+        assert [j.result.to_json() for j in again] == [
+            j.result.to_json() for j in first
+        ]
 
 
 class _RecordingReporter:

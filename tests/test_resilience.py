@@ -135,14 +135,32 @@ class TestJobStore:
         assert "RuntimeError: boom" in artifact.read_text()
         assert store.open_jobs() == 0  # quarantined is terminal
 
-    def test_requeue_resets_quarantined(self, tmp_path):
+    @pytest.mark.parametrize("terminal", ["done", "quarantined"])
+    def test_requeue_resets_quarantined(self, tmp_path, terminal):
+        """Enqueueing a terminal row again (its cache entry did not
+        read) re-pends it with a fresh attempt budget; pending and
+        leased rows are left as they are."""
         store, clock = self.make(tmp_path, quarantine_after=1)
-        store.enqueue("k1")
-        store.finish(store.claim("w1"), "err")
-        assert store.get("k1").status == "quarantined"
-        assert store.enqueue("k1", requeue_failed=True) == "pending"
-        claim = store.claim("w1")
+        store.enqueue("k1", "point", b"blob")
+        store.finish(store.claim("w1"), None if terminal == "done" else "err")
+        assert store.get("k1").status == terminal
+        store.enqueue("k2")
+        store.enqueue("k3")
+        store.claim("w2", keys=["k3"])
+        untouched = store.rows(["k2", "k3"])
+        clock.advance(1.0)
+        assert store.enqueue_many(
+            [("k1", "point", None), ("k2", "", None), ("k3", "", None)]
+        ) == ["pending", "pending", "leased"]
+        row = store.get("k1")
+        assert (
+            row.status, row.attempts, row.error, row.not_before,
+            row.lease_owner, row.lease_expires,
+        ) == ("pending", 0, None, 0, None, None)
+        assert store.rows(["k2", "k3"]) == untouched
+        claim = store.claim("w1", keys=["k1"])
         assert claim.attempt == 1  # fresh retry budget
+        assert claim.spec_blob == b"blob"  # kept: none was given
         assert store.counters()["requeued"] == 1
 
     def test_stale_owner_cannot_complete(self, tmp_path):
@@ -247,15 +265,13 @@ class TestJobStore:
         assert "harness.enqueued" in names
         assert "harness.leases_granted" in names
 
-
     def test_dedup_enqueue_writes_nothing(self, tmp_path):
         store, clock = self.make(tmp_path)
         store.enqueue("k1", "point", b"blob")
         store.claim("w1")
-        store.mark_done("k1", "w1")
         clock.advance(1.0)
         before, changes = store.get("k1"), store._db.total_changes
-        assert store.enqueue_many([("k1", "point", b"blob")]) == ["done"]
+        assert store.enqueue_many([("k1", "point", b"blob")]) == ["leased"]
         assert store._db.total_changes == changes
         assert store.get("k1") == before
         # A different blob is still recorded.
