@@ -1,7 +1,7 @@
 """Python client for the ``repro serve`` experiment service.
 
-A thin stdlib-only (``http.client``) wrapper over the versioned HTTP
-API of :mod:`repro.serve`, mirroring the :mod:`repro.api` verbs::
+A thin stdlib-only wrapper over the versioned HTTP API of
+:mod:`repro.serve`, mirroring the :mod:`repro.api` verbs::
 
     from repro.client import Client
 
@@ -13,7 +13,13 @@ API of :mod:`repro.serve`, mirroring the :mod:`repro.api` verbs::
 
 Each thread talks to the server over one kept-alive connection, opened
 directly (environment proxies are not consulted) and reopened once if
-the server has closed it in between.  The client sends only the
+the server has closed it in between.  The client speaks just enough
+HTTP/1.1 for that, without ``http.client``: each request goes out in
+one write, and each response is read into one buffer, its head split
+by :func:`repro.serve.wire.parse_head` (the server's own parser) and
+its body framed by ``Content-Length``, by chunked coding, or by the
+server closing the connection.  An ``https://`` endpoint imports
+:mod:`ssl` on its first connection.  The client sends only the
 requests the answer needs: it remembers the last status document it
 received on each thread, so :meth:`Client.wait` on a sweep whose
 submission already read done sends nothing, and :meth:`Client.fetch`
@@ -30,8 +36,8 @@ uses this client transparently.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -43,11 +49,14 @@ from repro.common.schema import SERVE_SCHEMA
 from repro.harness.jobs import JobSpec
 from repro.harness.runner import RunResult
 from repro.harness.sweep import SweepPoint
+from repro.serve.wire import parse_head
 
 DEFAULT_TIMEOUT_S = 600.0
 #: Per-request ``?wait=`` chunk while :meth:`Client.wait` long-polls
 #: (the server caps each request; the client re-issues until done).
 WAIT_CHUNK_S = 30.0
+#: Largest single ``recv`` while reading a response.
+_RECV_BYTES = 1 << 16
 
 
 class Client:
@@ -71,28 +80,31 @@ class Client:
         if not self.base.startswith(("http://", "https://")):
             self.base = "http://" + self.base
         split = urlsplit(self.base)
-        self._connection_class = (
-            http.client.HTTPSConnection
-            if split.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._netloc = split.netloc
+        try:
+            port = split.port
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad server endpoint {self.base!r}: {exc}"
+            ) from None
+        self._tls = split.scheme == "https"
+        self._address = (split.hostname, port or (443 if self._tls else 80))
+        self._host = split.netloc.rpartition("@")[2]
         self._prefix = split.path
         self.timeout_s = timeout_s
         #: Per-sweep submission accounting from the last ``submit``
         #: of each id: ``{sid: (created_jobs, deduped_jobs)}``.
         self.submissions: Dict[str, Dict[str, int]] = {}
-        #: Per thread: ``conn`` (the kept-alive connection) and
+        #: Per thread: ``sock`` (the kept-alive connection) and
         #: ``last`` (the last status document received).
         self._local = threading.local()
 
     def close(self) -> None:
         """Close the calling thread's connection (the next request
         opens a new one)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        sock = getattr(self._local, "sock", None)
+        if sock is not None:
+            sock.close()
+            self._local.sock = None
 
     def __enter__(self) -> "Client":
         return self
@@ -103,41 +115,64 @@ class Client:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
+    def _connect(self, timeout: float) -> socket.socket:
+        """A new connection to the server, Nagle off (each request is
+        one write), wrapped in TLS for an ``https://`` endpoint."""
+        sock = socket.create_connection(self._address, timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if not self._tls:
+            return sock
+        try:
+            import ssl
+
+            return ssl.create_default_context().wrap_socket(
+                sock, server_hostname=self._address[0]
+            )
+        except BaseException:
+            sock.close()
+            raise
+
     def _exchange(
         self, path: str, body: Optional[bytes], timeout_s: Optional[float]
     ) -> Tuple[int, bytes]:
         """One request and its response over this thread's connection.
-        A reused connection the server has since closed is retried once
-        on a fresh one: every request is safe to repeat (a submission is
-        content-addressed and dedups)."""
+        The request goes out in one write.  A reused connection the
+        server has since closed is retried once on a fresh one: every
+        request is safe to repeat (a submission is content-addressed
+        and dedups)."""
         timeout = timeout_s if timeout_s is not None else self.timeout_s
-        headers = {"Content-Type": "application/json"} if body else {}
+        target = self._prefix + path
+        if body is None:
+            request = (
+                f"GET {target} HTTP/1.1\r\nHost: {self._host}\r\n\r\n"
+            ).encode("latin-1")
+        else:
+            request = (
+                f"POST {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1") + body
         for retry in (False, True):
-            conn = getattr(self._local, "conn", None)
-            if conn is None:
-                conn = self._connection_class(self._netloc, timeout=timeout)
-                self._local.conn = conn
-            reused = conn.sock is not None
-            conn.timeout = timeout
-            if reused:
-                conn.sock.settimeout(timeout)
+            sock = getattr(self._local, "sock", None)
+            reused = sock is not None
             try:
-                conn.request(
-                    "POST" if body is not None else "GET",
-                    self._prefix + path,
-                    body=body,
-                    headers=headers,
-                )
-                resp = conn.getresponse()
-                return resp.status, resp.read()
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                if reused:
+                    sock.settimeout(timeout)
+                else:
+                    sock = self._local.sock = self._connect(timeout)
+                sock.sendall(request)
+                status, payload, keep_alive = _read_response(sock)
+            except (OSError, ValueError) as exc:
+                self.close()
                 if reused and not retry and isinstance(exc, ConnectionError):
                     continue
                 raise ServiceError(f"cannot reach {self.base}: {exc}") from None
             except BaseException:
-                conn.close()  # an interrupted exchange leaves it unusable
+                self.close()  # an interrupted exchange leaves it unusable
                 raise
+            if not keep_alive:
+                self.close()
+            return status, payload
 
     def _request(
         self,
@@ -319,6 +354,82 @@ class Client:
         if baseline:
             path += f"?baseline={baseline}"
         return self._request_text(path)
+
+
+def _read_response(sock: socket.socket) -> Tuple[int, bytes, bool]:
+    """One response off ``sock`` as ``(status, body, keep_alive)``.
+    Head and body are received into one buffer; the body is framed by
+    ``Content-Length``, by chunked coding, or by the server closing the
+    connection (which then cannot be kept alive, and neither can one
+    whose answer says ``Connection: close`` or is HTTP/1.0).  A
+    connection that ends before its response does raises
+    :class:`ConnectionResetError`; a malformed head raises
+    :class:`ValueError`."""
+    buf = bytearray()
+
+    def receive() -> bytes:
+        chunk = sock.recv(_RECV_BYTES)
+        buf.extend(chunk)
+        return chunk
+
+    def find(sep: bytes, start: int) -> int:
+        """Where ``sep`` is at or after ``start``, receiving until it
+        has arrived."""
+        while True:
+            at = buf.find(sep, start)
+            if at >= 0:
+                return at
+            start = max(start, len(buf) - len(sep) + 1)
+            if not receive():
+                raise ConnectionResetError(
+                    f"connection closed {len(buf)} bytes into a response"
+                )
+
+    def fill(end: int) -> None:
+        """Receive until the buffer holds ``end`` bytes."""
+        while len(buf) < end:
+            if not receive():
+                raise ConnectionResetError(
+                    f"connection closed {end - len(buf)} bytes short of "
+                    "a response body"
+                )
+
+    end = find(b"\r\n\r\n", 0)
+    start, headers = parse_head(buf[:end])
+    version, status, *_ = start.split(None, 2)
+    status = int(status)
+    keep_alive = (
+        version == "HTTP/1.1"
+        and "close" not in headers.get("connection", "").lower()
+    )
+    pos = end + 4
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        chunks = []
+        while True:
+            eol = find(b"\r\n", pos)
+            size = int(bytes(buf[pos:eol]).partition(b";")[0], 16)
+            if size < 0:
+                raise ValueError(f"bad chunk size {size}")
+            pos = eol + 2
+            if size == 0:
+                break
+            fill(pos + size)
+            chunks.append(bytes(buf[pos:pos + size]))
+            pos += size + 2  # the chunk's closing CRLF
+        while True:  # trailer fields, then the blank line
+            eol = find(b"\r\n", pos)
+            if eol == pos:
+                return status, b"".join(chunks), keep_alive
+            pos = eol + 2
+    length = headers.get("content-length")
+    if length is not None:
+        if not length.isdigit():
+            raise ValueError(f"bad Content-Length {length!r}")
+        fill(pos + int(length))
+        return status, bytes(buf[pos:pos + int(length)]), keep_alive
+    while receive():
+        pass
+    return status, bytes(buf[pos:]), False
 
 
 def _label(job: Dict) -> str:

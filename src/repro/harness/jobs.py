@@ -664,6 +664,13 @@ class Engine:
         self.store_counters: Dict[str, int] = {}
         """:meth:`JobStore.counters` as the last run that executed a
         point left them."""
+        self.cache_hits = 0
+        """Cache lookups over this engine's runs that spared a
+        simulation (a run's read-back of the points it just produced is
+        not a lookup)."""
+        self.cache_misses = 0
+        """Cache lookups over this engine's runs that found no entry, so
+        their point ran."""
 
     # -- public API ----------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
@@ -688,6 +695,9 @@ class Engine:
             )
             if reporter is not None:
                 reporter.update(spec.describe(), cached=True)
+        if self.cache is not None:
+            self.cache_hits += stats.cache_hits
+            self.cache_misses += len(pending)
         if pending:
             cache, store, tmp = self.cache, None, None
             if cache is not None:
@@ -713,12 +723,13 @@ class Engine:
 
     def resilience_counters(self) -> Dict[str, int]:
         """Durability/supervision counters for :mod:`repro.obs` export:
-        job-store lifetime transitions, cache hit/miss/corrupt totals
-        (with a cache directory) and worker-pool kills/restarts."""
+        job-store lifetime transitions, this engine's cache hits and
+        misses and the cache's corrupt entries (with a cache directory),
+        and worker-pool kills/restarts."""
         out = dict(self.store_counters)
         if self.cache is not None:
-            out["cache_hits"] = self.cache.hits
-            out["cache_misses"] = self.cache.misses
+            out["cache_hits"] = self.cache_hits
+            out["cache_misses"] = self.cache_misses
             out["cache_corrupt"] = self.cache.corrupt
         for name, value in self.pool_stats.items():
             out[f"pool_{name}"] = value

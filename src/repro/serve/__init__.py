@@ -20,26 +20,32 @@ or embed it (tests do this; ``port=0`` picks a free port)::
     srv.stop()
 """
 
-from repro.serve.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    Server,
-    serve,
-)
-from repro.serve.wire import (
-    SWEEP_ID_LEN,
-    expand_sweep_request,
-    sweep_id,
-    sweep_record,
-)
+#: Re-exported name -> the submodule that defines it, imported on first
+#: access (the client imports :mod:`repro.serve.wire` alone, without
+#: the server's asyncio stack).
+_EXPORTS = {
+    "DEFAULT_HOST": "server",
+    "DEFAULT_PORT": "server",
+    "Server": "server",
+    "serve": "server",
+    "SWEEP_ID_LEN": "wire",
+    "expand_sweep_request": "wire",
+    "sweep_id": "wire",
+    "sweep_record": "wire",
+}
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "SWEEP_ID_LEN",
-    "Server",
-    "expand_sweep_request",
-    "serve",
-    "sweep_id",
-    "sweep_record",
-]
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

@@ -59,9 +59,11 @@ holds each done job's cached result, read and checksum-verified once
 
 Connections are kept alive: one connection serves requests in turn
 until the client asks to close it (``Connection: close`` or HTTP/1.0),
-an SSE stream ends, a request's body cannot be read to its end (the
-400 answer closes it), it sits idle for ``LONG_POLL_CAP_S``, or the
-server stops.
+an SSE stream ends, a request cannot be read to its end (a head past
+the stream limit or an unreadable body: the 400 answer closes it), it
+sits idle for ``LONG_POLL_CAP_S``, or the server stops.  Each request's
+line and headers come off the stream in one read and are split by
+:func:`repro.serve.wire.parse_head`, the client's parser too.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class _NotFound(Exception):
 
 
 class _BadRequest(Exception):
-    """A request whose body cannot be read to its end: answered 400,
-    then the connection closes (an unread body would otherwise be parsed
-    as the next request)."""
+    """A request that cannot be read to its end: answered 400, then the
+    connection closes (its unread rest would otherwise be parsed as the
+    next request)."""
 
 
 class Server:
@@ -474,24 +476,19 @@ class Server:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
         """The next request as ``(method, path, query, body,
         keep_alive)``, or ``None`` when the client has closed the
-        connection or sent no request line."""
+        connection or sent no request line.  The request line and the
+        headers come off the stream in one read."""
         try:
-            line = await reader.readline()
-            if not line:
-                return None
-            parts = line.decode("latin-1").split()
-            if len(parts) < 2:
-                return None
-            method, target = parts[0].upper(), parts[1]
-            headers: Dict[str, str] = {}
-            while True:
-                raw = await reader.readline()
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = raw.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-        except ValueError:  # a line longer than the stream's limit
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:  # closed, at or inside a head
+            return None
+        except asyncio.LimitOverrunError:  # a head past the stream's limit
             raise _BadRequest("request line or header too long") from None
+        start, headers = wire.parse_head(head)
+        parts = start.split()
+        if len(parts) < 2:
+            return None
+        method, target = parts[0].upper(), parts[1]
         if "transfer-encoding" in headers:
             raise _BadRequest(
                 "Transfer-Encoding request bodies are not supported; "

@@ -22,12 +22,15 @@ or an explicit job list (``{"schema": ..., "jobs": [<jobspec wire>,
 (:func:`repro.harness.sweep.grid_specs`: cores, then workloads, then
 configs), so a remote sweep returns its points in the same order a
 local one does.
+
+:func:`parse_head` splits an HTTP/1.x message head for both ends: the
+server parses each request with it and the client each response.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.schema import JOBSPEC_SCHEMA, SERVE_SCHEMA, check_schema
@@ -158,6 +161,20 @@ def sweep_record(sid: str, specs: Sequence[JobSpec], keys: Sequence[str]) -> Dic
     }
 
 
+def parse_head(head: bytes) -> Tuple[str, Dict[str, str]]:
+    """An HTTP/1.x message head -- its bytes up to the blank line that
+    ends it -- as ``(start line, headers)``.  Header names are
+    lower-cased, values stripped, and a repeated header keeps its last
+    value; a line without a colon is skipped."""
+    lines = head.decode("latin-1").split("\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if colon:
+            headers[name.strip().lower()] = value.strip()
+    return lines[0].strip(), headers
+
+
 def error_doc(message: str, **extra) -> Dict:
     """The JSON body of every non-2xx response."""
     doc = {"schema": SERVE_SCHEMA, "error": str(message)}
@@ -169,6 +186,7 @@ __all__ = [
     "SWEEP_ID_LEN",
     "error_doc",
     "expand_sweep_request",
+    "parse_head",
     "sweep_id",
     "sweep_record",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import socket
 import sys
 import threading
 import time
@@ -318,6 +319,203 @@ class TestRequests:
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+
+class RawServer:
+    """A fake server over raw sockets, one connection at a time.  It
+    reads each request (head, then a ``Content-Length`` body) off the
+    connection and hands the connection and its running request count
+    to ``answer``, which writes the response and returns whether to
+    read another request from the same connection."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.connections = 0
+        self.requests = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(10)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while self._read_request(conn) and self.answer(
+                    conn, len(self.requests)
+                ):
+                    pass
+
+    def _read_request(self, conn) -> bool:
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(4096)
+            if not chunk:
+                return False
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                while len(body) < int(value):
+                    body += conn.recv(4096)
+        self.requests.append((head, body))
+        return True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+
+OK_BODY = b'{"ok": true}'
+
+
+def _ok(extra: bytes = b"", version: bytes = b"HTTP/1.1") -> bytes:
+    return (
+        version + b" 200 OK\r\nContent-Type: application/json\r\n"
+        + extra
+        + b"Content-Length: %d\r\n\r\n" % len(OK_BODY)
+        + OK_BODY
+    )
+
+
+class TestFraming:
+    """The client's HTTP/1.1 exchange against servers that frame,
+    split and close their answers in every way it must read."""
+
+    def test_answer_one_byte_per_send(self):
+        def answer(conn, _):
+            for byte in _ok():
+                conn.sendall(bytes([byte]))
+            return True
+
+        with RawServer(answer) as srv, Client(srv.url) as c:
+            assert c.healthz() == {"ok": True}
+            assert c.healthz() == {"ok": True}
+            assert srv.connections == 1
+
+    def test_connection_close_answer_closes_the_socket(self):
+        def answer(conn, _):
+            conn.sendall(_ok(b"Connection: close\r\n"))
+            return True  # the client must not reuse it anyway
+
+        with RawServer(answer) as srv, Client(srv.url) as c:
+            for _ in range(3):
+                assert c.healthz() == {"ok": True}
+                assert c._local.sock is None
+            assert srv.connections == 3
+
+    def test_http10_answer_read_to_eof(self):
+        def answer(conn, _):
+            conn.sendall(
+                b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                b"\r\n" + OK_BODY
+            )
+            return False
+
+        with RawServer(answer) as srv, Client(srv.url) as c:
+            assert c.healthz() == {"ok": True}
+            assert c.healthz() == {"ok": True}
+            assert srv.connections == 2
+
+    def test_chunked_answer(self):
+        def answer(conn, _):
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5;ext=1\r\n{\"ok\"\r\n"
+                b"7\r\n: true}\r\n"
+                b"0\r\nX-Trailer: 1\r\n\r\n"
+            )
+            return True
+
+        with RawServer(answer) as srv, Client(srv.url) as c:
+            assert c.healthz() == {"ok": True}
+            assert c.healthz() == {"ok": True}  # framing left nothing behind
+            assert srv.connections == 1
+
+    def test_closed_reused_socket_is_retried_once(self):
+        # Every answer claims keep-alive, then the server closes.
+        def answer(conn, _):
+            conn.sendall(_ok())
+            return False
+
+        with RawServer(answer) as srv, Client(srv.url) as c:
+            for _ in range(3):
+                assert c.healthz() == {"ok": True}
+            assert srv.connections == 3
+
+        # The first answer is kept alive; every later connection closes
+        # unanswered, so the retry fails too and is not retried again.
+        def answer_first(conn, n):
+            if n == 1:
+                conn.sendall(_ok())
+            return False
+
+        with RawServer(answer_first) as srv, Client(srv.url) as c:
+            assert c.healthz() == {"ok": True}
+            with pytest.raises(ServiceError, match="cannot reach"):
+                c.healthz()
+            assert srv.connections == 2
+
+    def test_https_endpoint_speaks_tls(self):
+        """An ``https://`` base wraps its connection in TLS: against a
+        listener that answers in plain HTTP the handshake fails, and
+        the failure is a :class:`ServiceError`."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.sendall(_ok())
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            with Client(f"https://127.0.0.1:{port}", timeout_s=10) as c:
+                with pytest.raises(ServiceError, match="cannot reach"):
+                    c.healthz()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_one_write_per_request(self, server, client, monkeypatch):
+        client.wait(client.submit(**POINT), timeout_s=180)
+        writes = []
+        me = threading.get_ident()
+
+        def recorder(name):
+            original = getattr(socket.socket, name)
+
+            def record(sock, data, *args):
+                if threading.get_ident() == me:
+                    writes.append((name, bytes(data)))
+                return original(sock, data, *args)
+
+            return record
+
+        for name in ("send", "sendall", "sendmsg"):
+            monkeypatch.setattr(socket.socket, name, recorder(name))
+        with Client(server.url) as c:
+            assert c.healthz()["ok"]
+            sid = c.submit(**POINT)
+        assert [name for name, _ in writes] == ["sendall", "sendall"]
+        assert writes[0][1].startswith(b"GET /v1/healthz HTTP/1.1\r\n")
+        head, _, body = writes[1][1].partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /v1/sweeps HTTP/1.1\r\n")
+        assert b"Content-Length: %d" % len(body) in head
+        assert json.loads(body)["seed"] == POINT["seed"]
+        assert c.submissions[sid]["created_jobs"] == 0
 
 
 class TestApiVerbs:

@@ -13,19 +13,21 @@ import pathlib
 import subprocess
 import sys
 import textwrap
-from typing import List
+from typing import List, Sequence
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_after(snippet: str, tmp_path) -> List[str]:
-    """The ``repro`` modules a fresh interpreter holds after ``snippet``
-    (run with ``tmp`` bound to a scratch directory)."""
+def loaded_after(snippet: str, arg, also: Sequence[str] = ()) -> List[str]:
+    """The ``repro`` modules, and those of ``also`` (other module
+    names), a fresh interpreter holds after ``snippet`` (run with
+    ``sys.argv[1]`` bound to ``arg``: a scratch directory or a URL)."""
     code = textwrap.dedent(snippet) + textwrap.dedent(
-        """
+        f"""
         import json, sys
         print(json.dumps(sorted(
-            m for m in sys.modules if m == "repro" or m.startswith("repro.")
+            m for m in sys.modules
+            if m == "repro" or m.startswith("repro.") or m in {list(also)!r}
         )))
         """
     )
@@ -34,7 +36,7 @@ def loaded_after(snippet: str, tmp_path) -> List[str]:
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, str(arg)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -131,3 +133,33 @@ def test_pooled_run_loads_the_stack_before_forking(tmp_path):
     )
     assert "repro.machine" in mods
     assert KERNEL_PREFIX + "canneal" in mods
+
+
+HTTP_STACK = ("http.client", "email.parser", "ssl")
+
+
+def test_client_loads_no_http_stack(tmp_path):
+    """The client speaks HTTP/1.1 itself: importing it, and a request
+    to a live server, load neither ``http.client`` (with its
+    ``email.parser``) nor ``ssl``."""
+    mods = loaded_after("import repro.client", tmp_path, also=HTTP_STACK)
+    assert "repro.client" in mods
+    assert [m for m in mods if m in HTTP_STACK] == []
+    assert under(mods, "repro.serve.server") == []
+
+    from repro.serve import Server
+
+    srv = Server(cache_dir=tmp_path, port=0).start()
+    try:
+        mods = loaded_after(
+            """
+            import sys
+            from repro.client import Client
+            assert Client(sys.argv[1]).healthz()["ok"]
+            """,
+            srv.url,
+            also=HTTP_STACK,
+        )
+    finally:
+        srv.stop()
+    assert [m for m in mods if m in HTTP_STACK] == []

@@ -325,6 +325,22 @@ class TestEngineSerial:
         assert jobs[0].cached
         assert jobs[0].result == execute_spec(spec())
 
+    def test_exported_cache_counters_count_only_sparing_lookups(
+        self, tmp_path
+    ):
+        """A cold run's read-back of the points it just ran is not a
+        hit: the exported counters say 0 hits / 2 misses, then 2 / 0
+        on a warm rerun."""
+        specs = [spec(cores=4, scale=0.05, seed=s) for s in (1, 2)]
+        for hits, misses in ((0, 2), (2, 0)):
+            engine = Engine(workers=1, cache_dir=tmp_path)
+            engine.run(specs)
+            counters = engine.resilience_counters()
+            assert engine.stats.cache_hits == hits
+            assert (counters["cache_hits"], counters["cache_misses"]) == (
+                hits, misses
+            )
+
     def test_failure_reported_not_raised(self):
         engine = Engine(workers=1)
         bad = spec(workload="broken", factory=_always_fail)

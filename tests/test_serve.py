@@ -67,6 +67,25 @@ def _exchange(sock, raw: bytes):
     return resp.status, resp.getheader("Connection"), resp.read()
 
 
+def _read_answers(sock, n: int):
+    """Read ``n`` responses off one socket, in order; returns a list of
+    (status, Connection header, body)."""
+    stream = sock.makefile("rb")
+    answers = []
+    for _ in range(n):
+        status = int(stream.readline().split()[1])
+        headers = {}
+        while True:
+            line = stream.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = stream.read(int(headers["content-length"]))
+        answers.append((status, headers.get("connection"), body))
+    return answers
+
+
 def _closed_by_server(sock) -> bool:
     return sock.recv(1) == b""
 
@@ -278,6 +297,18 @@ class TestHttpErrors:
             assert message in doc["error"]
             assert _closed_by_server(sock)
 
+    def test_head_past_stream_limit_400_then_close(self, server):
+        with _connect(server) as sock:
+            status, connection, body = _exchange(
+                sock,
+                b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Big: "
+                + b"a" * (80 << 10)
+                + b"\r\n\r\n",
+            )
+            assert (status, connection) == (400, "close")
+            assert "too long" in json.loads(body)["error"]
+            assert _closed_by_server(sock)
+
     def test_nan_wait_400(self, server, finished_sweep):
         """``?wait=nan`` would otherwise pass the 60 s cap as NaN."""
         sid, _ = finished_sweep
@@ -306,6 +337,27 @@ class TestKeepAlive:
             )
             assert (status, connection) == (404, "close")
             assert _closed_by_server(sock)
+        assert server.counters["http_connections"] == before + 1
+
+    def test_head_sent_byte_by_byte(self, server):
+        with _connect(server) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in HEALTHZ[:-1]:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            status, connection, body = _exchange(sock, HEALTHZ[-1:])
+            assert (status, connection) == (200, "keep-alive")
+            assert json.loads(body)["ok"] is True
+
+    def test_pipelined_requests_answered_in_order(self, server):
+        before = server.counters["http_connections"]
+        with _connect(server) as sock:
+            sock.sendall(HEALTHZ + b"GET /v1/nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            answers = _read_answers(sock, 2)
+        assert [a[:2] for a in answers] == [
+            (200, "keep-alive"), (404, "keep-alive")
+        ]
+        assert json.loads(answers[0][2])["ok"] is True
         assert server.counters["http_connections"] == before + 1
 
     def test_http10_closes(self, server):
