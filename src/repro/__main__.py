@@ -5,17 +5,16 @@ the parallel engine::
 
     python -m repro fig6 --cores 16 64 --scale 0.5 --workers 8
     python -m repro chaos --cores 16 --check
-    python -m repro run --config msa-omu-2 --workload streamcluster --check
+    python -m repro run --config msa-omu-2 --workload streamcluster --check \\
+        --trace trace.json --metrics metrics.prom --html run.html
+    python -m repro run --workload traffic.bursty --scale 2 --html run.html
     python -m repro verify --selftest
-    python -m repro verify --workload fluidanimate --config msa-omu-2
+    python -m repro verify --differential
     python -m repro sweep --configs pthread msa-omu-2 \\
         --workloads canneal swaptions --workers 4 --csv out.csv
-    python -m repro traffic --scenario bursty --config msa-omu-2 --scale 2
-    python -m repro traffic --sweep --loads 0.5 1 2 4 \\
+    python -m repro traffic --loads 0.5 1 2 4 \\
         --csv load.csv --html load.html --cache-dir ~/.cache/repro
     python -m repro describe
-    python -m repro obs --config msa-omu-2 --workload streamcluster \\
-        --trace trace.json --metrics metrics.prom --html run.html
     python -m repro report --cache-dir ~/.cache/repro \\
         --baseline pthread --out report.html
     python -m repro serve --cache-dir ~/.cache/repro --workers 4
@@ -30,11 +29,15 @@ service: one long-lived server owns the cache and the worker fleet, any
 number of clients submit grids and fetch byte-identical results over
 HTTP (``--server`` or ``REPRO_SERVER``).  See docs/SERVICE.md.
 
-``--check`` (on run/sweep/chaos) attaches every :mod:`repro.verify`
-invariant monitor to each simulation; ``verify`` is the checker-first
-entry point (structured report, exit status by verdict).
+``run`` is the one verb that runs one point and prints its summary.
+``--check [MONITOR ...]`` attaches :mod:`repro.verify` invariant
+monitors (all of them when none is named; a violation prints the report
+and exits 1), and ``--spans``/``--trace``/``--metrics``/
+``--metrics-jsonl``/``--html`` observe the run and write those exports.
+``--check`` on sweep/traffic/chaos attaches every monitor to each point;
+``verify`` runs the checker selftest or the differential oracle.
 
-Engine flags are shared by every command: ``--workers`` fans grid
+Engine flags are shared by every grid command: ``--workers`` fans grid
 points out across processes, ``--cache-dir`` enables the
 content-addressed result cache (repeat runs are free, and rerunning
 with the same ``--cache-dir`` resumes a sweep after a crash or ^C), and
@@ -50,13 +53,7 @@ from typing import List, Optional
 from repro.harness import experiments
 
 FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9")
-COMMANDS = ("table1",) + FIGURES + (
-    "headline", "chaos", "run", "verify", "sweep", "traffic",
-    "describe", "obs", "report", "fsck", "chaos-harness", "serve",
-    "submit", "status", "fetch", "all",
-)
-
-
+SERVICE_VERBS = ("serve", "submit", "status", "fetch")
 def _engine_kwargs(args) -> dict:
     return {
         "workers": args.workers,
@@ -101,19 +98,43 @@ def _dispatch(name: str, args) -> object:
     raise ValueError(f"unknown command {name!r}")
 
 
-def _run_one(args) -> int:
+def _run_point(args) -> int:
     from repro import api
 
-    result = api.run(
-        args.config,
-        args.workload,
-        cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
+    kwargs = dict(
+        cores=args.cores,
         seed=args.seed,
         scale=args.scale,
-        checkers=True if args.check else (),
+        checkers=() if args.check is None else tuple(args.check) or True,
         raise_violations=False,
     )
+    observed = any(
+        (args.spans, args.trace, args.metrics, args.metrics_jsonl, args.html)
+    )
+    if observed:
+        result, obs = api.observe(
+            args.config, args.workload, span_limit=args.span_limit, **kwargs
+        )
+    else:
+        result = api.run(args.config, args.workload, **kwargs)
     print(result.describe())
+    if observed:
+        from repro.obs import render_run_report
+
+        print(obs.describe())
+        for path, write, what in (
+            (args.spans, obs.to_jsonl, "spans"),
+            (args.trace, obs.to_chrome_trace, "Chrome trace"),
+            (args.metrics, obs.registry.to_prometheus, "Prometheus metrics"),
+            (args.metrics_jsonl, obs.registry.to_jsonl, "metrics JSONL"),
+        ):
+            if path:
+                write(path)
+                print(f"wrote {what} to {path}")
+        if args.html:
+            with open(args.html, "w") as f:
+                f.write(render_run_report(result, obs))
+            print(f"wrote HTML run report to {args.html}")
     if result.check_report is not None and not result.check_report["ok"]:
         from repro.verify import CheckReport
 
@@ -123,12 +144,7 @@ def _run_one(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from repro.verify import (
-        CheckReport,
-        DEFAULT_MONITORS,
-        differential,
-        run_selftest,
-    )
+    from repro.verify import differential, run_selftest
 
     if args.selftest:
         report = run_selftest(print_out=True)
@@ -136,75 +152,14 @@ def _run_verify(args) -> int:
             v.invariant == "mutual-exclusion" for v in report.violations
         )
         return 0 if caught else 1
-    if args.differential:
-        diff = differential(
-            workload=args.workload or "streamcluster",
-            cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        print(diff.describe())
-        return 0 if diff.ok else 1
-
-    from repro import api
-
-    machine = api.build(
-        args.config,
-        cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
-        seed=args.seed,
-    )
-    monitors = tuple(args.monitors) if args.monitors else DEFAULT_MONITORS
-    run_args = (machine, args.workload or "streamcluster")
-    run_kwargs = dict(
-        scale=args.scale, checkers=monitors, raise_violations=False
-    )
-    if args.trace:
-        result, obs = api.observe(*run_args, **run_kwargs)
-    else:
-        result = api.run(*run_args, **run_kwargs)
-    report = CheckReport.from_dict(result.check_report)
-    print(report.describe())
-    if args.trace:
-        obs.to_chrome_trace(args.trace)
-        print(f"wrote Chrome trace to {args.trace} (open in Perfetto)")
-    return 0 if report.ok else 1
-
-
-def _run_obs(args) -> int:
-    from repro import api
-    from repro.obs import render_run_report
-
-    result, obs = api.observe(
-        args.config,
-        args.workload,
-        cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
-        seed=args.seed,
+    diff = differential(
+        workload=args.workload,
+        cores=args.cores,
         scale=args.scale,
-        span_limit=args.span_limit,
-        checkers=True if args.check else (),
-        raise_violations=False,
+        seed=args.seed,
     )
-    print(result.describe())
-    print(obs.describe())
-    if args.spans:
-        obs.to_jsonl(args.spans)
-        print(f"wrote spans to {args.spans}")
-    if args.trace:
-        obs.to_chrome_trace(args.trace)
-        print(f"wrote Chrome trace to {args.trace} (open in Perfetto)")
-    if args.metrics:
-        obs.registry.to_prometheus(args.metrics)
-        print(f"wrote Prometheus metrics to {args.metrics}")
-    if args.metrics_jsonl:
-        obs.registry.to_jsonl(args.metrics_jsonl)
-        print(f"wrote metrics JSONL to {args.metrics_jsonl}")
-    if args.html:
-        with open(args.html, "w") as f:
-            f.write(render_run_report(result, obs))
-        print(f"wrote HTML run report to {args.html}")
-    if result.check_report is not None and not result.check_report["ok"]:
-        return 1
-    return 0
+    print(diff.describe())
+    return 0 if diff.ok else 1
 
 
 def _run_report(args) -> int:
@@ -290,14 +245,13 @@ def _run_sweep(args) -> int:
 
 def _run_traffic(args) -> int:
     from repro import api
+    from repro.harness.sweep import to_csv
     from repro.traffic import TRAFFIC
 
     scenario = args.scenario
-    if scenario in TRAFFIC:
-        pass
-    elif f"traffic.{scenario}" in TRAFFIC:
+    if scenario not in TRAFFIC:
         scenario = f"traffic.{scenario}"
-    else:
+    if scenario not in TRAFFIC:
         print(
             f"python -m repro traffic: error: unknown scenario "
             f"{args.scenario!r}; options: {sorted(TRAFFIC)}",
@@ -314,47 +268,11 @@ def _run_traffic(args) -> int:
         from repro.faults import drop_plan
 
         fault_plan = drop_plan(args.chaos, seed=args.seed)
-    cores = args.cores[0] if isinstance(args.cores, list) else args.cores
-
-    if not args.sweep:
-        result = api.run(
-            args.config,
-            scenario,
-            cores=cores,
-            seed=args.seed,
-            scale=args.scale,
-            fault_plan=fault_plan,
-            checkers=checkers,
-            raise_violations=False,
-        )
-        print(result.describe())
-        m = result.workload_metrics
-        print(
-            f"  traffic: {int(m['traffic.done'])}/{int(m['traffic.offered'])} "
-            f"done, {int(m['traffic.shed'])} shed, "
-            f"{int(m['traffic.timeout'])} timed out; sojourn "
-            f"p50={m['traffic.p50']:.0f} p99={m['traffic.p99']:.0f} "
-            f"p999={m['traffic.p999']:.0f} cy; "
-            f"goodput {m['traffic.goodput_rpk']:.2f} req/kcy "
-            f"(offered {m['traffic.offered_rpk']:.2f})"
-        )
-        if args.html:
-            from repro.obs import render_run_report
-
-            with open(args.html, "w") as f:
-                f.write(render_run_report(result))
-            print(f"wrote HTML run report to {args.html}")
-        if result.check_report is not None and not result.check_report["ok"]:
-            return 1
-        return 0
-
-    from repro.harness.sweep import to_csv
-
     points, stats = api.traffic(
         scenario=scenario,
         configs=args.configs,
         loads=args.loads,
-        cores=cores,
+        cores=args.cores,
         seed=args.seed,
         checkers=checkers,
         fault_plan=fault_plan,
@@ -508,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cores_default=list(experiments.DEFAULT_CORES)):
-        p.add_argument("--cores", type=int, nargs="+", default=cores_default)
-        p.add_argument("--scale", type=float, default=1.0)
+    def add_engine(p):
         p.add_argument(
             "--workers",
             type=int,
@@ -525,6 +441,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress", action="store_true", help="per-point progress + ETA"
         )
+
+    def add_common(p, cores_default=list(experiments.DEFAULT_CORES)):
+        p.add_argument("--cores", type=int, nargs="+", default=cores_default)
+        p.add_argument("--scale", type=float, default=1.0)
+        add_engine(p)
+
+    def add_point(p):
+        p.add_argument(
+            "--workload",
+            default="streamcluster",
+            help="kernel, microbench or traffic.<scenario> (see describe)",
+        )
+        p.add_argument("--cores", type=int, default=16)
+        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=2015)
 
     for name in ("table1",) + FIGURES + ("headline", "chaos", "all"):
         p = sub.add_parser(name, help=f"run the {name} driver")
@@ -541,67 +472,25 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser(
-        "run", help="run one (config, workload) point and print its summary"
+        "run",
+        help="run one (config, workload) point and print its summary; "
+        "optionally checked and observed (see docs/OBSERVABILITY.md)",
     )
-    add_common(p, cores_default=[16])
     p.add_argument("--config", default="msa-omu-2")
-    p.add_argument("--workload", default="streamcluster")
-    p.add_argument("--seed", type=int, default=2015)
+    add_point(p)
     p.add_argument(
         "--check",
-        action="store_true",
-        help="attach every invariant monitor; non-zero exit on violations",
-    )
-
-    p = sub.add_parser(
-        "verify",
-        help="invariant-checked run / checker selftest / differential oracle",
-    )
-    add_common(p, cores_default=[16])
-    p.add_argument("--config", default="msa-omu-2")
-    p.add_argument("--workload", default=None)
-    p.add_argument("--seed", type=int, default=2015)
-    p.add_argument(
-        "--monitors",
-        nargs="+",
+        nargs="*",
         default=None,
-        help="monitor names to attach (default: all)",
+        metavar="MONITOR",
+        help="attach these invariant monitors (all when none is named); "
+        "a violation prints the report and exits 1",
     )
-    p.add_argument(
-        "--selftest",
-        action="store_true",
-        help="prove the checkers catch a deliberately broken lock",
-    )
-    p.add_argument(
-        "--differential",
-        action="store_true",
-        help="cross-check sync outcomes across MSA/pthread/ideal configs",
-    )
-    p.add_argument(
-        "--trace",
-        default=None,
-        help="also write a Chrome trace-event JSON of the run here",
-    )
-
-    p = sub.add_parser(
-        "obs",
-        help="run one observed point: spans, Chrome trace, Prometheus "
-        "metrics, HTML run report; see docs/OBSERVABILITY.md",
-    )
-    add_common(p, cores_default=[16])
-    p.add_argument("--config", default="msa-omu-2")
-    p.add_argument("--workload", default="streamcluster")
-    p.add_argument("--seed", type=int, default=2015)
     p.add_argument(
         "--span-limit",
         type=int,
         default=None,
         help="per-name retained-span cap (aggregates stay exact beyond it)",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="also attach every invariant monitor (shares the probe)",
     )
     p.add_argument("--spans", default=None, help="write span JSONL here")
     p.add_argument(
@@ -614,6 +503,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-jsonl", default=None, help="write metrics JSONL here"
     )
     p.add_argument("--html", default=None, help="write the HTML run report here")
+
+    p = sub.add_parser(
+        "verify", help="checker selftest or differential oracle"
+    )
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
+        "--selftest",
+        action="store_true",
+        help="prove the checkers catch a deliberately broken lock",
+    )
+    mode.add_argument(
+        "--differential",
+        action="store_true",
+        help="cross-check sync outcomes across MSA/pthread/ideal configs",
+    )
+    add_point(p)
 
     p = sub.add_parser(
         "report",
@@ -723,11 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "traffic",
-        help="open-loop traffic: one scenario run, or a cached load "
-        "sweep (offered load vs p99 across sync backends); see "
-        "docs/TRAFFIC.md",
+        help="open-loop load sweep: offered load vs p99 across sync "
+        "backends, cached; one scenario runs through `run --workload "
+        "traffic.<name>`; see docs/TRAFFIC.md",
     )
-    add_common(p, cores_default=[16])
     p.add_argument(
         "--scenario",
         default="traffic.poisson",
@@ -735,31 +639,20 @@ def build_parser() -> argparse.ArgumentParser:
         "without the traffic. prefix)",
     )
     p.add_argument(
-        "--config",
-        default="msa-omu-2",
-        help="machine configuration for a single (non --sweep) run",
-    )
-    p.add_argument("--seed", type=int, default=2015)
-    p.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run a load sweep (--loads x --configs) through the engine "
-        "instead of a single scenario",
-    )
-    p.add_argument(
         "--configs",
         nargs="+",
         default=None,
-        help="backends to compare in a sweep (default: msa0 msa-omu-2 "
-        "pthread ideal)",
+        help="backends to compare (default: msa0 msa-omu-2 pthread ideal)",
     )
     p.add_argument(
         "--loads",
         type=float,
         nargs="+",
         default=None,
-        help="offered-load multipliers for a sweep (default: 0.5 1 2 4)",
+        help="offered-load multipliers (default: 0.5 1 2 4)",
     )
+    p.add_argument("--cores", type=int, default=16)
+    p.add_argument("--seed", type=int, default=2015)
     p.add_argument(
         "--chaos",
         type=float,
@@ -773,9 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach every invariant monitor to each point",
     )
     p.add_argument("--csv", default=None, help="write sweep results to this CSV")
-    p.add_argument(
-        "--html", default=None, help="write the HTML report (run or sweep) here"
-    )
+    p.add_argument("--html", default=None, help="write the HTML sweep report here")
+    add_engine(p)
 
     sub.add_parser(
         "describe",
@@ -877,33 +769,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run_one(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    if args.command == "traffic":
-        return _run_traffic(args)
-    if args.command == "describe":
-        return _run_describe(args)
-    if args.command == "obs":
-        return _run_obs(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "fsck":
-        return _run_fsck(args)
-    if args.command == "chaos-harness":
-        return _run_chaos_harness(args)
-    if args.command in ("serve", "submit", "status", "fetch"):
+    handler = {
+        "run": _run_point,
+        "verify": _run_verify,
+        "sweep": _run_sweep,
+        "traffic": _run_traffic,
+        "describe": _run_describe,
+        "report": _run_report,
+        "fsck": _run_fsck,
+        "chaos-harness": _run_chaos_harness,
+        "serve": _run_serve,
+        "submit": _run_submit,
+        "status": _run_status,
+        "fetch": _run_fetch,
+    }.get(args.command)
+    if args.command in SERVICE_VERBS:
         from repro.common.errors import ReproError
 
-        handler = {
-            "serve": _run_serve,
-            "submit": _run_submit,
-            "status": _run_status,
-            "fetch": _run_fetch,
-        }[args.command]
         try:
             return handler(args)
         except ReproError as exc:
@@ -914,6 +796,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    if handler is not None:
+        return handler(args)
     names = (
         ("table1",) + FIGURES + ("headline", "chaos")
         if args.command == "all"

@@ -107,11 +107,44 @@ def build(
     )
 
 
+def _resolve(machine_or_config, cores, seed, fault_plan, params):
+    """The one build step of :func:`run` and :func:`observe`:
+    ``(machine, config name)``, the name empty for a prebuilt machine.
+    A prebuilt machine is used as it is, so any build argument that
+    would change it is an error rather than silently dropped."""
+    from repro.machine import Machine
+
+    if not isinstance(machine_or_config, Machine):
+        machine = build(
+            machine_or_config,
+            cores=cores if cores is not None else 16,
+            seed=seed if seed is not None else DEFAULT_SEED,
+            fault_plan=fault_plan,
+            **params,
+        )
+        return machine, machine_or_config
+    machine = machine_or_config
+    conflicts = []
+    if cores is not None and cores != machine.params.n_cores:
+        conflicts.append(f"cores={cores} (machine has {machine.params.n_cores})")
+    if seed is not None and seed != machine.params.seed:
+        conflicts.append(f"seed={seed} (machine has {machine.params.seed})")
+    if fault_plan is not None:
+        conflicts.append("fault_plan")
+    conflicts.extend(f"{name}=" for name in params)
+    if conflicts:
+        raise ValueError(
+            "a prebuilt machine is run as built; conflicting build "
+            f"arguments: {', '.join(conflicts)}"
+        )
+    return machine, ""
+
+
 def run(
     machine_or_config: Union[Machine, str],
     workload: Union[Workload, str, Callable],
     cores: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
+    seed: Optional[int] = None,
     scale: float = 1.0,
     max_events: Optional[int] = 50_000_000,
     check: bool = True,
@@ -123,9 +156,12 @@ def run(
     """Run one workload to completion and return its :class:`RunResult`.
 
     ``machine_or_config`` is either a prebuilt :class:`Machine` or a
-    configuration name (which is built here with ``cores``/``seed``/
-    parameter overrides).  ``workload`` is a :class:`Workload` instance,
-    a registry name (kernels or microbenches), or a factory callable
+    configuration name, built here with ``cores`` (default 16),
+    ``seed`` (default 2015), ``fault_plan`` and parameter overrides.
+    A prebuilt machine takes none of those (``cores``/``seed`` may only
+    restate its own): passing one raises :class:`ValueError`.
+    ``workload`` is a :class:`Workload` instance, a registry name
+    (kernels, microbenches, traffic scenarios), or a factory callable
     ``factory(cores[, scale])``.
 
     ``checkers`` attaches :mod:`repro.verify` invariant monitors
@@ -134,26 +170,11 @@ def run(
     :class:`~repro.common.errors.InvariantViolation` unless
     ``raise_violations`` is false.
     """
-    from repro.machine import Machine
     from repro.workloads.base import Workload
 
-    if isinstance(machine_or_config, Machine):
-        machine = machine_or_config
-        config = machine.library_name
-        if cores is not None and cores != machine.params.n_cores:
-            raise ValueError(
-                f"cores={cores} conflicts with the prebuilt machine's "
-                f"{machine.params.n_cores} cores"
-            )
-    else:
-        config = machine_or_config
-        machine = build(
-            config,
-            cores=cores if cores is not None else 16,
-            seed=seed,
-            fault_plan=fault_plan,
-            **params,
-        )
+    machine, config = _resolve(
+        machine_or_config, cores, seed, fault_plan, params
+    )
     if not isinstance(workload, Workload):
         from repro.harness.jobs import _instantiate
 
@@ -166,7 +187,7 @@ def run(
         workload,
         max_events=max_events,
         check=check,
-        config=config if isinstance(machine_or_config, str) else "",
+        config=config,
         checkers=checkers,
         raise_violations=raise_violations,
     )
@@ -221,35 +242,38 @@ def observe(
     machine_or_config: Union[Machine, str],
     workload: Union[Workload, str, Callable],
     cores: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
+    seed: Optional[int] = None,
     scale: float = 1.0,
     span_limit: Optional[int] = None,
+    max_events: Optional[int] = 50_000_000,
+    check: bool = True,
+    fault_plan=None,
     checkers=(),
-    **run_kwargs,
+    raise_violations: bool = True,
+    **params,
 ):
     """Run one workload with the observability collector attached.
 
-    Same signature spirit as :func:`run`, returning ``(result, obs)``
-    where ``obs`` is the finalized :class:`repro.obs.ObsResult` (span
-    forest, unified metrics registry, OMU timeline).  Observation is
-    passive: ``result`` is bit-for-bit identical to an unobserved
-    :func:`run` of the same point.
+    Takes what :func:`run` takes, plus ``span_limit``, and returns
+    ``(result, obs)`` where ``obs`` is the finalized
+    :class:`repro.obs.ObsResult` (span forest, unified metrics
+    registry, OMU timeline).  Observation is passive: ``result`` is
+    bit-for-bit identical to an unobserved :func:`run` of the same
+    point.
 
     >>> result, obs = observe("msa-omu-2", "streamcluster",
     ...                       cores=4, scale=0.05)
-    >>> result.cycles == run("msa-omu-2", "streamcluster",
-    ...                      cores=4, scale=0.05).cycles
+    >>> result.to_json() == run("msa-omu-2", "streamcluster",
+    ...                         cores=4, scale=0.05).to_json()
     True
     >>> sorted(obs.attribution())[:2]
     ['barrier.wait', 'lock.acquire']
     """
-    from repro.machine import Machine
     from repro.obs import DEFAULT_SPAN_LIMIT, Collector
 
-    if isinstance(machine_or_config, Machine):
-        machine = machine_or_config
-    else:
-        machine = build(machine_or_config, cores=cores or 16, seed=seed)
+    machine, config = _resolve(
+        machine_or_config, cores, seed, fault_plan, params
+    )
     collector = Collector.attach(
         machine,
         span_limit=span_limit if span_limit is not None else DEFAULT_SPAN_LIMIT,
@@ -258,11 +282,13 @@ def observe(
         machine,
         workload,
         scale=scale,
+        max_events=max_events,
+        check=check,
         checkers=checkers,
-        **run_kwargs,
+        raise_violations=raise_violations,
     )
-    if isinstance(machine_or_config, str):
-        result.config = machine_or_config
+    if config:
+        result.config = config
     return result, collector.finalize()
 
 

@@ -119,7 +119,19 @@ class RunResult:
                 f"({len(self.check_report.get('violations', []))} violations, "
                 f"{len(self.check_report.get('races', []))} race reports)"
             )
-        for key, value in sorted(self.workload_metrics.items()):
+        m = self.workload_metrics
+        if "traffic.done" in m:
+            lines.append(
+                f"  traffic: {int(m['traffic.done'])}/"
+                f"{int(m['traffic.offered'])} done, "
+                f"{int(m['traffic.shed'])} shed, "
+                f"{int(m['traffic.timeout'])} timed out; sojourn "
+                f"p50={m['traffic.p50']:.0f} p99={m['traffic.p99']:.0f} "
+                f"p999={m['traffic.p999']:.0f} cy; "
+                f"goodput {m['traffic.goodput_rpk']:.2f} req/kcy "
+                f"(offered {m['traffic.offered_rpk']:.2f})"
+            )
+        for key, value in sorted(m.items()):
             lines.append(f"  {key:<21}: {value:,.1f}")
         return "\n".join(lines)
 

@@ -85,6 +85,26 @@ class TestRun:
         with pytest.raises(ValueError):
             api.run(machine, "canneal", cores=4)
 
+    def test_prebuilt_machine_rejects_fault_plan(self):
+        from repro.faults import drop_plan
+
+        machine = api.build("msa-omu-2", cores=4)
+        with pytest.raises(ValueError, match="fault_plan"):
+            api.run(machine, "streamcluster", fault_plan=drop_plan(0.05))
+
+    def test_prebuilt_machine_rejects_param_overrides(self):
+        machine = api.build("msa-omu-2", cores=4)
+        with pytest.raises(ValueError, match="ideal_sync"):
+            api.run(machine, "streamcluster", ideal_sync=True)
+
+    def test_prebuilt_machine_rejects_other_seed(self):
+        machine = api.build("pthread", cores=4, seed=7)
+        with pytest.raises(ValueError, match="seed=99"):
+            api.run(machine, "canneal", seed=99)
+        # Restating the machine's own seed and cores is no conflict.
+        result = api.run(machine, "canneal", cores=4, seed=7, scale=0.1)
+        assert result.cycles > 0
+
     def test_matches_serial_runner(self):
         from repro.harness.jobs import JobSpec, execute_spec
 
@@ -141,6 +161,22 @@ class TestSweepSmoke:
 
 
 class TestCli:
+    def test_run_is_the_one_point_verb(self, capsys):
+        from repro.__main__ import build_parser, main
+
+        verbs = build_parser()._subparsers._group_actions[0].choices
+        assert "obs" not in verbs
+        for argv in (
+            ["verify"],
+            ["verify", "--selftest", "--differential"],
+            ["verify", "--config", "pthread", "--selftest"],
+            ["run", "--cores", "4", "16"],
+            ["run", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
     def test_module_cli_sweep(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -430,6 +430,44 @@ class TestApiObserve:
         assert result.cycles > 0
         assert obs.spans and obs.registry.get("run.cycles") is not None
 
+    @staticmethod
+    def _observed_matches_run(monkeypatch, **point):
+        """Observe and run one point; they must agree on cycles, event
+        count and counters, and differ from the plain point.  Returns
+        the observed result."""
+        from repro import api
+
+        built = []
+        real_build = api.build
+
+        def recording_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(api, "build", recording_build)
+        where = ("msa-omu-2", "streamcluster")
+        observed, _ = api.observe(*where, cores=4, scale=0.05, **point)
+        unobserved = api.run(*where, cores=4, scale=0.05, **point)
+        clean = api.run(*where, cores=4, scale=0.05)
+        events = [machine.sim.events_processed for machine in built]
+        assert events[0] == events[1] != events[2]
+        assert observed.cycles == unobserved.cycles != clean.cycles
+        assert observed.fault_counters == unobserved.fault_counters
+        assert observed.noc_counters == unobserved.noc_counters
+        assert observed.to_json() == unobserved.to_json()
+        return observed
+
+    def test_fault_plan_reaches_observed_run(self, monkeypatch):
+        from repro.faults import drop_plan
+
+        observed = self._observed_matches_run(
+            monkeypatch, fault_plan=drop_plan(0.05)
+        )
+        assert observed.fault_counters["msgs_dropped"] > 0
+
+    def test_param_override_reaches_observed_run(self, monkeypatch):
+        self._observed_matches_run(monkeypatch, ideal_sync=True)
+
     def test_package_root_exports(self):
         import repro
 

@@ -124,13 +124,13 @@ class TestRunReport:
         assert "<svg" in html  # timeline + share bars are inline SVG
         assert "lock.acquire" in html
 
-    def test_cli_obs_verb(self, tmp_path, capsys):
+    def test_cli_run_observed_exporters(self, tmp_path, capsys):
         from repro.__main__ import main
 
         html = tmp_path / "run.html"
         trace = tmp_path / "trace.json"
         rc = main([
-            "obs", "--config", "msa-omu-2", "--workload", "streamcluster",
+            "run", "--config", "msa-omu-2", "--workload", "streamcluster",
             "--cores", "4", "--scale", "0.05",
             "--html", str(html), "--trace", str(trace),
         ])
@@ -142,13 +142,14 @@ class TestRunReport:
         assert all("pid" in e and "tid" in e for e in events)
         assert "spans retained" in capsys.readouterr().out
 
-    def test_cli_verify_trace_writes_chrome_trace(self, tmp_path, capsys):
+    def test_cli_run_check_writes_chrome_trace(self, tmp_path, capsys):
         from repro.__main__ import main
 
         trace = tmp_path / "trace.json"
         rc = main([
-            "verify", "--config", "msa-omu-2", "--workload", "streamcluster",
-            "--cores", "4", "--scale", "0.05", "--trace", str(trace),
+            "run", "--config", "msa-omu-2", "--workload", "streamcluster",
+            "--cores", "4", "--scale", "0.05", "--check",
+            "--trace", str(trace),
         ])
         assert rc == 0
         import json
@@ -159,4 +160,50 @@ class TestRunReport:
             for e in events
         )
         assert any(e["name"].startswith("msa_respond.") for e in events)
-        assert "wrote Chrome trace" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "wrote Chrome trace" in out
+        assert "checkers             : ok" in out
+
+    def test_cli_run_unobserved_writes_nothing(self, capsys):
+        from repro.__main__ import main
+
+        rc = main([
+            "run", "--workload", "streamcluster", "--cores", "4",
+            "--scale", "0.05", "--span-limit", "10",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "streamcluster on msa-omu-2" in out
+        assert "spans retained" not in out and "wrote" not in out
+
+    @pytest.mark.parametrize("exports", [[], ["--html"], ["--metrics"]])
+    def test_cli_run_check_violation_exits_1(
+        self, exports, tmp_path, capsys, monkeypatch
+    ):
+        """A violation prints the CheckReport and exits 1, observed or
+        not; naming monitors attaches only those."""
+        from repro import verify
+        from repro.__main__ import main
+        from repro.verify.monitors import Monitor
+
+        class Planted(Monitor):
+            name = "planted"
+
+            def on_attach(self):
+                pass
+
+            def finalize(self):
+                self.violation("planted violation")
+
+        monkeypatch.setitem(verify.MONITORS, "planted", Planted)
+        rc = main([
+            "run", "--workload", "streamcluster", "--cores", "4",
+            "--scale", "0.05", "--check", "planted", "mutex",
+            *[arg for flag in exports
+              for arg in (flag, str(tmp_path / "out"))],
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "check: FAILED (2 monitors" in out
+        assert "planted violation" in out
+        assert "checkers             : VIOLATIONS (1 violations" in out

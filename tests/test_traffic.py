@@ -322,14 +322,25 @@ class TestCli:
         assert "msa-omu-2" in out
         assert "streamcluster" in out
 
-    def test_traffic_single_run(self, capsys):
+    def test_run_traffic_scenario(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        assert main(["traffic", "--scenario", "poisson",
+        html = tmp_path / "run.html"
+        assert main(["run", "--workload", "traffic.poisson",
                      "--config", "msa-omu-2", "--cores", "4",
-                     "--scale", "0.5"]) == 0
+                     "--scale", "0.5", "--html", str(html)]) == 0
         out = capsys.readouterr().out
         assert "p99" in out
+        assert "  traffic: " in out and " shed, " in out
+        assert "Request latency SLOs" in html.read_text()
+
+    def test_traffic_is_sweep_only(self, capsys):
+        from repro.__main__ import main
+
+        for flag in ("--sweep", "--scale=2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["traffic", flag])
+            assert exc.value.code == 2
 
     def test_traffic_unknown_scenario_exits_2(self, capsys):
         from repro.__main__ import main
@@ -341,7 +352,7 @@ class TestCli:
 
         csv_path = tmp_path / "traffic.csv"
         html_path = tmp_path / "traffic.html"
-        rc = main(["traffic", "--sweep",
+        rc = main(["traffic",
                    "--configs", "pthread", "ideal",
                    "--loads", "0.5", "1.0",
                    "--cores", "4",
