@@ -198,7 +198,7 @@ def _run_chaos_harness(args) -> int:
         workers=args.workers if args.workers is not None else 3,
         seed=args.seed,
         scale=args.scale,
-        cores=args.cores[0] if isinstance(args.cores, list) else args.cores,
+        cores=args.cores,
         kill_interval_s=args.kill_interval,
         kill_first_leases=args.kill_leases,
         corrupt_first_entries=args.corrupt_entries,
@@ -418,26 +418,51 @@ def _run_fetch(args) -> int:
     return 0
 
 
+def _monitor(name: str) -> str:
+    """``run --check`` argument type: a :data:`repro.verify.MONITORS`
+    name, checked while parsing so a typo is a usage error."""
+    from repro.verify import MONITORS
+
+    if name not in MONITORS:
+        raise argparse.ArgumentTypeError(
+            f"unknown monitor {name!r} (choose from "
+            f"{', '.join(sorted(MONITORS))})"
+        )
+    return name
+
+
+class _Parser(argparse.ArgumentParser):
+    """No flag abbreviations: a removed flag is an error, never a
+    prefix of a live one (``--config`` for ``--configs``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser
+    )
 
-    def add_engine(p):
+    def add_engine(p, cache_dir=True):
         p.add_argument(
             "--workers",
             type=int,
             default=None,
             help="worker processes (default: REPRO_WORKERS or serial)",
         )
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="result-cache directory (default: REPRO_CACHE_DIR or off)",
-        )
+        if cache_dir:
+            p.add_argument(
+                "--cache-dir",
+                default=None,
+                help="result-cache directory (default: REPRO_CACHE_DIR or "
+                "off)",
+            )
         p.add_argument(
             "--progress", action="store_true", help="per-point progress + ETA"
         )
@@ -481,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         nargs="*",
+        type=_monitor,
         default=None,
         metavar="MONITOR",
         help="attach these invariant monitors (all when none is named); "
@@ -561,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cache entries, fake disk-full -- then assert byte-identical "
         "convergence with an undisturbed serial run (see docs/HARNESS.md)",
     )
-    add_common(p, cores_default=[4])
+    p.add_argument("--cores", type=int, default=4)
+    p.add_argument("--scale", type=float, default=1.0)
+    add_engine(p, cache_dir=False)
     p.add_argument("--seed", type=int, default=2015)
     p.add_argument(
         "--workdir",

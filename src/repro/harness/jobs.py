@@ -379,25 +379,69 @@ def entry_checksum(data: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: The bytes that open an entry's ``,"sha256":"<digest>"`` span, and
+#: those that end an entry :meth:`ResultCache.put` wrote.
+_SHA256_SPAN = b',"sha256":"'
+_COMPACT_TAIL = b',"v":%d}' % CACHE_VERSION
+
+
+def _compact_result(raw: bytes, key: str) -> Optional[bytes]:
+    """The result's bytes of an entry in the layout :meth:`ResultCache.put`
+    writes (``{"key":"<key>","result":<result>,"sha256":"<digest>",
+    "spec":...,"v":<CACHE_VERSION>}``) whose bytes without its last
+    sha256 span hash to that span's digest, else ``None``.  Nothing is
+    parsed: a whole entry is the bytes ``put`` hashed, in which the
+    digest's span follows the result and is the last one (the spec's
+    strings are escaped and its keys fixed), however many a result
+    holds.  Only a key JSON writes as it is (a job key's hex digits)
+    can match the entry's prefix."""
+    if not (key.isascii() and key.isalnum()):
+        return None
+    head = b'{"key":"%s","result":' % key.encode()
+    if not (raw.startswith(head) and raw.endswith(_COMPACT_TAIL)):
+        return None
+    at = raw.rfind(_SHA256_SPAN)
+    if at < 0:
+        return None
+    start = at + len(_SHA256_SPAN)
+    end = start + 64
+    if raw[end:end + 1] != b'"':
+        return None
+    body = hashlib.sha256(raw[:at])
+    body.update(raw[end + 1:])
+    if body.hexdigest().encode() != raw[start:end]:
+        return None
+    return raw[len(head):at]
+
+
 def verify_entry(
     raw: bytes, key: str
-) -> Tuple[Optional[Dict[str, Any]], Optional[str], str]:
+) -> Tuple[Optional[bytes], Optional[str], str]:
     """Judge the stored bytes of the entry filed under ``key``: the one
     check the cache's reads and ``repro fsck`` share.
 
-    Returns ``(data, None, "")`` for a whole entry, else ``(None, kind,
-    detail)`` with ``kind`` one of :data:`repro.resilience.fsck.ISSUE_KINDS`.
+    Returns ``(result, None, "")`` for a whole entry, with ``result``
+    the compact JSON bytes of its serialized :class:`RunResult`, else
+    ``(None, kind, detail)`` with ``kind`` one of
+    :data:`repro.resilience.fsck.ISSUE_KINDS`.
 
     :meth:`ResultCache.put` writes the compact sorted dump that
     :func:`entry_checksum` hashes with ``,"sha256":"<digest>"`` spliced
-    in, so a written entry is checked by hashing the bytes read with
-    that span removed.  JSON escapes every quote inside a string, so
-    only the structural field can match the span, and a span that is
-    found decides: bytes changed but still parsing to the same values
-    (an exponent's ``e`` as ``E``) do not hash to the digest.  An entry
-    without the span (the spaced layout of older writers) is checked by
-    re-encoding its payload with :func:`entry_checksum`.
+    in, so a written entry is accepted by hashing the bytes read with
+    that span removed, and its result is served as the bytes it was
+    stored as (:func:`_compact_result`).  Whatever that does not accept
+    is parsed and judged in full, which gives the same verdict on every
+    entry the shortcut accepts.  JSON escapes every quote inside a
+    string, so only the structural field can match the span, and a
+    span that is found decides: bytes changed but still parsing to the
+    same values (an exponent's ``e`` as ``E``) do not hash to the
+    digest.  An entry without the span (the spaced layout of older
+    writers) is checked by re-encoding its payload with
+    :func:`entry_checksum`.
     """
+    result = _compact_result(raw, key)
+    if result is not None:
+        return result, None, ""
     try:
         data = json.loads(raw.decode())
     except ValueError as exc:  # UnicodeDecodeError included
@@ -424,7 +468,9 @@ def verify_entry(
     if data.get("key") != key:
         found = str(data.get("key"))[:12]
         return None, "key-mismatch", f"entry key {found}..."
-    return data, None, ""
+    if "result" not in data:
+        return None, "schema-drift", "entry has no result field"
+    return _CHECKSUM_JSON.encode(data["result"]).encode(), None, ""
 
 
 class ResultCache:
@@ -456,10 +502,11 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored entry for ``key`` if it is whole -- current
-        version, its own key, matching checksum -- else ``None``,
-        counted as a miss (and as corrupt unless the file is absent)."""
+    def _entry(self, key: str) -> Optional[bytes]:
+        """The result bytes of the stored entry for ``key`` if it is
+        whole -- current version, its own key, matching checksum -- else
+        ``None``, counted as a miss (and as corrupt unless the file is
+        absent)."""
         try:
             with open(os.path.join(self._root, key[:2], key + ".json"),
                       "rb") as f:
@@ -467,30 +514,30 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        data = verify_entry(raw, key)[0]
-        if data is not None:
-            return data
+        result = verify_entry(raw, key)[0]
+        if result is not None:
+            return result
         self.misses += 1
         self.corrupt += 1
         return None
 
-    def read(self, key: str) -> Optional[Dict[str, Any]]:
-        """The serialized result of a whole entry for ``key``, or
-        ``None``: :meth:`get`'s validation (version, key, checksum) and
-        counters, without decoding the :class:`RunResult`.  What the
-        service checks a finished point with and serves as is."""
-        data = self._entry(key)
-        if data is None:
-            return None
-        self.hits += 1
-        return data["result"]
+    def read(self, key: str) -> Optional[bytes]:
+        """The serialized result of a whole entry for ``key`` as the
+        JSON bytes it is stored as, or ``None``: :meth:`get`'s
+        validation (version, key, checksum) and counters, without
+        decoding the :class:`RunResult`.  What the service checks a
+        finished point with and serves as is."""
+        result = self._entry(key)
+        if result is not None:
+            self.hits += 1
+        return result
 
     def get(self, key: str) -> Optional[RunResult]:
-        data = self._entry(key)
-        if data is None:
+        raw = self._entry(key)
+        if raw is None:
             return None
         try:
-            result = RunResult.from_dict(data["result"])
+            result = RunResult.from_dict(json.loads(raw.decode()))
         except Exception:
             # Corrupt means miss, never crash: an entry can carry a
             # valid checksum over a payload this code cannot decode,
@@ -533,9 +580,10 @@ class ResultCache:
         """
         for path in sorted(self.root.glob("*/*.json")):
             try:
-                data = verify_entry(path.read_bytes(), path.stem)[0]
-                if data is None:
+                raw = path.read_bytes()
+                if verify_entry(raw, path.stem)[0] is None:
                     continue
+                data = json.loads(raw)
                 spec = data["spec"]
                 result = RunResult.from_dict(data["result"])
             except Exception:

@@ -19,6 +19,7 @@ safe -- the next engine run simply re-executes that point.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -141,11 +142,11 @@ def _classify_entry(path: Path):
         raw = path.read_bytes()
     except OSError as exc:
         return "torn-json", str(exc)[:120]
-    data, kind, detail = verify_entry(raw, path.stem)
+    result, kind, detail = verify_entry(raw, path.stem)
     if kind is not None:
         return kind, detail
     try:
-        RunResult.from_dict(data["result"])
+        RunResult.from_dict(json.loads(result))
     except Exception as exc:
         return "schema-drift", f"{type(exc).__name__}: {exc}"[:120]
     return None, ""

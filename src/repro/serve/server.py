@@ -54,8 +54,13 @@ same cache directory, pool children).
 The answer that says done carries the results: the status document of
 a done sweep -- the submit answer, a plain or ``?wait`` status read --
 holds each done job's cached result, read and checksum-verified once
-(:meth:`ResultCache.read`), so collecting them takes no
-``/v1/jobs`` request.
+(:meth:`ResultCache.read`) and spliced into the answer as the bytes it
+is stored as, so collecting them takes no ``/v1/jobs`` request and no
+result is parsed to be re-encoded.  A body submitted before is not
+expanded again: the specs, keys and sweep record it yields are
+remembered by its exact bytes (:data:`SUBMIT_MEMO_POINTS`), so a
+resubmitted done sweep costs its rows, its cache entries and a stat of
+its record.
 
 Connections are kept alive: one connection serves requests in turn
 until the client asks to close it (``Connection: close`` or HTTP/1.0),
@@ -78,7 +83,7 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common import config as repro_config
@@ -102,6 +107,11 @@ LONG_POLL_CAP_S = 60.0
 #: Completions in this process wake them at once; the re-check catches
 #: changes made by other processes sharing the store.
 WATCH_POLL_S = 0.1
+#: Most points the submission memo holds over all its bodies, oldest
+#: used evicted first; a body of more points is not remembered.
+SUBMIT_MEMO_POINTS = 256
+#: Longest body the submission memo remembers (it holds the bytes).
+SUBMIT_MEMO_BODY_BYTES = 64 << 10
 
 _REASONS = {
     200: "OK",
@@ -202,6 +212,10 @@ class Server:
         #: Records of open sweeps by id.  A record is dropped the first
         #: time its status reads terminal; ``sweeps/<id>.json`` keeps it.
         self._sweeps: Dict[str, Dict] = {}
+        #: Submission bodies that expanded, least recently used first:
+        #: body bytes -> (specs, keys, sweep id, sweep record).
+        self._expanded: Dict[bytes, Tuple[List, List[str], str, Dict]] = {}
+        self._expanded_points = 0
         #: Open connections (writer -> handler task), and those of them
         #: waiting for their next request (closed first at stop).
         self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
@@ -607,17 +621,39 @@ class Server:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _submit(self, body: bytes) -> Tuple[int, Dict]:
+    def _expand(self, body: bytes) -> Tuple[List, List[str], str, Dict]:
+        """A submission body's ``(specs, keys, sweep id, sweep record)``.
+        Remembered by the body's exact bytes once it has expanded (a
+        body that fails validation raises and is not), so a resubmission
+        is neither parsed, validated nor keyed again."""
+        memo = self._expanded
+        found = memo.pop(body, None)
+        if found is not None:
+            memo[body] = found  # now the most recently used
+            return found
         try:
             data = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError):
             raise ConfigError("request body is not valid JSON") from None
         specs = wire.expand_sweep_request(data)
-        store, cache = self._front, self._front_cache
         keys = [spec.key() for spec in specs]
+        sid = wire.sweep_id(keys)
+        found = (specs, keys, sid, wire.sweep_record(sid, specs, keys))
+        if (len(specs) <= SUBMIT_MEMO_POINTS
+                and len(body) <= SUBMIT_MEMO_BODY_BYTES):
+            self._expanded_points += len(specs)
+            while self._expanded_points > SUBMIT_MEMO_POINTS:
+                oldest = memo.pop(next(iter(memo)))
+                self._expanded_points -= len(oldest[0])
+            memo[body] = found
+        return found
+
+    def _submit(self, body: bytes) -> Tuple[int, Dict]:
+        specs, keys, sid, record = self._expand(body)
+        store, cache = self._front, self._front_cache
         rows = {row.key: row for row in store.rows(keys)}
         # The done rows' results, read once here and served inline.
-        results: Dict[str, Dict] = {}
+        results: Dict[str, bytes] = {}
         # Each key's (status, attempts, error) as this request leaves
         # it, so the answer needs no second read of the rows.
         states: Dict[str, Tuple] = {}
@@ -666,8 +702,6 @@ class Server:
                     states[key] = (status, row.attempts, row.error)
         if wake:
             self._wake.set()
-        sid = wire.sweep_id(keys)
-        record = wire.sweep_record(sid, specs, keys)
         path = self.sweeps_dir / f"{sid}.json"
         if path.exists():
             self.counters["sweeps_deduped"] += 1
@@ -736,15 +770,16 @@ class Server:
         }
 
     def _with_results(
-        self, doc: Dict, results: Optional[Dict[str, Dict]] = None
+        self, doc: Dict, results: Optional[Dict[str, bytes]] = None
     ) -> Dict:
         """``doc`` with, once the sweep is done, each done job's cached
         result as its ``result`` (``None`` if the entry is gone): the
-        answer that says done carries what was waited for.  ``results``
-        are entries this request has already read.  Only documents
-        returned as a request's answer get results -- not the listing,
-        SSE events or the sweep records -- so neither memory nor a
-        status read grows with result size."""
+        answer that says done carries what was waited for.  A result is
+        held as its verified bytes, which :func:`_json` splices in.
+        ``results`` are entries this request has already read.  Only
+        documents returned as a request's answer get results -- not the
+        listing, SSE events or the sweep records -- so neither memory
+        nor a status read grows with result size."""
         if doc["done"]:
             results = {} if results is None else results
             for job in doc["jobs"]:
@@ -885,8 +920,47 @@ class Server:
         )
 
 
+def _null(value):
+    if isinstance(value, bytes):
+        return None
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+#: ``json.dumps`` settings of every answer; a result held as bytes
+#: encodes as ``null`` here, and :func:`_json` puts the bytes in its
+#: place.
+_ANSWER_JSON = json.JSONEncoder(sort_keys=True, default=_null)
+_RESULT_FIELD = b'"result": '
+
+
 def _json(status: int, doc: Dict) -> Tuple[int, bytes, str]:
-    return status, json.dumps(doc, sort_keys=True).encode(), "application/json"
+    """An answer's ``(status, payload, content type)``.  A ``result`` --
+    of a job document, or of each job of a sweep document -- that is
+    held as the bytes :meth:`ResultCache.read` verified is spliced in
+    unparsed.  JSON escapes every quote inside a string, so
+    ``"result": `` in the dump is a key, and with sorted keys those keys
+    come in the order of the holders; should the count differ (a field
+    of a sweep record holding its own ``result`` key), the results are
+    parsed and dumped instead."""
+    jobs = doc.get("jobs")
+    holders = jobs if isinstance(jobs, list) else [doc]
+    fields = [h["result"] for h in holders if "result" in h]
+    payload = _ANSWER_JSON.encode(doc).encode()
+    if any(isinstance(field, bytes) for field in fields):
+        parts = payload.split(_RESULT_FIELD)
+        if len(parts) == len(fields) + 1:
+            payload = parts[0] + b"".join(
+                _RESULT_FIELD
+                + (field + part[len(b"null"):]
+                   if isinstance(field, bytes) else part)
+                for field, part in zip(fields, parts[1:])
+            )
+        else:
+            for holder in holders:
+                if isinstance(holder.get("result"), bytes):
+                    holder["result"] = json.loads(holder["result"])
+            payload = _ANSWER_JSON.encode(doc).encode()
+    return status, payload, "application/json"
 
 
 def _spec_blob(spec) -> Optional[bytes]:

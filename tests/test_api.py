@@ -177,6 +177,55 @@ class TestCli:
                 main(argv)
             assert exc.value.code == 2, argv
 
+    def test_run_check_names_a_monitor(self, capsys, monkeypatch):
+        """An unknown ``--check`` monitor is a usage error naming the
+        valid ones, raised while parsing: nothing runs."""
+        from repro import api
+        from repro.__main__ import main
+        from repro.verify import MONITORS
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(api, "run", ran)
+        monkeypatch.setattr(api, "observe", ran)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--check", "mutex", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro run")
+        assert "unknown monitor 'bogus'" in err
+        assert all(name in err for name in MONITORS)
+
+    def test_chaos_harness_takes_one_core_count(self):
+        from repro.__main__ import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["chaos-harness"]).cores == 4
+        args = parser.parse_args(["chaos-harness", "--cores", "9"])
+        assert args.cores == 9 and not hasattr(args, "cache_dir")
+        for argv in (
+            ["chaos-harness", "--cores", "4", "16"],
+            ["chaos-harness", "--cache-dir", "x"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+
+    def test_flags_are_never_abbreviated(self, capsys):
+        """A prefix of a live flag is an error, not that flag."""
+        from repro.__main__ import build_parser
+
+        for argv in (
+            ["traffic", "--config", "pthread", "--loads", "0.5",
+             "--cores", "4"],
+            ["run", "--work", "canneal"],
+            ["serve", "--cache", "x"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+
     def test_module_cli_sweep(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -277,9 +277,85 @@ class TestResultCache:
         cache.path(key).write_text(json.dumps(payload, sort_keys=True))
         hit = cache.get(key)
         assert hit == result and hit.to_json() == result.to_json()
-        assert (cache.hits, cache.misses, cache.corrupt) == (1, 0, 0)
+        assert cache.read(key) == _CHECKSUM_JSON.encode(
+            result.to_dict()
+        ).encode()
+        assert (cache.hits, cache.misses, cache.corrupt) == (2, 0, 0)
         report = fsck(tmp_path, repair=False)
         assert report.issues == [] and report.healthy_entries == 1
+
+    def test_read_serves_the_stored_result_bytes(self, tmp_path,
+                                                 monkeypatch):
+        """A written entry is accepted without parsing it, and read
+        returns its result as the bytes stored, which decode to the
+        result."""
+        cache = ResultCache(tmp_path)
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        result = execute_spec(point)
+        cache.put(key, point, result)
+        raw = cache.path(key).read_bytes()
+
+        def unparsed(*args, **kwargs):
+            raise AssertionError("a written entry was parsed")
+
+        monkeypatch.setattr(jobs.json, "loads", unparsed)
+        served = cache.read(key)
+        assert jobs.verify_entry(raw, key) == (served, None, "")
+        monkeypatch.undo()
+        assert served in raw
+        assert served == _CHECKSUM_JSON.encode(result.to_dict()).encode()
+        assert RunResult.from_dict(json.loads(served)) == result
+        assert cache.get(key) == result
+        assert (cache.hits, cache.misses, cache.corrupt) == (2, 0, 0)
+
+    def test_result_holding_a_sha256_field_still_verifies(self, tmp_path):
+        """A result with its own ``"sha256"`` string field gives an entry
+        two checksum-like spans; the digest's is the last, and the
+        result served is the whole result."""
+        cache = ResultCache(tmp_path)
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        result = execute_spec(point)
+        result.workload_metrics.update(a=1, sha256="0" * 64)
+        cache.put(key, point, result)
+        raw = cache.path(key).read_bytes()
+        assert raw.count(b',"sha256":"') == 2
+        served = _CHECKSUM_JSON.encode(result.to_dict()).encode()
+        assert jobs._compact_result(raw, key) == served
+        assert cache.read(key) == served
+        assert cache.get(key) == result
+        assert fsck(tmp_path, repair=False).issues == []
+
+    @pytest.mark.parametrize("where", ["result", "digest"])
+    def test_flipped_byte_reruns_the_point(self, tmp_path, where):
+        """A byte flipped inside the stored result, or inside its
+        digest, is a corrupt miss: the point runs again and its entry
+        is whole again, with the same bytes."""
+        point = spec(config="msa-omu-2")
+        key = point.key()
+        engine = Engine(cache_dir=tmp_path)
+        [first] = engine.run([point])
+        path = engine.cache.path(key)
+        pristine = path.read_bytes()
+        if where == "result":
+            at = pristine.index(b'"cycles":') + len(b'"cycles":')
+        else:
+            at = pristine.index(b',"sha256":"') + len(b',"sha256":"') + 5
+        raw = bytearray(pristine)
+        raw[at] = ord("7") if raw[at] != ord("7") else ord("3")
+        path.write_bytes(bytes(raw))
+        assert ResultCache(tmp_path).read(key) is None
+        assert [i.kind for i in fsck(tmp_path, repair=False).issues] == [
+            "checksum-mismatch"
+        ]
+
+        engine = Engine(cache_dir=tmp_path)
+        [again] = engine.run([point])
+        assert (engine.stats.cache_hits, engine.stats.executed) == (0, 1)
+        assert engine.cache.corrupt == 1
+        assert again.result.to_json() == first.result.to_json()
+        assert path.read_bytes() == pristine
 
     def test_every_single_byte_change_is_a_corrupt_miss(self, tmp_path):
         """Changing any one byte of an entry -- a digit to another

@@ -455,6 +455,191 @@ class TestWire:
         assert spec.key() == local.key()
 
 
+def _post_raw(url, path, body: bytes):
+    """POST ``body`` as is; returns (status, parsed answer)."""
+    req = urllib.request.Request(url + path, data=body)
+    try:
+        with urllib.request.urlopen(req, timeout=120) as resp:
+            return resp.status, json.loads(resp.read().decode())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read().decode())
+
+
+class TestSubmitMemo:
+    """A body submitted before is answered from the memo of what it
+    expanded to, and a done point's result from its verified bytes."""
+
+    def test_resubmissions_expand_once(self, server, finished_sweep,
+                                       monkeypatch):
+        from repro.serve import wire
+
+        sid, _ = finished_sweep
+        calls = []
+        expand = wire.expand_sweep_request
+        monkeypatch.setattr(
+            wire, "expand_sweep_request",
+            lambda data: calls.append(1) or expand(data),
+        )
+        # Other bytes than the fixture's body: not in the memo yet.
+        body = json.dumps(dict(POINT, schema=SERVE_SCHEMA), indent=1)
+        answers = [
+            _post_raw(server.url, "/v1/sweeps", body.encode())
+            for _ in range(5)
+        ]
+        assert len(calls) == 1
+        for status, doc in answers:
+            assert status == 202 and doc["id"] == sid
+            assert (doc["created_jobs"], doc["deduped_jobs"]) == (0, 1)
+        assert all(doc == answers[0][1] for _, doc in answers)
+
+    def test_malformed_bodies_400_and_are_not_memoised(self, tmp_path,
+                                                       monkeypatch):
+        from repro.serve import wire
+
+        calls = []
+        expand = wire.expand_sweep_request
+        monkeypatch.setattr(
+            wire, "expand_sweep_request",
+            lambda data: calls.append(1) or expand(data),
+        )
+        srv = Server(cache_dir=tmp_path, port=0).start()
+        try:
+            bad = [
+                b"{not json",
+                b"\xff\xfe",
+                json.dumps(dict(POINT, schema=SERVE_SCHEMA,
+                                configs=["no-such"])).encode(),
+                json.dumps(dict(POINT, schema=SERVE_SCHEMA,
+                                params={"no.such": 1})).encode(),
+            ]
+            for _ in range(3):
+                for body in bad:
+                    status, doc = _post_raw(srv.url, "/v1/sweeps", body)
+                    assert status == 400 and doc["error"], body
+            # The two bodies that parse reach expansion every time.
+            assert len(calls) == 2 * 3
+            assert srv._expanded == {} and srv._expanded_points == 0
+        finally:
+            srv.stop()
+
+    def test_memo_is_bounded_by_points(self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "SUBMIT_MEMO_POINTS", 5)
+        srv = Server(cache_dir=tmp_path)  # expansion needs no socket
+
+        def body(configs, seed=7):
+            return json.dumps(dict(
+                POINT, schema=SERVE_SCHEMA, configs=configs, seed=seed,
+            )).encode()
+
+        bodies = [
+            body(["pthread"], seed) for seed in range(4)
+        ] + [
+            body(["pthread", "msa-omu-2"]),
+            body(["pthread", "msa-omu-2", "msa0"], 1),
+            body(["pthread"], 0),
+            body(["pthread", "msa-omu-2", "msa0", "msa-omu-1",
+                  "ideal", "spinlock"]),
+        ]
+        for raw in bodies:
+            specs, keys, sid, record = srv._expand(raw)
+            assert sid == sweep_id(keys) and record["id"] == sid
+            held = sum(len(found[0]) for found in srv._expanded.values())
+            assert held == srv._expanded_points <= 5
+        # Six points never fit; the last bodies in, most recent last.
+        assert bodies[-1] not in srv._expanded
+        assert list(srv._expanded)[-1] == bodies[-2]
+
+    def test_cached_answer_matches_parsed_results(self, server,
+                                                  finished_sweep):
+        """A resubmission's answer reads as the parse-and-re-encode
+        answer did: each result is the entry's result, statuses and
+        counts are the sweep's, and the fetched RunResult serializes
+        like a local run of the point."""
+        from repro.client import Client
+        from repro.harness.jobs import ResultCache, execute_spec
+
+        sid, _ = finished_sweep
+        status, doc = _post(
+            server.url, "/v1/sweeps", dict(POINT, schema=SERVE_SCHEMA)
+        )
+        [job] = doc["jobs"]
+        cache = ResultCache(server.cache_dir)
+        stored = json.loads(cache.path(job["key"]).read_bytes())["result"]
+        assert status == 202 and doc["id"] == sid
+        assert (doc["created_jobs"], doc["deduped_jobs"]) == (0, 1)
+        assert doc["done"] and doc["ok"] and doc["counts"] == {"done": 1}
+        assert (job["status"], job["error"]) == ("done", None)
+        assert job["result"] == stored
+        _, body = _get(server.url, f"/v1/jobs/{job['key']}")
+        assert json.loads(body)["result"] == stored
+
+        client = Client(server.url)
+        assert client.submit(**POINT) == sid
+        [point] = client.fetch(sid)
+        [spec] = expand_sweep_request(dict(POINT, schema=SERVE_SCHEMA))
+        assert point.result.to_json() == execute_spec(spec).to_json()
+
+
+class TestAnswerSplice:
+    """``_json`` splices results held as bytes into the answer; what it
+    sends parses to what dumping the parsed results would send."""
+
+    RESULT = {"cycles": 12, "m": {"a": 1.5e-05, "b": [1, 2]}, "s": "x"}
+
+    def old(self, doc):
+        def parsed(value):
+            return json.loads(value) if isinstance(value, bytes) else value
+
+        return json.loads(json.dumps(doc, sort_keys=True, default=parsed))
+
+    def raw(self):
+        return json.dumps(self.RESULT, sort_keys=True,
+                          separators=(",", ":")).encode()
+
+    def test_sweep_document(self):
+        from repro.serve.server import _json
+
+        tricky = 'x", "result": null, "y": "\\"result": 1'
+        doc = {
+            "schema": SERVE_SCHEMA, "id": "s", "done": True,
+            "counts": {"done": 2, "quarantined": 1},
+            "jobs": [
+                {"key": "a", "error": tricky, "result": self.raw()},
+                {"key": "b", "status": "quarantined", "error": "boom"},
+                {"key": "c", "error": None, "result": None},
+                {"key": "d", "error": "result", "result": self.raw()},
+            ],
+            "created_jobs": 0, "deduped_jobs": 3,
+        }
+        status, payload, kind = _json(202, doc)
+        assert (status, kind) == (202, "application/json")
+        sent = json.loads(payload)
+        assert sent == self.old(doc)
+        assert sent["jobs"][0]["result"] == self.RESULT
+        assert sent["jobs"][0]["error"] == tricky
+        assert self.raw() in payload
+
+    def test_job_document(self):
+        from repro.serve.server import _json
+
+        doc = {"schema": SERVE_SCHEMA, "key": "a", "describe": "result",
+               "status": "done", "result": self.raw()}
+        assert json.loads(_json(200, doc)[1]) == self.old(doc)
+
+    def test_record_field_with_its_own_result_key(self):
+        """A field that holds a ``result`` key of its own (a sweep
+        record edited by hand) falls back to dumping parsed results."""
+        from repro.serve.server import _json
+
+        doc = {"id": "s", "jobs": [
+            {"key": "a", "config": {"result": 3}, "result": self.raw()},
+        ]}
+        expected = self.old(doc)
+        assert json.loads(_json(200, doc)[1]) == expected
+
+
 class TestPushWakeups:
     """Waiting is pushed: with the status re-check and the executor's
     idle re-check both stretched to 30 s, a fresh point still finishes
