@@ -18,7 +18,7 @@ substrate they now share:
   carry a sha256 of their own payload: a torn write *or any byte flip*
   reads back as a cache miss, never a crash and never a wrong result.
 * :class:`Engine` orchestrates, along one execution path: every point
-  not already cached is enqueued in a durable
+  not already cached is enqueued in a
   :class:`repro.resilience.store.JobStore` and claimed through expiring
   leases, in-process or by a supervised worker pool.  Workers heartbeat
   while simulating, dead workers' points are reclaimed and retried
@@ -27,8 +27,11 @@ substrate they now share:
   sweep.  With a cache directory the store lives beside the cache, so a
   killed sweep resumes by rerunning it: cached points are skipped and
   every other point, quarantined or evicted from the cache, runs again.
-  Without one, each run uses a throwaway store and cache in a
-  temporary directory.
+  Without one, a run whose points all execute in this process keeps the
+  same ledger in memory and hands its results back as objects, with no
+  file, codec or heartbeat thread; a pooled run uses a throwaway store
+  and cache in a temporary directory, since its workers are other
+  processes.
 
 Environment defaults come from :mod:`repro.common.config`:
 ``REPRO_WORKERS`` (worker count when ``workers`` is not given; unset
@@ -591,6 +594,17 @@ class ResultCache:
             yield spec, result
 
 
+class _HeldResults(dict):
+    """The results of a run on an in-memory ledger, by key, held as the
+    :class:`RunResult` objects its points returned: no file and no JSON
+    codec.  A :class:`WorkerLoop <repro.resilience.supervise.WorkerLoop>`
+    puts into it and :meth:`Engine._execute` gets from it as from a
+    :class:`ResultCache`."""
+
+    def put(self, key: str, spec: JobSpec, result: RunResult) -> None:
+        self[key] = result
+
+
 def _atomic_write(path: Path, blob: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -663,7 +677,7 @@ class Engine:
     ``progress``: ``True`` for stderr progress lines, or a
     :class:`ProgressReporter`-compatible object.
 
-    Every run executes through a durable
+    Every run executes through a
     :class:`repro.resilience.store.JobStore`: points are claimed via
     expiring leases (``lease_s``), failed attempts back off with
     deterministic seeded jitter (``seed``), a point failing
@@ -679,9 +693,14 @@ class Engine:
     workers like any other.  Another engine can finish a point between
     this run's cache read and its enqueue; the point then runs twice,
     to the same bytes by the determinism contract.
-    Without one (or when that store cannot open), each run uses a
-    throwaway store and cache in a temporary directory that is removed
-    when the run ends.  ``chaos`` (a
+    Without one (or when that store cannot open), a run that executes
+    its points in this process (``workers`` <= 1, or one picklable
+    point) keeps its ledger in memory -- a :class:`JobStore` on SQLite
+    ``:memory:``, the same claims, retries, quarantine, watchdog and
+    progress, no heartbeats -- and hands each result back as the object
+    its point returned; nothing touches the disk.  A pooled run without
+    a usable store uses a throwaway store and cache in a temporary
+    directory that is removed when the run ends.  ``chaos`` (a
     :class:`repro.resilience.supervise.ChaosPlan`) is the harness chaos
     seam; leave it ``None`` outside ``repro chaos-harness``.
     """
@@ -747,26 +766,7 @@ class Engine:
             self.cache_hits += stats.cache_hits
             self.cache_misses += len(pending)
         if pending:
-            cache, store, tmp = self.cache, None, None
-            if cache is not None:
-                try:
-                    store = self._open_store(cache.root)
-                except Exception:
-                    # A read-only cache mount (or a hostile sqlite
-                    # build) must not take the run down: cached points
-                    # still hit, the rest run as if there were no cache.
-                    store = None
-            try:
-                if store is None:
-                    tmp = tempfile.mkdtemp(prefix="repro-engine-")
-                    cache = ResultCache(tmp)
-                    store = self._open_store(tmp)
-                self._execute(store, cache, specs, pending, results, reporter)
-            finally:
-                if store is not None:
-                    store.close()
-                if tmp is not None:
-                    shutil.rmtree(tmp, ignore_errors=True)
+            self._execute(specs, pending, results, reporter)
         return results
 
     def resilience_counters(self) -> Dict[str, int]:
@@ -784,16 +784,18 @@ class Engine:
         return out
 
     # -- execution -----------------------------------------------------
-    def _open_store(self, root):
+    def _open_store(self, root=None):
+        """The job store beside the cache at ``root``, or an in-memory
+        ledger without one."""
         from repro.resilience.store import JobStore, default_store_path
 
         return JobStore(
-            default_store_path(root),
+            default_store_path(root) if root is not None else None,
             lease_s=self.lease_s,
             quarantine_after=self.retries + 1,
         )
 
-    def _execute(self, store, cache, specs, pending, results, reporter):
+    def _execute(self, specs, pending, results, reporter):
         """Enqueue every pending point, claim by lease (in-process, or
         via a supervised worker pool), then collect outcomes from store
         + cache.  Crash-safe at every step: a worker dying mid-point
@@ -801,113 +803,147 @@ class Engine:
         whose entry does not read after that (corrupted after it
         landed) is enqueued again and drained once more by an
         in-process :class:`WorkerLoop`, under the same lease, watchdog
-        and retry budget as every other run of a point."""
+        and retry budget as every other run of a point.  The ledger is
+        the store beside the cache, else an in-memory one holding its
+        results as objects (:class:`_HeldResults`) when every point
+        runs in this process, else a throwaway store and cache in a
+        temporary directory (see :class:`Engine`)."""
         from repro.resilience.store import TERMINAL
         from repro.resilience.supervise import WorkerLoop, WorkerPool
 
+        store = None
+        if self.cache is not None:
+            try:
+                store = self._open_store(self.cache.root)
+            except Exception:
+                # A read-only cache mount (or a hostile sqlite build)
+                # must not take the run down: cached points still hit,
+                # the rest run as if there were no cache.
+                store = None
+        # A spec reaches another process -- a pool worker, or an engine
+        # sharing the cache directory -- as its pickle; a spec that
+        # does not pickle (a closure factory) runs in this process.
+        shared = store is not None or self.workers > 1
         specs_by_key = {key: specs[idx[0]] for key, idx in pending.items()}
         keys = list(pending)
-        remote, local, jobs = [], [], {}
+        jobs = {}
         for key, spec in specs_by_key.items():
-            try:
-                blob = pickle.dumps(spec)
-            except Exception:
-                blob = None  # closure/lambda factory: runs in-process
-            (local if blob is None else remote).append(key)
+            blob = None
+            if shared:
+                try:
+                    blob = pickle.dumps(spec)
+                except Exception:
+                    pass
             jobs[key] = (key, spec.describe(), blob)
-        store.enqueue_many(jobs.values())
-        before = store.counters()
-        reported = set()
-
-        def report(key, failed):
-            reported.add(key)
-            if reporter is not None:
-                for index in pending[key]:
-                    reporter.update(specs[index].describe(), failed=failed)
-
-        def on_terminal(key, status):
-            if status in TERMINAL and key not in reported:
-                report(key, failed=status != "done")
-
-        def drain(batch):
-            WorkerLoop(
-                store,
-                cache,
-                keys=batch,
-                specs_by_key=specs_by_key,
-                seed=self.seed,
-                point_timeout_s=self.point_timeout_s,
-                on_complete=on_terminal,
-            ).drain()
-
+        remote = [key for key in keys if jobs[key][2] is not None]
         pooled = self.workers > 1 and len(remote) > 1
-        in_process = local if pooled else keys
-        if in_process:
-            drain(in_process)
-        if pooled:
-            pool = WorkerPool(
-                store,
-                cache.root,
-                workers=self.workers,
-                lease_s=self.lease_s,
-                quarantine_after=self.retries + 1,
-                seed=self.seed,
-                point_timeout_s=self.point_timeout_s,
-                chaos=self.chaos,
-                on_terminal=on_terminal,
-            )
-            pool.run(remote, workloads={
-                specs_by_key[key].workload
-                for key in remote
-                if specs_by_key[key].factory is None
-            })
-            self.pool_stats = {
-                "kills": pool.kills,
-                "restarts": pool.restarts,
-                "corruptions": pool.corruptions,
-            }
+        cache, tmp = self.cache, None
+        try:
+            if store is None and pooled:
+                tmp = tempfile.mkdtemp(prefix="repro-engine-")
+                cache = ResultCache(tmp)
+                store = self._open_store(tmp)
+            elif store is None:
+                cache = _HeldResults()
+                store = self._open_store()
+            store.enqueue_many(jobs.values())
+            before = store.counters()
+            reported = set()
 
-        # Turn store rows + cache entries into ordered JobResults.  A
-        # point that is done by its row, or has no row, but whose entry
-        # does not read runs once more through the store.
-        rows = {row.key: row for row in store.rows(keys)}
-        found = {key: cache.get(key) for key in keys}
-        again = [
-            key for key in keys
-            if found[key] is None
-            and (key not in rows or rows[key].status == "done")
-        ]
-        if again:
-            store.enqueue_many(jobs[key] for key in again)
-            drain(again)
-            rows.update((row.key, row) for row in store.rows(again))
-            found.update((key, cache.get(key)) for key in again)
-        after = store.counters()
-        self.stats.retried += sum(
-            after[name] - before[name]
-            for name in ("retries", "leases_expired", "leases_released")
-        )
-        for key, indices in pending.items():
-            row = rows.get(key)
-            result = found[key]
-            if result is not None:
-                self.stats.executed += 1
-            else:
-                self.stats.failed += 1
-            if key not in reported:
-                report(key, failed=result is None)
-            for index in indices:
-                results[index] = JobResult(
-                    spec=specs[index],
-                    key=key,
-                    result=result,
-                    attempts=row.attempts if row is not None else 0,
-                    error=(
-                        row.error if row is not None and result is None
-                        else None
-                    ),
+            def report(key, failed):
+                reported.add(key)
+                if reporter is not None:
+                    for index in pending[key]:
+                        reporter.update(specs[index].describe(), failed=failed)
+
+            def on_terminal(key, status):
+                if status in TERMINAL and key not in reported:
+                    report(key, failed=status != "done")
+
+            def drain(batch):
+                WorkerLoop(
+                    store,
+                    cache,
+                    keys=batch,
+                    specs_by_key=specs_by_key,
+                    seed=self.seed,
+                    point_timeout_s=self.point_timeout_s,
+                    on_complete=on_terminal,
+                ).drain()
+
+            local = [key for key in keys if jobs[key][2] is None]
+            in_process = local if pooled else keys
+            if in_process:
+                drain(in_process)
+            if pooled:
+                pool = WorkerPool(
+                    store,
+                    cache.root,
+                    workers=self.workers,
+                    lease_s=self.lease_s,
+                    quarantine_after=self.retries + 1,
+                    seed=self.seed,
+                    point_timeout_s=self.point_timeout_s,
+                    chaos=self.chaos,
+                    on_terminal=on_terminal,
                 )
-        self.store_counters = after
+                pool.run(remote, workloads={
+                    specs_by_key[key].workload
+                    for key in remote
+                    if specs_by_key[key].factory is None
+                })
+                self.pool_stats = {
+                    "kills": pool.kills,
+                    "restarts": pool.restarts,
+                    "corruptions": pool.corruptions,
+                }
+
+            # Turn store rows + cache entries into ordered JobResults.  A
+            # point that is done by its row, or has no row, but whose entry
+            # does not read runs once more through the store.
+            rows = {row.key: row for row in store.rows(keys)}
+            found = {key: cache.get(key) for key in keys}
+            again = [
+                key for key in keys
+                if found[key] is None
+                and (key not in rows or rows[key].status == "done")
+            ]
+            if again:
+                store.enqueue_many(jobs[key] for key in again)
+                drain(again)
+                rows.update((row.key, row) for row in store.rows(again))
+                found.update((key, cache.get(key)) for key in again)
+            after = store.counters()
+            self.stats.retried += sum(
+                after[name] - before[name]
+                for name in ("retries", "leases_expired", "leases_released")
+            )
+            for key, indices in pending.items():
+                row = rows.get(key)
+                result = found[key]
+                if result is not None:
+                    self.stats.executed += 1
+                else:
+                    self.stats.failed += 1
+                if key not in reported:
+                    report(key, failed=result is None)
+                for index in indices:
+                    results[index] = JobResult(
+                        spec=specs[index],
+                        key=key,
+                        result=result,
+                        attempts=row.attempts if row is not None else 0,
+                        error=(
+                            row.error if row is not None and result is None
+                            else None
+                        ),
+                    )
+            self.store_counters = after
+        finally:
+            if store is not None:
+                store.close()
+            if tmp is not None:
+                shutil.rmtree(tmp, ignore_errors=True)
 
     # -- progress -------------------------------------------------------
     def _reporter(self, total: int):

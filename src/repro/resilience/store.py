@@ -34,6 +34,10 @@ backs a long-running service only grows, so :meth:`JobStore.rows` with
 keys is a primary-key lookup and :meth:`JobStore.open_keys` /
 :meth:`JobStore.open_jobs` search the ``jobs_status`` index.  A
 re-enqueue that changes nothing writes nothing.
+
+A store opened without a path is an in-memory ledger (SQLite
+``:memory:``): the same SQL and transitions for a run whose points
+only this process executes, with nothing written to disk.
 """
 
 from __future__ import annotations
@@ -167,30 +171,41 @@ class Claim:
 
 
 class JobStore:
-    """Durable job ledger over one SQLite file.
+    """Durable job ledger over one SQLite file, or an in-memory one.
 
-    ``lease_s`` is the lease duration granted per claim (heartbeats
-    extend it); ``quarantine_after`` is the attempt count at which a
-    failing job is quarantined instead of re-pended.  ``clock`` is
-    injectable for tests (defaults to wall time -- leases are real-time
-    contracts between processes, not simulated time).
+    ``path`` is the SQLite file; ``None`` keeps the ledger in this
+    connection's memory, seen by no other process or thread, so it
+    suits only a run whose one worker is the caller (no heartbeats are
+    needed, and a quarantined job's traceback is not written anywhere:
+    :meth:`quarantine_path` is ``None``).  ``lease_s`` is the lease
+    duration granted per claim (heartbeats extend it);
+    ``quarantine_after`` is the attempt count at which a failing job is
+    quarantined instead of re-pended.  ``clock`` is injectable for
+    tests (defaults to wall time -- leases are real-time contracts
+    between processes, not simulated time).
     """
 
     def __init__(
         self,
-        path,
+        path=None,
         lease_s: float = 30.0,
         quarantine_after: int = 3,
         clock: Callable[[], float] = time.time,
     ):
-        self.path = Path(path)
+        self.path = Path(path) if path is not None else None
         self.lease_s = float(lease_s)
         self.quarantine_after = int(quarantine_after)
         self.clock = clock
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         self._db = self._connect()
 
     def _connect(self) -> sqlite3.Connection:
+        if self.path is None:
+            db = sqlite3.connect(":memory:")
+            db.isolation_level = None
+            db.executescript(_SCHEMA)
+            return db
         db = sqlite3.connect(str(self.path), timeout=30.0)
         db.isolation_level = None  # explicit BEGIN/COMMIT
         db.execute("PRAGMA busy_timeout=30000")
@@ -476,8 +491,9 @@ class JobStore:
         the attempt failed: the row returns to ``pending`` with a
         ``not_before`` deadline ``backoff_s`` away, or is quarantined
         once its attempts reach ``quarantine_after``, with
-        ``traceback_text`` written next to the store under
-        ``quarantine/<key>.txt``.  Either way an owner that no longer
+        ``traceback_text`` written to :meth:`quarantine_path` (next to
+        the store, under ``quarantine/<key>.txt``; nowhere for an
+        in-memory ledger).  Either way an owner that no longer
         holds the lease changes nothing (counted as a stale
         completion).  Then :meth:`claim` for ``claim.owner`` over
         ``keys``.  Returns the row's new status (``done``, ``pending``,
@@ -502,6 +518,8 @@ class JobStore:
         self, key: str, error: str, traceback_text: str
     ) -> None:
         path = self.quarantine_path(key)
+        if path is None:
+            return
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(
@@ -509,8 +527,12 @@ class JobStore:
         )
         os.replace(tmp, path)
 
-    def quarantine_path(self, key: str) -> Path:
-        """Where the captured traceback of a quarantined job lives."""
+    def quarantine_path(self, key: str) -> Optional[Path]:
+        """Where the captured traceback of a quarantined job lives:
+        beside the store file, or ``None`` for an in-memory ledger (its
+        jobs' errors still name the exception)."""
+        if self.path is None:
+            return None
         return self.path.parent / "quarantine" / f"{key}.txt"
 
     # ------------------------------------------------------------------
@@ -602,6 +624,30 @@ class JobStore:
             self._db.execute(f"{sql} AND key IN ({marks})", chunk).fetchone()[0]
             for chunk, marks in _key_chunks(keys)
         )
+
+    def claimable_from(
+        self, keys: Optional[Sequence[str]] = None
+    ) -> Dict[str, float]:
+        """When the open jobs among ``keys`` (or in the whole store)
+        become claimable, per status: ``pending`` maps to the earliest
+        backoff deadline, ``leased`` to the earliest lease expiry.  A
+        status with no open job is absent, so an empty dict means every
+        job is terminal."""
+        sql = (
+            "SELECT status, MIN(CASE status WHEN 'pending' THEN not_before"
+            f" ELSE lease_expires END) FROM jobs WHERE {_OPEN_WHERE}"
+        )
+        out: Dict[str, float] = {}
+        parts = (
+            [(sql, ())] if keys is None
+            else [(f"{sql} AND key IN ({marks})", chunk)
+                  for chunk, marks in _key_chunks(keys)]
+        )
+        for query, args in parts:
+            for status, at in self._db.execute(query + " GROUP BY status",
+                                               args):
+                out[status] = min(at, out.get(status, at))
+        return out
 
     def counters(self) -> Dict[str, int]:
         """Lifetime transition counters plus current per-status totals."""

@@ -1,7 +1,7 @@
 """Worker supervision: leases, heartbeats, seeded backoff, restarts.
 
-Three layers, all built on the durable :class:`~repro.resilience.store.
-JobStore`:
+Three layers, all built on the :class:`~repro.resilience.store.JobStore`
+(durable, or in memory for a cache-less in-process engine run):
 
 * :func:`backoff_delay` -- exponential backoff with *deterministic*
   seeded jitter: the delay for (key, attempt, seed) is a pure function,
@@ -13,12 +13,13 @@ JobStore`:
   shares one supervision discipline).  Completing a point and claiming
   the next are one store commit.  While a point simulates, the loop's
   one daemon heartbeat thread renews its lease every third of the
-  lease; a worker that is SIGKILLed stops heartbeating and its lease
-  expires.
+  lease (on a durable store; an in-memory one has no other reader);
+  a worker that is SIGKILLed stops heartbeating and its lease expires.
 * :class:`WorkerPool` -- the parent-side supervisor: spawns worker
-  processes, watches for deaths (releasing the dead worker's leases
-  immediately instead of waiting out the lease), restarts workers
-  within a bounded budget, and optionally applies harness-level chaos
+  processes, wakes when one exits (releasing a dead worker's leases
+  immediately instead of waiting out the lease), restarts dead workers
+  within a bounded budget, lets idle ones leave once nothing is
+  pending, and optionally applies harness-level chaos
   (seeded worker kills and cache-entry corruption) for
   :mod:`repro.resilience.chaos`.
 """
@@ -38,6 +39,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.resilience.store import (
@@ -158,7 +160,10 @@ class WorkerLoop:
     are unpickled from the claim's stored blob.  ``point_timeout_s`` arms a
     :class:`~repro.resilience.watchdog.Watchdog` per point.
     ``on_complete(key, status)`` fires after each point with the row's
-    new status (see :meth:`JobStore.finish`).
+    new status (see :meth:`JobStore.finish`).  ``cache`` is anything
+    with ``put(key, spec, result)``: a :class:`ResultCache
+    <repro.harness.jobs.ResultCache>`, or the engine's in-memory results
+    beside an in-memory ledger, whose loop starts no heartbeat thread.
     """
 
     def __init__(
@@ -180,7 +185,9 @@ class WorkerLoop:
         self.specs_by_key = specs_by_key
         self.seed = seed
         self.point_timeout_s = point_timeout_s
-        self.heartbeats = heartbeats
+        # Nothing outside this thread can see an in-memory ledger, so no
+        # one else could take over its leases: they need no renewing.
+        self.heartbeats = heartbeats and store.path is not None
         self.on_complete = on_complete
         self.executed = 0
         self._next: Optional[Claim] = None
@@ -321,17 +328,25 @@ class WorkerLoop:
             if store is not None:
                 store.close()
 
-    def drain(self) -> int:
+    def drain(self, idle_exit: bool = False) -> int:
         """Run until every tracked job is terminal; returns how many
         points this loop executed.  When nothing is claimable but open
-        jobs remain (leased to someone else), polls until their leases
-        resolve or expire."""
+        jobs remain, sleeps until the earliest of them can be claimed
+        (a backoff deadline, or the lease of another worker expiring),
+        :data:`DEFAULT_POLL_S` at most, and tries again.
+
+        With ``idle_exit`` (a pool worker) the loop also returns once
+        no job is pending, even while others hold leases: a pool's
+        supervisor releases the leases of a worker that dies and starts
+        another, so an idle worker has nothing left to wait for."""
         try:
             while True:
                 if self.run_one() is None:
-                    if self.store.open_jobs(self.keys) == 0:
+                    due = self.store.claimable_from(self.keys)
+                    if not due or (idle_exit and "pending" not in due):
                         return self.executed
-                    time.sleep(DEFAULT_POLL_S)
+                    delay = min(due.values()) - self.store.clock()
+                    time.sleep(min(DEFAULT_POLL_S, max(0.0, delay)))
         finally:
             self.release()
 
@@ -375,7 +390,7 @@ def worker_main(
             owner=owner,
             seed=seed,
             point_timeout_s=point_timeout_s,
-        ).drain()
+        ).drain(idle_exit=True)
     finally:
         store.close()
 
@@ -402,10 +417,13 @@ class WorkerPool:
     supervises until every job in ``keys`` is terminal: dead workers
     have their leases released immediately and are restarted within a
     bounded budget (once it is spent with no live worker, the parent
-    runs the rest itself); expired leases of hung-but-alive workers are
-    left to lease expiry (claims reclaim them lazily).  ``on_terminal(key,
-    status)`` fires once per job as it reaches a terminal status, so the
-    caller can report progress incrementally.
+    runs the rest itself); a lease that expires under a hung-but-alive
+    worker gets a fresh worker to reclaim it.  A worker exits cleanly
+    once nothing is pending (:meth:`WorkerLoop.drain` with
+    ``idle_exit``) and is not replaced; the supervisor wakes on every
+    exit, so :meth:`run` returns as soon as the last point lands.
+    ``on_terminal(key, status)`` fires once per job as it reaches a
+    terminal status, so the caller can report progress incrementally.
     """
 
     def __init__(
@@ -521,34 +539,49 @@ class WorkerPool:
                     self.on_terminal(key, status)
 
         def scan():
-            """Report newly terminal rows; return the open rows' count."""
-            open_jobs = 0
+            """Report newly terminal rows; return the open rows' count,
+            how many are pending past their backoff, and how many are
+            leased under an expired lease (a hung worker's)."""
+            open_jobs = ready = expired = 0
+            now = self.store.clock()
             for row in self.store.rows(keys):
                 report(row.key, row.status)
-                if not row.terminal:
-                    open_jobs += 1
-            return open_jobs
+                if row.status == "pending":
+                    ready += row.not_before <= now
+                elif row.status == "leased":
+                    expired += row.lease_expires <= now
+                open_jobs += not row.terminal
+            return open_jobs, ready, expired
 
         try:
             while True:
-                if scan() == 0:
+                open_jobs, ready, expired = scan()
+                if open_jobs == 0:
                     return
-                # Bury dead workers, release their leases, restart.
+                # Bury exited workers.  One that exits cleanly left
+                # because nothing was pending; a dead one has its
+                # leases released and is restarted.
                 alive = []
                 for owner, proc in fleet:
                     if proc.is_alive():
                         alive.append((owner, proc))
                         continue
                     proc.join(timeout=0)
+                    if proc.exitcode == 0:
+                        continue
                     self.store.release_owner(owner)
                     if self.restarts < budget:
                         self.restarts += 1
                         alive.append(self._spawn(keys))
                 fleet = alive
-                if not fleet:
-                    if self.restarts >= budget:
-                        break
-                    fleet = [self._spawn(keys)]
+                if not fleet and self.restarts >= budget:
+                    break
+                # Live workers claim what is pending; a lease that
+                # expired under a hung worker, or pending work once every
+                # worker has left, gets a fresh worker.
+                orphans = expired + (0 if fleet else ready)
+                for _ in range(min(orphans, self.workers - len(fleet))):
+                    fleet.append(self._spawn(keys))
                 now = time.monotonic()
                 if next_kill is not None and now >= next_kill:
                     next_kill = now + self.chaos.kill_interval_s
@@ -558,7 +591,13 @@ class WorkerPool:
                         if victim.pid:
                             os.kill(victim.pid, signal.SIGKILL)
                             self.kills += 1
-                time.sleep(DEFAULT_POLL_S)
+                # Wake when a worker exits: the last one to leave has
+                # finished the last point.
+                if fleet:
+                    wait([proc.sentinel for _, proc in fleet],
+                         timeout=DEFAULT_POLL_S)
+                else:
+                    time.sleep(DEFAULT_POLL_S)
         finally:
             deadline = time.monotonic() + 2.0
             for _, proc in fleet:

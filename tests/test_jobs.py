@@ -1,7 +1,8 @@
 """Tests for the parallel experiment engine (:mod:`repro.harness.jobs`):
 spec hashing, the result cache, determinism of parallel vs serial
-execution, retry handling, resume from the cache directory, and
-cleanup of the throwaway store a cache-less run uses."""
+execution, retry handling, resume from the cache directory, the
+in-memory ledger of a cache-less in-process run, and cleanup of the
+throwaway store a cache-less pooled run uses."""
 
 import dataclasses
 import json
@@ -427,6 +428,28 @@ class TestEngineSerial:
         assert jobs[1].ok
         assert engine.stats.failed == 1 and engine.stats.retried == 1
 
+    def test_cacheless_quarantine_leaves_no_files(
+        self, tmp_path, monkeypatch
+    ):
+        """A point that fails every attempt in a cache-less serial run is
+        quarantined on the in-memory ledger: its error names the
+        exception, and nothing is written to the working directory or
+        the temporary directory (the traceback has no file to go to)."""
+        import tempfile
+
+        cwd, tmpdir = tmp_path / "cwd", tmp_path / "tmp"
+        cwd.mkdir()
+        tmpdir.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        engine = Engine(workers=1)
+        (job,) = engine.run([spec(workload="broken", factory=_always_fail)])
+        assert not job.ok and job.attempts == 2
+        assert job.error == "RuntimeError: synthetic workload failure"
+        assert engine.store_counters["quarantined"] == 1
+        assert list(cwd.iterdir()) == [] and list(tmpdir.iterdir()) == []
+
     def test_retry_recovers_flaky_point(self, tmp_path):
         marker = tmp_path / "tried"
 
@@ -476,15 +499,58 @@ class TestEngineParallel:
         for w in ("canneal", "swaptions")
         for c in ("pthread", "msa-omu-2")
     ]
+    #: Checked, under message drops: a result that carries a check
+    #: report and fault counters, not just cycles.
+    CHECKED = dict(
+        workload="streamcluster", config="msa-omu-2",
+        checkers=("mutex", "barrier"), fault_plan=drop_plan(0.01, seed=1),
+    )
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
-        serial = [execute_spec(spec(**g)) for g in self.GRID]
+        grid = self.GRID + [self.CHECKED]
+        serial = [execute_spec(spec(**g)) for g in grid]
         engine = Engine(workers=4, cache_dir=tmp_path / "cache")
-        jobs = engine.run([spec(**g) for g in self.GRID])
-        assert engine.stats.executed == len(self.GRID)
+        jobs = engine.run([spec(**g) for g in grid])
+        assert engine.stats.executed == len(grid)
         assert [j.result.to_json() for j in jobs] == [
             r.to_json() for r in serial
         ]
+
+    def test_cacheless_in_process_results_match_cached_and_pooled(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache-less serial run hands its results back as the objects
+        its points returned, from an in-memory ledger: equal, and equal
+        in bytes, to what a cached run and a cache-less pooled run read
+        back through the JSON codec.  It starts no heartbeat thread and
+        makes no temporary directory."""
+        import tempfile
+        import threading
+
+        specs = [spec(**g) for g in self.GRID + [self.CHECKED]]
+        cached = Engine(workers=1, cache_dir=tmp_path / "cache").run(specs)
+        pooled = Engine(workers=2).run(specs)
+
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        held = Engine(workers=1).run(specs)
+        assert started == [] and list(tmpdir.iterdir()) == []
+
+        assert held[-1].result.check_report and held[-1].result.fault_counters
+        for runs in (cached, pooled):
+            assert [j.result for j in held] == [j.result for j in runs]
+            assert [j.result.to_json() for j in held] == [
+                j.result.to_json() for j in runs
+            ]
 
     def test_unpicklable_factory_falls_back_in_process(self):
         captured = []

@@ -135,6 +135,36 @@ class TestJobStore:
         assert "RuntimeError: boom" in artifact.read_text()
         assert store.open_jobs() == 0  # quarantined is terminal
 
+    def test_claimable_from_names_each_open_status(self, tmp_path):
+        store, clock = self.make(tmp_path)
+        store.enqueue_many([(k, k, None) for k in ("k1", "k2", "k3")])
+        assert store.claimable_from() == {"pending": 0.0}
+        held = store.claim("w1", keys=["k1"])
+        failed = store.claim("w1", keys=["k2"])
+        store.finish(failed, "RuntimeError: boom", backoff_s=3.0, keys=[])
+        assert store.claimable_from(["k1", "k2"]) == {
+            "leased": clock.now + 10.0, "pending": clock.now + 3.0,
+        }
+        assert store.claimable_from(["k1"]) == {"leased": clock.now + 10.0}
+        store.finish(held, keys=[])
+        assert store.claimable_from(["k1"]) == {}
+
+    def test_in_memory_ledger_writes_nothing(self, tmp_path, monkeypatch):
+        """A store without a path keeps its rows in memory: the same
+        transitions, and a quarantined job leaves no artifact."""
+        monkeypatch.chdir(tmp_path)
+        store = JobStore(quarantine_after=1)
+        store.enqueue("k1")
+        claim = store.claim("w1")
+        status, _ = store.finish(
+            claim, "RuntimeError: boom", traceback_text="Traceback..."
+        )
+        assert status == store.get("k1").status == "quarantined"
+        assert store.quarantine_path("k1") is None
+        assert store.counters()["quarantined"] == 1
+        store.close()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("terminal", ["done", "quarantined"])
     def test_requeue_resets_quarantined(self, tmp_path, terminal):
         """Enqueueing a terminal row again (its cache entry did not
@@ -486,6 +516,33 @@ class TestWorkerLoop:
         assert {store.get(k).status for k in keys} == {"done"}
         assert set(keys[1:]) <= set(renewed)
         assert store.counters()["stale_completions"] == 0
+        store.close()
+
+    def test_idle_exit_waits_for_pending_not_for_others_leases(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker's loop runs a point whose retry is backed off
+        once the backoff ends, then returns while another worker still
+        holds a lease: that worker's supervisor reruns the point if it
+        dies."""
+
+        class NullCache:
+            def put(self, key, spec, result):
+                pass
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        store.enqueue_many([("held", "", None), ("later", "", None)])
+        store.claim("other", keys=["held"])
+        failed = store.claim("other", keys=["later"])
+        store.finish(failed, "RuntimeError: boom", backoff_s=0.2, keys=[])
+        loop = WorkerLoop(
+            store, NullCache(), keys=["held", "later"],
+            specs_by_key={"held": None, "later": None}, heartbeats=False,
+        )
+        monkeypatch.setattr(loop, "_execute", lambda spec: None)
+        assert loop.drain(idle_exit=True) == 1
+        assert store.get("later").status == "done"
+        assert store.get("held").status == "leased"
         store.close()
 
     def test_fixed_cost_per_point(self, tmp_path, monkeypatch):

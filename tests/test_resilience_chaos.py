@@ -231,6 +231,35 @@ class TestSigkillRecovery:
         ]
         store.close()
 
+    def test_pool_reruns_a_lease_that_expires_after_its_workers_left(
+        self, tmp_path
+    ):
+        """Idle workers leave while another owner holds a lease; when
+        that lease expires (its holder hung), the pool starts a worker
+        that reclaims the point, and counts no restart."""
+        specs = [
+            JobSpec(config=c, workload="canneal", cores=4, scale=0.1, seed=7)
+            for c in ("pthread", "msa-omu-2")
+        ]
+        keys = [s.key() for s in specs]
+        store = JobStore(tmp_path / "jobs.sqlite3", lease_s=0.5,
+                         quarantine_after=5)
+        store.enqueue_many(
+            (key, s.describe(), pickle.dumps(s)) for key, s in zip(keys, specs)
+        )
+        assert store.claim("hung", keys=keys[:1]).key == keys[0]
+        pool = WorkerPool(store, tmp_path / "cache", workers=2, lease_s=5.0,
+                          quarantine_after=5)
+        pool.run(keys)
+        assert [store.get(key).status for key in keys] == ["done"] * 2
+        assert store.counters()["leases_expired"] == 1
+        assert pool.restarts == 0
+        cache = ResultCache(tmp_path / "cache")
+        assert [cache.get(key).to_json() for key in keys] == [
+            execute_spec(s).to_json() for s in specs
+        ]
+        store.close()
+
     def test_engine_converges_under_seeded_kills(self, tmp_path):
         specs = [
             JobSpec(config=c, workload="canneal", cores=4, scale=0.15, seed=3)
